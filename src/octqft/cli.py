@@ -286,6 +286,9 @@ def main(argv=None) -> int:
             KeyError, ValueError, ZeroDivisionError) as e:
         print(f"octqft: {e}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as e:
+        print(f"octqft: input too large: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ boundary circles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .numkit import Matrix, Rat, ZERO, ONE, rat
 from .frobenius import ConsistencyError
@@ -78,16 +78,17 @@ class LinComb:
     """Formal rational combination of terms with one common type."""
 
     terms: list
+    _signature: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigs = {typecheck(t) for _, t in self.terms}
         if len(sigs) > 1:
             raise TermTypeError(f"mixed types in linear combination: {sorted(sigs)}")
+        if sigs:
+            self._signature = sigs.pop()
 
     def signature(self):
-        if not self.terms:
-            return None
-        return typecheck(self.terms[0][1])
+        return self._signature
 
 
 GEN_SIGNATURES = {

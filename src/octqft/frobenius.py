@@ -195,8 +195,6 @@ STRUCTURAL_FLAGS = (
     "pairing_nondegenerate",
 )
 
-ALL_FLAGS = STRUCTURAL_FLAGS + ("commutative", "symmetric")
-
 
 @dataclass
 class FrobeniusReport:

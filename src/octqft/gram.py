@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .numkit import Matrix, Rat, ZERO, ONE, rat, Poly, nullspace
 from .frobenius import ConsistencyError
@@ -92,6 +93,13 @@ def rational_character(num: dict, den: dict, label="") -> TableCharacter:
         return memo[(g, w)]
 
     return TableCharacter(value, label)
+
+
+def _memo_chi(chi):
+    """chi with its values cached, for the many pairings of one Gram build."""
+    if isinstance(chi, CharacterForm):
+        return TableCharacter(lambda g, w: eval_character(chi, g, w))
+    return chi
 
 
 def _chi_at(chi, g, w):
@@ -499,6 +507,7 @@ def gram_rank(ts: TermSpace, chi):
     """Full Gram matrix of the spanning set under the pairing, and its rank
     over the rationals.  With a complete spanning set the rank is the
     dimension of the endomorphism space in the quotient category."""
+    chi = _memo_chi(chi)
     n = len(ts.spanning)
     m = Matrix.zeros(n, n)
     for i in range(n):
@@ -758,15 +767,27 @@ def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingRep
 
 
 # ---------------------------------------------------------------------------
-# modular linear algebra helpers
+# symmetric pivoting
 #
-# Large endomorphism families make exact rational pivoting and coordinate
-# solving too slow, so rank selection and structure constants run over prime
-# fields; a nonzero Schur complement mod p certifies true rank growth, and
-# final witness data is reconstructed to rationals and re-verified exactly.
+# The quotient basis and the enumerated spanning sets both need a maximal
+# set of keys whose Gram block is invertible.  One engine picks it, over Q
+# (p = 0, Fraction arithmetic) or over Z/p.  Accepted keys are
+# orthogonalised block by block, in symmetric 1x1 or 2x2 pivot blocks
+# (Bunch-Kaufman, adapted to exact fields): u_i is key i minus its
+# projection onto the earlier blocks.  Every handle h tested so far keeps
+# w[i] = <h, u_i>, its coordinate z[i] along u_i and its diagonal residual
+# <h, h> - z.w, extended lazily by the keys accepted since it was last
+# seen.  The residual pairing of two handles is pair(h1, h2) - z1.w2; no
+# inverse is kept and no linear system is solved.
+#
+# Callers accept singles in candidate order, pass after pass, until they
+# stall, and then the first pair in lexicographic order with an invertible
+# 2x2 Schur complement.  Once singles stall every diagonal residual is zero,
+# so such a pair exists exactly when some cross residual is nonzero.  A
+# nonzero determinant mod p is nonzero over Q, so modular pivoting never
+# overstates a rank; a zero mod p can only shrink the selection.
 
 MOD_P1 = (1 << 61) - 1
-MOD_P2 = (1 << 61) - 31
 
 
 def _mod_of(fr, p) -> int:
@@ -774,111 +795,97 @@ def _mod_of(fr, p) -> int:
     return fr.numerator * pow(fr.denominator, p - 2, p) % p
 
 
-class _ModularPivot:
-    """Incremental invertible-Gram pivot over a prime field.
+class _SymPivot:
+    """Incremental maximal invertible Gram block under pairfn, over Q when
+    p = 0 and over Z/p for a prime p; keys holds the accepted handles in
+    acceptance order."""
 
-    Maintains the inverse of the Gram block of the accepted handles.  A
-    single handle is accepted when its bordered Schur complement is
-    nonzero; after singles stall, a pair with nonzero cross residual is
-    accepted through a genuine 2x2 block step (its block Schur determinant
-    is minus the residual squared, hence nonzero).
-    """
-
-    def __init__(self, pairfn, p):
+    def __init__(self, pairfn, p=0):
         self.pairfn = pairfn
         self.p = p
         self.keys = []
-        self.ginv = []
-        self._cols = {}     # handle -> partial pairing column, extended lazily
-        self._cx = {}       # handle -> (epoch, column snapshot, projection)
+        self._kz = []       # per key: its coordinates along the earlier blocks
+        self._dinv = {}     # first key index of a block -> inverse block Gram
+        self._h = {}        # handle -> [w, z, diagonal residual]
 
-    def col(self, h):
-        c = self._cols.get(h)
-        if c is None:
-            c = []
-            self._cols[h] = c
-        while len(c) < len(self.keys):
-            c.append(self.pairfn(self.keys[len(c)], h))
-        return c
+    def _red(self, x):
+        return x % self.p if self.p else x
 
-    def project(self, col):
-        p = self.p
-        return [sum(map(lambda a, b: a * b, row, col)) % p for row in self.ginv]
+    def _inv(self, x):
+        return pow(x, self.p - 2, self.p) if self.p else ONE / x
 
-    def colx(self, h):
-        """Pairing column and its Gram projection, cached per basis epoch."""
-        rec = self._cx.get(h)
-        k = len(self.keys)
-        if rec is not None and rec[0] == k:
-            return rec[1], rec[2]
-        c = self.col(h)[:]
-        x = self.project(c)
-        self._cx[h] = (k, c, x)
-        return c, x
+    def _coords(self, h):
+        rec = self._h.get(h)
+        if rec is None:
+            rec = self._h[h] = [[], [], self._red(self.pairfn(h, h))]
+        w, z, r = rec
+        keys = self.keys
+        while len(w) < len(keys):
+            start = len(w)
+            dinv = self._dinv[start]
+            for i in range(start, start + len(dinv)):
+                w.append(self._red(self.pairfn(keys[i], h) - sum(map(mul, self._kz[i], w))))
+            wb = w[start:]
+            for row in dinv:
+                z.append(self._red(sum(map(mul, row, wb))))
+            r = self._red(r - sum(map(mul, z[start:], wb)))
+        rec[2] = r
+        return rec
 
-    def residual(self, h, col=None, x=None):
-        if col is None:
-            col = self.col(h)[:]
-        if x is None:
-            x = self.project(col)
-        return (self.pairfn(h, h) - sum(a * b for a, b in zip(col, x))) % self.p
+    def _push(self, handles, dinv):
+        """Accept handles as one block whose Gram inverse is dinv."""
+        self._dinv[len(self.keys)] = dinv
+        for h in handles:
+            self._kz.append(self._h.pop(h)[1])
+            self.keys.append(h)
 
-    def _extend(self, handles, cols, xs, schur):
-        p = self.p
-        k = len(self.keys)
-        m = len(handles)
-        det = schur[0][0] if m == 1 else \
-            (schur[0][0] * schur[1][1] - schur[0][1] * schur[1][0]) % p
-        if not det:
+    def accept_single(self, h) -> bool:
+        """Accept h when its residual against the accepted keys is nonzero."""
+        r = self._coords(h)[2]
+        if not r:
             return False
-        di = pow(det, p - 2, p)
-        if m == 1:
-            sinv = [[di]]
-        else:
-            sinv = [[schur[1][1] * di % p, (-schur[0][1]) * di % p],
-                    [(-schur[1][0]) * di % p, schur[0][0] * di % p]]
-        nk = k + m
-        newinv = [[0] * nk for _ in range(nk)]
-        for r in range(k):
-            nr = newinv[r]
-            gr = self.ginv[r]
-            xr = [xs[a][r] for a in range(m)]
-            for c in range(k):
-                v = gr[c]
-                for a in range(m):
-                    sa = sinv[a]
-                    for b in range(m):
-                        v += xr[a] * sa[b] % p * xs[b][c]
-                nr[c] = v % p
-            for a in range(m):
-                v = 0
-                for b in range(m):
-                    v += xr[b] * sinv[b][a]
-                nr[k + a] = (-v) % p
-                newinv[k + a][r] = (-v) % p
-        for a in range(m):
-            for b in range(m):
-                newinv[k + a][k + b] = sinv[a][b]
-        self.ginv = newinv
-        self.keys.extend(handles)
+        self._push([h], [[self._inv(r)]])
         return True
 
-    def accept_single(self, h):
-        col, x = self.colx(h)
-        s = self.residual(h, col, x)
-        if not s:
-            return False
-        return self._extend([h], [col], [x], [[s]])
+    def select(self, cands):
+        """Run the acceptance order over cands: singles in order, pass after
+        pass, until they stall, then the first pair; repeat until no pair
+        extends the block."""
+        remaining = list(cands)
+        while True:
+            progressed = True
+            while progressed:
+                progressed = False
+                rem = []
+                for h in remaining:
+                    if self.accept_single(h):
+                        progressed = True
+                    else:
+                        rem.append(h)
+                remaining = rem
+            found = self.first_pair(remaining)
+            if found is None:
+                return
+            remaining = [h for pos, h in enumerate(remaining) if pos not in found]
 
-    def accept_pair(self, h1, h2):
-        p = self.p
-        c1, x1 = self.colx(h1)
-        c2, x2 = self.colx(h2)
-        s00 = self.residual(h1, c1, x1)
-        s11 = self.residual(h2, c2, x2)
-        s01 = (self.pairfn(h1, h2) - sum(a * b for a, b in zip(x1, c2))) % p
-        return self._extend([h1, h2], [c1, c2], [x1, x2],
-                            [[s00, s01], [s01, s11]])
+    def first_pair(self, cands):
+        """Accept the first pair of cands, in lexicographic order of
+        positions, whose 2x2 Schur complement is invertible; return its
+        positions (a, b), or None when no pair extends the block."""
+        recs = [self._coords(h) for h in cands]
+        for a, (_, za, ra) in enumerate(recs):
+            for b in range(a + 1, len(cands)):
+                wb, _, rb = recs[b]
+                s01 = self._red(self.pairfn(cands[a], cands[b]) - sum(map(mul, za, wb)))
+                # det = ra rb - s01^2, which is nonzero iff s01 is when a
+                # diagonal residual vanishes (always, once singles stall)
+                if self._red(ra * rb - s01 * s01) if ra and rb else s01:
+                    red = self._red
+                    di = self._inv(red(ra * rb - s01 * s01))
+                    self._push([cands[a], cands[b]], [[red(rb * di), red(-s01 * di)],
+                                                      [red(-s01 * di), red(ra * di)]])
+                    return a, b
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -969,11 +976,15 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
     terms breed new candidates by composition within the budget.
 
     Candidates are deduplicated by topological summary before any rank
-    test, the probe Gram arithmetic runs over a prime field, and stalled
-    greedy passes finish with two-element pivot steps so indefinite probe
-    pairings cannot hide rank.  The probe-rank stopping rule makes the
-    result a lower-bound spanning set: complete whenever the probe sees
-    the full endomorphism space.
+    test and run through the symmetric pivot engine over Z/MOD_P1 under
+    the probe character.  Acceptance order: candidates in (generators,
+    text) order as singles; once the heap is empty the stalled candidates
+    are retried as singles, pass after pass, until none is accepted; then
+    the first sorted pair with an invertible 2x2 Schur complement is
+    accepted, so indefinite probe pairings cannot hide rank, and its
+    offspring refill the heap.  A zero mod p can only drop a candidate, and
+    the probe-rank stopping rule makes the result a lower-bound spanning
+    set: complete whenever the probe sees the full endomorphism space.
     """
     if size_budget < 0:
         raise ValueError("budget must be >= 0")
@@ -983,8 +994,7 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
     import heapq
 
     accepted = []           # (term, gens, sid)
-    sid_gens = {}
-    piv = _ModularPivot(_probe_val, MOD_P1)
+    piv = _SymPivot(_probe_val, MOD_P1)
 
     heap = []
     seen_classes = set()
@@ -1001,7 +1011,6 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
 
     def breed(term, gens, sid):
         accepted.append((term, gens, sid))
-        sid_gens[sid] = gens
         for other, ogens, osid in accepted:
             total = ogens + gens
             if total <= size_budget:
@@ -1035,22 +1044,14 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
             deferred = still
         if heap:
             continue
-        progressed = False
         deferred.sort()
-        for a in range(len(deferred)):
-            for b in range(a + 1, len(deferred)):
-                if piv.accept_pair(deferred[a][3], deferred[b][3]):
-                    for pos in (a, b):
-                        gens, text, term, sid = deferred[pos]
-                        breed(term, gens, sid)
-                    deferred = [d for p, d in enumerate(deferred)
-                                if p not in (a, b)]
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if not progressed and not heap:
+        found = piv.first_pair([d[3] for d in deferred])
+        if found is None:
             break
+        for pos in found:
+            gens, text, term, sid = deferred[pos]
+            breed(term, gens, sid)
+        deferred = [d for pos, d in enumerate(deferred) if pos not in found]
 
     ts = TermSpace(obj, [lc(t) for t, g, sid in accepted])
     _ENUM_CACHE[key] = ts
@@ -1067,114 +1068,40 @@ class QuotientAlgebra:
     dim: int
     basis: list             # LinComb entries
     basis_indices: tuple    # positions inside the originating spanning list
-    gram: Matrix            # invertible Gram matrix of the basis (None when modular)
+    gram: Matrix            # invertible Gram matrix of the basis
     mult_table: dict        # (i, j) -> tuple of coordinates of basis[i]∘basis[j]
     trace_vec: tuple        # categorical traces of the basis elements
     unit_coords: tuple
-    modulus: int = 0        # prime field of the structure constants; 0 = exact
 
 
 def _pivot_basis(ts, chi):
-    """Maximal subset with invertible Gram matrix; its size is the rank of
-    the full Gram matrix because the pairing is symmetric.
+    """Maximal subset with invertible Gram matrix, chosen exactly over Q;
+    its size is the rank of the full Gram matrix because the pairing is
+    symmetric.  Returns the chosen positions in increasing order and their
+    Gram matrix.
 
-    Single elements are added while their bordered Schur complement is
-    nonzero.  That alone can stall on an indefinite pairing (every leftover
-    diagonal residual zero while cross residuals survive), so stalled
-    passes are followed by two-element steps: a pair (i, j) with nonzero
-    cross residual r has block Schur determinant -r^2 and always extends
-    the invertible submatrix.
+    The exact symmetric pivot engine picks it in its acceptance order over
+    the spanning positions (_SymPivot.select): singles in index order until
+    they stall, then the first pair with an invertible 2x2 Schur complement
+    (an indefinite pairing can leave every diagonal residual zero while
+    cross residuals survive), then singles again.  Witness coordinates are
+    indexed by these positions, so the order is part of the contract.
     """
-    chosen = []
-    rows = []
     memo = {}
 
     def p(i, j):
-        k = (min(i, j), max(i, j))
-        if k not in memo:
-            memo[k] = pair(ts.spanning[i], ts.spanning[j], chi)
-        return memo[k]
+        k = (i, j) if i <= j else (j, i)
+        v = memo.get(k)
+        if v is None:
+            v = memo[k] = pair(ts.spanning[k[0]], ts.spanning[k[1]], chi)
+        return v
 
-    def try_single(idx):
-        col = [p(i, idx) for i in chosen]
-        diag = p(idx, idx)
-        if chosen:
-            gmat = Matrix.from_rows(rows)
-            x = gmat.solve(col)
-            if x is not None:
-                schur = diag
-                for i in range(len(chosen)):
-                    schur -= x[i] * col[i]
-                if not schur:
-                    return False
-        elif not diag:
-            return False
-        for i, r in enumerate(rows):
-            r.append(col[i])
-        rows.append(col + [diag])
-        chosen.append(idx)
-        return True
-
-    def try_pair(idx, jdx):
-        ci = [p(i, idx) for i in chosen]
-        cj = [p(i, jdx) for i in chosen]
-        dii = p(idx, idx)
-        dij = p(idx, jdx)
-        djj = p(jdx, jdx)
-        if chosen:
-            gmat = Matrix.from_rows(rows)
-            xi = gmat.solve(ci)
-            xj = gmat.solve(cj)
-            if xi is None or xj is None:
-                # inconsistent system cannot happen on a symmetric pivot
-                # basis; treat as independent via the single-element path
-                return False
-            s00 = dii - sum(xi[t] * ci[t] for t in range(len(chosen)))
-            s01 = dij - sum(xi[t] * cj[t] for t in range(len(chosen)))
-            s11 = djj - sum(xj[t] * cj[t] for t in range(len(chosen)))
-        else:
-            s00, s01, s11 = dii, dij, djj
-        if not (s00 * s11 - s01 * s01):
-            return False
-        for i, r in enumerate(rows):
-            r.append(ci[i])
-            r.append(cj[i])
-        rows.append(ci + [dii, dij])
-        rows.append(cj + [dij, djj])
-        chosen.append(idx)
-        chosen.append(jdx)
-        return True
-
-    remaining = list(range(len(ts.spanning)))
-    while True:
-        progressed = True
-        while progressed:
-            progressed = False
-            rem = []
-            for idx in remaining:
-                if try_single(idx):
-                    progressed = True
-                else:
-                    rem.append(idx)
-            remaining = rem
-        found = False
-        for a in range(len(remaining)):
-            for b in range(a + 1, len(remaining)):
-                if try_pair(remaining[a], remaining[b]):
-                    pair_ab = {remaining[a], remaining[b]}
-                    remaining = [r for r in remaining if r not in pair_ab]
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            break
-    order = sorted(range(len(chosen)), key=lambda i: chosen[i])
-    if not rows:
+    piv = _SymPivot(p)
+    piv.select(range(len(ts.spanning)))
+    chosen = sorted(piv.keys)
+    if not chosen:
         return [], Matrix.zeros(0, 0)
-    gperm = Matrix.from_rows(
-        [[rows[i][j] for j in order] for i in order])
-    return [chosen[i] for i in order], gperm
+    return chosen, Matrix.from_rows([[p(i, j) for j in chosen] for i in chosen])
 
 
 def quotient_algebra(ts: TermSpace, chi) -> QuotientAlgebra:
@@ -1185,6 +1112,7 @@ def quotient_algebra(ts: TermSpace, chi) -> QuotientAlgebra:
     the resulting structure constants are associative and unital; failures
     raise IncompleteSpanningError since they mean products escaped the span.
     """
+    chi = _memo_chi(chi)
     chosen, gb = _pivot_basis(ts, chi)
     dim = len(chosen)
     basis = [ts.spanning[i] for i in chosen]

@@ -529,9 +529,6 @@ def interpolated_gl_character(d, alpha) -> CharacterForm:
 # projectors for the nilpotent family
 
 
-PROJECTOR_NAMES = ("P_UI", "P_NI", "P_V", "P_US", "P_NS", "P_1", "P_W")
-
-
 @dataclass
 class ProjectorSet:
     projectors: dict

@@ -745,8 +745,3 @@ def recurrence_from_sequences(seqs, max_order: int):
         if sol is not None:
             return Poly(list(sol) + [ONE])
     return None
-
-
-def hadamard(a, b):
-    """Pointwise product of two equal-length lists of rationals."""
-    return [x * y for x, y in zip(a, b)]

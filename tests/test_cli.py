@@ -104,6 +104,26 @@ def test_eval_bad_term_usage_error(capsys, kfa_path):
     assert code == 2
 
 
+def test_eval_deep_term_exits_two(capsys, kfa_path):
+    # 1,000 generators nest past the interpreter's recursion limit
+    term = " ; ".join(["dS ; mS"] * 500)
+    code = main(["eval", "--term", term, "--kfa", kfa_path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("octqft: ") and err.count("\n") == 1
+
+
+def test_out_of_memory_exits_two(capsys, kfa_path, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("octqft.cli.evaluate", exhausted)
+    code = main(["eval", "--term", "uS ; eS", "--kfa", kfa_path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("octqft: ") and err.count("\n") == 1
+
+
 def test_gram_rank_report(capsys):
     chi = json.dumps({"exp": [{"lambda": "1", "mu": "3", "coeff": "2"}]})
     code, out = run(capsys, ["gram", "--object", "S", "--char", chi, "--no-matrix"])

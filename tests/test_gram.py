@@ -1,5 +1,7 @@
-"""Tests for the pairing, spanning sets, idempotents and quotient algebras."""
+"""Tests for the pairing, spanning sets, idempotents, quotient algebras and
+nilpotent-trace witnesses."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from octqft.character import CharacterForm, eval_character
 from octqft.cobordism import Id, TermTypeError, parse, pretty
+from octqft.numkit import Matrix
 from octqft.gram import (
     MOD_P1,
     LinComb,
-    _ModularPivot,
+    _SymPivot,
     build_idempotents,
     categorical_trace,
     enumerate_end_terms,
@@ -24,6 +27,7 @@ from octqft.gram import (
     lc_scale,
     lc_sub,
     minimal_poly_negligibility,
+    nilpotent_trace_obstruction,
     pair,
     quotient_algebra,
     rational_character,
@@ -317,8 +321,18 @@ def test_quotient_unit_coordinates():
         assert acting == expect
 
 
+def test_quotient_basis_indices_pinned():
+    # Witness.coords are indexed through basis_indices, so the pivot order
+    # is part of the output
+    poly = CharacterForm.make(alpha_1=1, alpha_X=2, alpha_Y=3)
+    cases = [(CHI2, "S", (0, 16)), (CHI2, "I", (0, 1, 17)),
+             (poly, "S", (0, 9, 19, 36)), (poly, "I", (0, 10))]
+    for chi, obj, expected in cases:
+        assert quotient_algebra(spanning_end(obj, chi), chi).basis_indices == expected
+
+
 # ---------------------------------------------------------------------------
-# pivot completion needs 2x2 blocks on indefinite forms
+# the symmetric pivot engine: 1x1 and 2x2 steps over Q and Z/p
 
 
 def test_modular_pivot_accepts_pair_after_singles_stall():
@@ -327,9 +341,95 @@ def test_modular_pivot_accepts_pair_after_singles_stall():
         (1, 0): 1, (1, 1): 1, (1, 2): 0,
         (2, 0): 1, (2, 1): 0, (2, 2): 1,
     }
-    piv = _ModularPivot(lambda a, b: gram[(a, b)] % MOD_P1, MOD_P1)
-    assert piv.accept_single(0)
-    assert not piv.accept_single(1)
-    assert not piv.accept_single(2)
-    assert piv.accept_pair(1, 2)
-    assert piv.keys == [0, 1, 2]
+    for p in (0, MOD_P1):
+        piv = _SymPivot(lambda a, b: gram[(a, b)] % p if p else gram[(a, b)], p)
+        assert piv.accept_single(0)
+        assert not piv.accept_single(1)
+        assert not piv.accept_single(2)
+        assert piv.first_pair([1, 2]) == (0, 1)
+        assert piv.keys == [0, 1, 2]
+
+
+def _random_symmetric(rng, n):
+    """n x n symmetric integer Gram matrix B H B^T of random rank, H mixing
+    signed 1x1 blocks with hyperbolic planes.  In half the cases every row
+    of B meets each plane in one coordinate only and misses the 1x1 blocks,
+    so the diagonal is zero and only 2x2 steps can make progress."""
+    planes = rng.randint(0, 3)
+    singles = rng.randint(0, 2)
+    zero_diag = rng.random() < 0.5
+    rows = []
+    for _ in range(n):
+        b = []
+        for _ in range(planes):
+            x, y = rng.randint(-2, 2), rng.randint(-2, 2)
+            if zero_diag:
+                b += [x, 0] if rng.random() < 0.5 else [0, y]
+            else:
+                b += [x, y]
+        b += [0 if zero_diag else rng.randint(-2, 2) for _ in range(singles)]
+        rows.append(b)
+    signs = [rng.choice((-1, 1)) for _ in range(singles)]
+
+    def h(u, v):
+        s = 0
+        for k in range(planes):
+            s += u[2 * k] * v[2 * k + 1] + u[2 * k + 1] * v[2 * k]
+        for k in range(singles):
+            s += signs[k] * u[2 * planes + k] * v[2 * planes + k]
+        return s
+    return [[h(rows[i], rows[j]) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("p", [0, MOD_P1], ids=["Q", "mod_p"])
+def test_sym_pivot_selects_rank_on_random_symmetric(p):
+    rng = random.Random(20231209)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        g = _random_symmetric(rng, n)
+        piv = _SymPivot(lambda a, b: g[a][b] % p if p else Fraction(g[a][b]), p)
+        piv.select(range(n))
+        chosen = sorted(piv.keys)
+        assert len(chosen) == Matrix.from_rows(g).rank()
+        if chosen:
+            block = Matrix.from_rows([[g[i][j] for j in chosen] for i in chosen])
+            assert block.inverse() is not None
+
+
+def test_sym_pivot_zero_diagonal_needs_pair_steps():
+    g = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
+    piv = _SymPivot(lambda a, b: Fraction(g[a][b]))
+    piv.select(range(4))
+    assert piv.keys == [0, 1, 2, 3]
+
+
+def test_first_pair_needs_invertible_schur_block():
+    # with nonzero diagonal residuals a nonzero cross residual is not enough
+    for g, expected in (([[1, 1], [1, 1]], None), ([[1, 1], [1, 2]], (0, 1))):
+        for p in (0, MOD_P1):
+            piv = _SymPivot(lambda a, b: g[a][b], p)
+            assert piv.first_pair([0, 1]) == expected
+
+
+# ---------------------------------------------------------------------------
+# nilpotent-trace witnesses
+
+_ONE_OVER_1_MINUS_XY = ({(0, 0): 1}, {(0, 0): 1, (1, 1): -1})
+_ONE_OVER_1_MINUS_Y_SQUARED = ({(0, 0): 1}, {(0, 0): 1, (0, 1): -2, (0, 2): 1})
+
+
+@pytest.mark.parametrize("obj, gf, degree, trace", [
+    ("S", _ONE_OVER_1_MINUS_XY, 4, 1),
+    ("I", _ONE_OVER_1_MINUS_XY, 2, 1),
+    ("I", _ONE_OVER_1_MINUS_Y_SQUARED, 2, -1),
+])
+def test_witness_budget_four(obj, gf, degree, trace):
+    w = nilpotent_trace_obstruction(obj, rational_character(*gf), 4)
+    assert w is not None
+    assert w.object == obj
+    assert (w.degree, w.trace) == (degree, trace)
+
+
+def test_witness_absent_for_good_character():
+    # a good character has a semisimple quotient: no nilpotent carries trace
+    assert nilpotent_trace_obstruction("I", CHI2, 4) is None

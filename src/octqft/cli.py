@@ -35,7 +35,6 @@ from .character import (
 from .cobordism import TermTypeError, evaluate, parse
 from .gram import (
     IncompleteSpanningError,
-    build_idempotents,
     gram_rank,
     nilpotent_trace_obstruction,
     rational_character,
@@ -174,8 +173,8 @@ def _cmd_gram(args):
 
 def _cmd_idempotents(args):
     chi = _load_char_form(args.char)
-    idem = build_idempotents(chi)
     report = verify_splitting(chi, args.gmax, args.wmax)
+    idem = report.idempotents
     payload = {
         "passed": report.passed,
         "residual_ok": report.residual_ok,

@@ -79,6 +79,7 @@ class LinComb:
 
     terms: list
     _signature: tuple = field(default=None, init=False, repr=False, compare=False)
+    _sids: list = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigs = {typecheck(t) for _, t in self.terms}
@@ -89,6 +90,12 @@ class LinComb:
 
     def signature(self):
         return self._signature
+
+    def summary_ids(self):
+        """(coefficient, interned summary id) per term, computed on first use."""
+        if self._sids is None:
+            self._sids = [(c, summary_id(t)) for c, t in self.terms]
+        return self._sids
 
 
 GEN_SIGNATURES = {
@@ -895,58 +902,84 @@ def compose_summaries(a: DiagramSummary, b: DiagramSummary) -> DiagramSummary:
     return DiagramSummary(a.dom, b.cod, comp, comps, match, tuple(sorted(closed)))
 
 
-def summary_closure(s: DiagramSummary):
-    """(genus, windows) types of the categorical trace of an endomorphism
-    summary; agrees with surface_types of the closed-up term."""
-    if s.dom != s.cod:
-        raise ConsistencyError(f"cannot trace {s.dom!r} -> {s.cod!r}")
-    uf = _DictUF()
-    for c in s.comps:
-        uf.find(c)
-    for i in range(len(s.dom)):
-        uf.union(s.comp[("d", i)], s.comp[("c", i)])
+def summary_closure(a: DiagramSummary, b: DiagramSummary):
+    """(genus, windows) types of the trace closure of (a then b).
 
-    merged_e = {}
-    merged_w = {}
-    for c, (e, w) in s.comps.items():
-        r = uf.find(c)
-        merged_e[r] = merged_e.get(r, 0) + e
-        merged_w[r] = merged_w.get(r, 0) + w
-    for i in range(len(s.dom)):
-        if s.dom[i] == "I":
-            r = uf.find(s.comp[("d", i)])
-            merged_e[r] -= 1
+    a.cod is glued to b.dom and b.cod to a.dom in one union-find pass over
+    the boundary components of both summaries; every cycle of free-boundary
+    arcs through the glued interfaces is a window.  Agrees with
+    surface_types of the closed-up composite term.
+    """
+    if a.cod != b.dom or b.cod != a.dom:
+        raise ConsistencyError(
+            f"cannot close {a.dom!r} -> {a.cod!r} against {b.dom!r} -> {b.cod!r}")
+    index = {}              # (0 for a / 1 for b, component id) -> slot
+    euler = []
+    windows = []
+    for tag, s in enumerate((a, b)):
+        for c, (e, w) in s.comps.items():
+            index[tag, c] = len(euler)
+            euler.append(e)
+            windows.append(w)
+    parent = list(range(len(euler)))
 
-    def other_side(pt):
-        pos, side = pt
-        kind, i = pos
-        if kind == "c":
-            return (("d", i), side)
-        return (("c", i), side)
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    visited = set()
-    for i in range(len(s.dom)):
-        if s.dom[i] != "I":
+    # a.cod meets b.dom, b.cod meets a.dom; a glued interval wire takes one
+    # from the Euler characteristic
+    for tag_s, s, tag_t, t in ((0, a, 1, b), (1, b, 0, a)):
+        for i, letter in enumerate(s.cod):
+            x = index[tag_s, s.comp["c", i]]
+            parent[find(x)] = find(index[tag_t, t.comp["d", i]])
+            if letter == "I":
+                euler[x] -= 1
+
+    # an arc of a, the step across into b, an arc of b and the step back
+    # lead from one endpoint of a to the next on the same cycle
+    flip = {"c": "d", "d": "c"}
+    seen = set()
+    for end in a.match:
+        if end in seen:
             continue
-        for side in ("T", "B"):
-            k = (("d", i), side)
-            if k in visited:
-                continue
-            r = uf.find(s.comp[("d", i)])
-            merged_w[r] = merged_w.get(r, 0) + 1
-            cur = k
-            while cur not in visited:
-                visited.add(cur)
-                nxt = s.match.get(cur)
-                if nxt is None:
-                    raise ConsistencyError("missing arc while closing")
-                visited.add(nxt)
-                cur = other_side(nxt)
+        windows[index[0, a.comp[end[0]]]] += 1
+        while end not in seen:
+            (kind, i), side = a.match[end]
+            seen.add(end)
+            seen.add(((kind, i), side))
+            (kind, i), side = b.match[(flip[kind], i), side]
+            end = ((flip[kind], i), side)
 
-    closed = list(s.closed)
-    for r in set(merged_e):
-        _finish_component(merged_e[r], merged_w.get(r, 0), closed)
+    totals = {}
+    for x in range(len(euler)):
+        r = find(x)
+        e, w = totals.get(r, (0, 0))
+        totals[r] = (e + euler[x], w + windows[x])
+    closed = list(a.closed) + list(b.closed)
+    for e, w in totals.values():
+        _finish_component(e, w, closed)
     return tuple(sorted(closed))
+
+
+# summaries are interned so that closure types can be cached under a pair of
+# small ids; equal summaries mean equal closure behaviour against every
+# partner
+_SUMMARIES = []
+_SUMMARY_IDS = {}
+
+
+def summary_id(t) -> int:
+    """Interned id of the summary of term t."""
+    s = summarize(t)
+    k = s.key()
+    sid = _SUMMARY_IDS.get(k)
+    if sid is None:
+        sid = _SUMMARY_IDS[k] = len(_SUMMARIES)
+        _SUMMARIES.append(s)
+    return sid
 
 
 _REFS = None

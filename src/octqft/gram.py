@@ -8,11 +8,11 @@ The pairing of two endomorphisms f, g of the same object is the character
 value of the trace closure of f∘g: glue the outputs of the composite back
 onto its inputs, split the resulting closed diagram into connected
 components, and multiply the character values of their (genus, windows)
-types.  The closure types do not depend on the character, so they are
-cached aggressively; for the curated endomorphism spaces of S and I every
-term is a word in the handle, window, hole and zipper blocks, and the
-closure type comes from a linear token scan instead of a wire-graph
-analysis.
+types.  Every term is summarized once (cobordism.summarize) and interned
+to a small summary id; a linear combination keeps the ids of its terms.
+The closure types of a pair of ids come from gluing the two summaries into
+a closed surface in one pass (cobordism.summary_closure).  They do not
+depend on the character, so they are cached under the pair of ids.
 """
 from __future__ import annotations
 
@@ -34,11 +34,11 @@ from .cobordism import (
     parse,
     pretty,
     typecheck,
-    network,
-    _analyze,
     summarize,
     compose_summaries,
     summary_closure,
+    summary_id,
+    _SUMMARIES,
 )
 
 
@@ -182,235 +182,33 @@ def _as_lincomb(f):
     return LinComb([(ONE, f)])
 
 
-# ---------------------------------------------------------------------------
-# closure types: symbolic scanner with wire-graph fallback
-
-_TOKENS_CACHE = {}
-
-
-def _tokens_of(term):
-    """Generator-name stream of a swap/tensor-free term in diagram order, or
-    None if the term uses constructs the scanner does not model."""
-    if term in _TOKENS_CACHE:
-        return _TOKENS_CACHE[term]
-    out = []
-    ok = _flatten(term, out)
-    res = tuple(out) if ok else None
-    _TOKENS_CACHE[term] = res
-    return res
-
-
-def _flatten(term, out):
-    if isinstance(term, Compose):
-        return _flatten(term.first, out) and _flatten(term.second, out)
-    if isinstance(term, Gen):
-        out.append(term.name)
-        return True
-    if isinstance(term, Id):
-        return True
-    return False
-
-
-def _scan_s_segment(toks, i, bracket):
-    """Scan an S-endomorphism chain made of handle, window and closed-cap
-    blocks.  Returns (closed_factors, segments, next_index) or None.  With
-    bracket=True a bare "z" terminates the chain (zipper bracket of an
-    I-endomorphism); a "z" immediately followed by "zs" is always a window.
-    """
-    n = len(toks)
-    seg_g = seg_w = 0
-    segments = []
-    closed = []
-    while i < n:
-        t = toks[i]
-        if t == "dS" and i + 1 < n and toks[i + 1] == "mS":
-            seg_g += 1
-            i += 2
-        elif t == "z" and i + 1 < n and toks[i + 1] == "zs":
-            seg_w += 1
-            i += 2
-        elif t == "z" and bracket:
-            segments.append((seg_g, seg_w))
-            return closed, segments, i + 1
-        elif t == "eS" and i + 1 < n and toks[i + 1] == "uS":
-            segments.append((seg_g, seg_w))
-            seg_g = seg_w = 0
-            i += 2
-        elif not bracket:
-            return None
-        else:
-            return None
-    if bracket:
-        return None
-    segments.append((seg_g, seg_w))
-    return closed, segments, i
-
-
-def _scan_s_open(toks):
-    """Pre-closure chain data of an S-endomorphism stream: the tuple of
-    cap-separated (handles, windows) segments, or None."""
-    res = _scan_s_segment(toks, 0, False)
-    if res is None:
-        return None
-    _, segments, _ = res
-    return tuple(segments)
-
-
-def _scan_i_open(toks):
-    """Pre-closure chain data of an I-endomorphism stream: ("holes", m) for
-    a pure hole power, ("chain", segments) after merging all zipper
-    brackets into one S-chain, or None.  Holes commute past the zipper as
-    windows, so leading and trailing hole runs are absorbed into the outer
-    segments and a hole run between brackets merges them with an extra
-    window for the intervening zipper pair.
-    """
-    n = len(toks)
-    i = 0
-    h_run = 0
-    merged = None
-    while i < n:
-        t = toks[i]
-        if t == "dI" and i + 1 < n and toks[i + 1] == "mI":
-            h_run += 1
-            i += 2
-        elif t == "zs":
-            res = _scan_s_segment(toks, i + 1, True)
-            if res is None:
-                return None
-            _, segs_b, i = res
-            if merged is None:
-                g0, w0 = segs_b[0]
-                merged = [(g0, w0 + h_run)] + segs_b[1:]
-            else:
-                gl, wl = merged[-1]
-                g0, w0 = segs_b[0]
-                merged[-1] = (gl + g0, wl + w0 + h_run + 1)
-                merged += segs_b[1:]
-            h_run = 0
-        else:
-            return None
-    if merged is None:
-        return ("holes", h_run)
-    gl, wl = merged[-1]
-    merged[-1] = (gl, wl + h_run)
-    return ("chain", tuple(merged))
-
-
-def _scan_closure(obj, toks):
-    """Closure types of an endomorphism token stream of a single-letter
-    object, or None if the stream is not in the scanner's language.
-
-    The interior cap-bounded pieces of a chain are closed components on
-    their own; the trace closure merges the first and last pieces (adding
-    one window when the trace wire passes through the zipper on I).
-    """
-    if obj == "S":
-        segments = _scan_s_open(toks)
-        if segments is None:
-            return None
-        closed = list(segments[1:-1])
-        if len(segments) == 1:
-            g, w = segments[0]
-            closure = (g + 1, w)
-        else:
-            closure = (segments[0][0] + segments[-1][0], segments[0][1] + segments[-1][1])
-        return tuple(sorted(closed + [closure]))
-    if obj != "I":
-        return None
-    res = _scan_i_open(toks)
-    if res is None:
-        return None
-    if res[0] == "holes":
-        return ((0, res[1] + 2),)
-    merged = res[1]
-    closed = list(merged[1:-1])
-    if len(merged) == 1:
-        g, w = merged[0]
-        closure = (g + 1, w + 1)
-    else:
-        closure = (merged[0][0] + merged[-1][0], merged[0][1] + merged[-1][1] + 1)
-    return tuple(sorted(closed + [closure]))
-
-
 def lc_collapse(f: LinComb) -> LinComb:
-    """Merge terms whose open-chain scan data coincide.
-
-    Terms with identical chain data have the same closure types against any
-    composition partner, so collapsing them changes no pairing; terms the
-    scanner cannot read are merged by structural equality only.
-    """
-    if not f.terms:
-        return f
-    sig = f.signature()
-    if sig[0] != sig[1] or len(sig[0]) != 1:
-        return f
-    obj = sig[0]
+    """Merge terms with equal diagram summaries: they pair identically
+    against every partner, so collapsing them changes no pairing."""
     groups = {}
-    order = []
-    for c, t in f.terms:
-        toks = _tokens_of(t)
-        key = None
-        if toks is not None:
-            key = _scan_s_open(toks) if obj == "S" else _scan_i_open(toks)
-        if key is None:
-            key = ("opaque", t)
+    for (c, t), (_, sid) in zip(f.terms, f.summary_ids()):
+        if sid in groups:
+            groups[sid][0] += c
         else:
-            key = ("scan", key)
-        if key not in groups:
-            groups[key] = [ZERO, t]
-            order.append(key)
-        groups[key][0] += c
-    return LinComb([(groups[k][0], groups[k][1]) for k in order if groups[k][0]])
+            groups[sid] = [c, t]
+    return LinComb([(c, t) for c, t in groups.values() if c])
 
 
-_TYPES_CACHE = {}
+# ---------------------------------------------------------------------------
+# closure types
 
-# summaries are interned so that pair-closure results can be cached by a
-# compact (id, id) key; equal summaries mean equal closure behavior against
-# every partner
-_SUMMARIES = []
-_SUMMARY_IDS = {}
-_TERM_SUMMARY = {}
 _PAIR_TYPES = {}
 
 
-def summary_id(t) -> int:
-    sid = _TERM_SUMMARY.get(t)
-    if sid is None:
-        s = summarize(t)
-        k = s.key()
-        sid = _SUMMARY_IDS.get(k)
-        if sid is None:
-            sid = len(_SUMMARIES)
-            _SUMMARY_IDS[k] = sid
-            _SUMMARIES.append(s)
-        _TERM_SUMMARY[t] = sid
-    return sid
-
-
-def _summary_pair_types(sid_first, sid_then):
+def closure_types(sid_first, sid_then):
+    """(genus, windows) multiset of the trace closure of the term summarized
+    as sid_first followed by the one summarized as sid_then."""
     # the trace closure of (a then b) equals that of (b then a)
     key = (sid_first, sid_then) if sid_first <= sid_then else (sid_then, sid_first)
     out = _PAIR_TYPES.get(key)
     if out is None:
-        out = summary_closure(
-            compose_summaries(_SUMMARIES[sid_first], _SUMMARIES[sid_then]))
-        _PAIR_TYPES[key] = out
+        out = _PAIR_TYPES[key] = summary_closure(_SUMMARIES[key[0]], _SUMMARIES[key[1]])
     return out
-
-
-def closure_types(tf, tg, obj):
-    """(genus, windows) multiset of the trace closure of tf ∘ tg."""
-    toks_f = _tokens_of(tf)
-    toks_g = _tokens_of(tg)
-    if toks_f is not None and toks_g is not None and len(obj) == 1:
-        key = (obj, toks_g + toks_f)
-        if key not in _TYPES_CACHE:
-            _TYPES_CACHE[key] = _scan_closure(obj, toks_g + toks_f)
-        cached = _TYPES_CACHE[key]
-        if cached is not None:
-            return cached
-    return _summary_pair_types(summary_id(tg), summary_id(tf))
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +231,12 @@ def pair(f, g, chi) -> Rat:
         raise TermTypeError(f"pairing needs endomorphisms, got {sf} and {sg}")
     if sf != sg:
         raise TermTypeError(f"pairing across different objects: {sf[0]!r} vs {sg[0]!r}")
-    obj = sf[0]
     total = ZERO
-    for cf, tf in f.terms:
-        for cg, tg in g.terms:
+    g_ids = g.summary_ids()
+    for cf, sid_f in f.summary_ids():
+        for cg, sid_g in g_ids:
             v = ONE
-            for gg, ww in closure_types(tf, tg, obj):
+            for gg, ww in closure_types(sid_g, sid_f):
                 v *= _chi_at(chi, gg, ww)
                 if not v:
                     break
@@ -522,6 +320,7 @@ def is_negligible(f, ts: TermSpace, chi) -> bool:
     """True when f pairs to zero with every element of the spanning set;
     with a complete spanning set this is exact radical membership."""
     f = lc_collapse(_as_lincomb(f))
+    chi = _memo_chi(chi)
     for s in ts.spanning:
         if pair(f, s, chi):
             return False
@@ -719,6 +518,7 @@ class SplittingReport:
     w_max: int
     components: dict        # (λ, μ) -> True when the block affords α λ^g μ^w
     residual_ok: bool
+    idempotents: IdempotentSet
 
     @property
     def passed(self) -> bool:
@@ -727,23 +527,14 @@ class SplittingReport:
 
 def _closed_value(endo: LinComb, g: int, w: int, chi) -> Rat:
     """χ(ε_S ∘ endo ∘ σ_{g,w} ∘ u_S) for an S-endomorphism LinComb."""
-    total = ZERO
-    sigma = sigma_endo(g, w)
-    for c, t in endo.terms:
-        closed = Compose(Compose(Compose(Gen("uS"), sigma), t), Gen("eS"))
-        net = network(closed)
-        net.close()
-        v = ONE
-        for gg, ww in _analyze(net):
-            v *= _chi_at(chi, gg, ww)
-        total += c * v
-    return total
+    return pair(endo, lc(cap_sandwich_endo(g, w, 0, 0)), chi)
 
 
 def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingReport:
     """Check that each idempotent block affords its one-term character: the
     (λ, μ) component of σ_{g,w} evaluates to α_{λ,μ} λ^g μ^w, and the
-    residual 1 − Σ e_λ affords exactly the polynomial part."""
+    residual 1 − Σ e_λ affords exactly the polynomial part.  The report
+    carries the idempotents it verified."""
     idem = build_idempotents(chi)
     coeff = {(l, m): c for l, m, c in chi.exp_terms}
     components = {}
@@ -763,7 +554,7 @@ def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingRep
         for w in range(w_max + 1):
             if _closed_value(residual, g, w, chi) != chi.poly_value(g, w):
                 residual_ok = False
-    return SplittingReport(g_max, w_max, components, residual_ok)
+    return SplittingReport(g_max, w_max, components, residual_ok, idem)
 
 
 # ---------------------------------------------------------------------------
@@ -956,7 +747,7 @@ _PROBE_MOD_MEMO = {}
 def _probe_val(sid1, sid2):
     """Probe-character pairing of two summarized terms, mod MOD_P1."""
     v = 1
-    for gg, ww in _summary_pair_types(sid1, sid2):
+    for gg, ww in closure_types(sid1, sid2):
         key = (gg, ww)
         c = _PROBE_MOD_MEMO.get(key)
         if c is None:
@@ -1319,8 +1110,8 @@ def _scan_witness(ts, chi):
     the family, all powers capped at _SCAN_POWER_CAP.  The check is
     term-level and needs no closed multiplication on the family, so it
     stays sound when the family is not multiplicatively closed.  Pairings
-    run on fresh summary composites and skip the global caches on
-    purpose.
+    glue the summaries of the powers and classes directly and skip the
+    global caches on purpose.
 
     Among the candidates the scan keeps the strongest certificate:
     maximal absolute trace first (the sharpest violation of vanishing
@@ -1334,7 +1125,7 @@ def _scan_witness(ts, chi):
 
     def pair_value(sa, sb):
         v = ONE
-        for g, w in summary_closure(compose_summaries(sa, sb)):
+        for g, w in summary_closure(sa, sb):
             v = v * _chi_at(chi, g, w)
             if not v:
                 break

@@ -141,6 +141,15 @@ def test_idempotents_report(capsys):
     assert report["components"] == {"1,2": True}
 
 
+def test_witness_report_exits_one(capsys):
+    code, out = run(capsys, ["witness", "--object", "S", "--char", "1/(1-X*Y)",
+                             "--budget", "4"])
+    assert code == 1
+    witness = json.loads(out)["witness"]
+    assert (witness["degree"], witness["trace"]) == (4, "1")
+    assert witness["element"] == [["1", "z ; zs"]]
+
+
 def test_scale_output_reloads(capsys, kfa_path):
     code, out = run(capsys, ["scale", "--kfa", kfa_path, "--s", "1/2"])
     assert code == 0

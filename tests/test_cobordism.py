@@ -310,7 +310,25 @@ def test_summary_closure_matches_network_analysis():
             b = _random_endo(rng, word, 2)
             sa = summarize(a)
             sb = summarize(b)
-            got = summary_closure(compose_summaries(sa, sb))
+            got = summary_closure(sa, sb)
+            assert got == _closure_via_network(Compose(a, b))
+
+
+def test_summary_closure_of_pair_equals_closure_of_composite():
+    import random
+
+    from octqft.cobordism import summarize, compose_summaries, summary_closure
+
+    rng = random.Random(23)
+    for word in ["I", "S", "II", "IS", "SI", "III", "ISI"]:
+        ident = summarize(Id(word))
+        for _ in range(200):
+            a = _random_endo(rng, word, 2)
+            b = _random_endo(rng, word, 2)
+            sa, sb = summarize(a), summarize(b)
+            got = summary_closure(sa, sb)
+            assert got == summary_closure(compose_summaries(sa, sb), ident)
+            assert got == summary_closure(sb, sa)
             assert got == _closure_via_network(Compose(a, b))
 
 
@@ -332,7 +350,10 @@ def test_summary_compose_matches_summarize_of_composite():
 def test_summary_closure_of_identity_words():
     from octqft.cobordism import summarize, summary_closure
 
-    assert summary_closure(summarize(parse("id:S"))) == ((1, 0),)
-    assert summary_closure(summarize(parse("id:I"))) == ((0, 2),)
-    assert summary_closure(summarize(parse("sw:I,I"))) == ((0, 2),)
-    assert summary_closure(summarize(parse("sw:S,S"))) == ((1, 0),)
+    def closure(text, word):
+        return summary_closure(summarize(parse(text)), summarize(Id(word)))
+
+    assert closure("id:S", "S") == ((1, 0),)
+    assert closure("id:I", "I") == ((0, 2),)
+    assert closure("sw:I,I", "II") == ((0, 2),)
+    assert closure("sw:S,S", "SS") == ((1, 0),)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octqft.character import CharacterForm, eval_character
-from octqft.cobordism import Id, TermTypeError, parse, pretty
+from octqft.cobordism import Compose, Id, TermTypeError, _analyze, network, parse, pretty
 from octqft.numkit import Matrix
 from octqft.gram import (
     MOD_P1,
@@ -131,6 +131,39 @@ def test_categorical_trace_values():
     assert categorical_trace(lc_identity("S"), CHI2) == 2          # torus
     assert categorical_trace(lc(sigma_endo(0, 1)), CHI2) == 6      # torus + window
     assert categorical_trace(lc_identity("I"), CHI2) == 18         # annulus: chi(0,2)
+
+
+CHI_TWO_GEOMETRIC = CharacterForm.make(exp_terms=[(2, 3, 1), (4, 5, 1)])
+
+
+@pytest.mark.parametrize("obj", ["S", "I"])
+@pytest.mark.parametrize("chi", [CHI2, CHI_TWO_GEOMETRIC], ids=["one_term", "two_terms"])
+def test_pair_matches_network_analysis_on_spanning_sets(obj, chi):
+    # the pairing of summary ids against the wire-graph oracle: the product
+    # of chi over the components of the closed-up composite term
+    spanning = spanning_end(obj, chi).spanning
+    rng = random.Random(31)
+    for _ in range(150):
+        f, g = rng.choice(spanning), rng.choice(spanning)
+        net = network(Compose(g.terms[0][1], f.terms[0][1]))
+        net.close()
+        expected = 1
+        for genus, windows in _analyze(net):
+            expected *= eval_character(chi, genus, windows)
+        assert pair(f, g, chi) == expected
+
+
+def test_categorical_trace_of_500_generators():
+    # the trace closure of the 250-fold handle is the genus-251 surface
+    term = parse(" ; ".join(["dS ; mS"] * 250))
+    assert categorical_trace(lc(term), CHI2) == 2
+
+
+def test_lc_collapse_merges_equal_summaries():
+    f = LinComb([(Fraction(1), sigma_endo(1, 1)), (Fraction(2), parse("z ; zs ; dS ; mS"))])
+    collapsed = lc_collapse(f)
+    assert collapsed.terms == [(3, sigma_endo(1, 1))]
+    assert pair(collapsed, lc_identity("S"), CHI2) == pair(f, lc_identity("S"), CHI2)
 
 
 # ---------------------------------------------------------------------------

@@ -258,27 +258,56 @@ def pretty(t: CobTerm) -> str:
 # typechecking and evaluation
 
 
+_JOIN = object()            # stack marker: the node below it has both operands folded
+
+
+def _fold(t: CobTerm, leaf, join):
+    """Bottom-up fold of term t: leaf(node) for a Gen, Id or Swap node,
+    join(node, a, b) for a Compose or Tensor node whose two operands folded
+    to a and b.  Walks an explicit stack, operands left to right, so a term
+    of any depth folds without recursion, in the order of a recursive walk."""
+    done = []               # results of the finished subterms
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if node is _JOIN:
+            node = stack.pop()
+            b = done.pop()
+            done.append(join(node, done.pop(), b))
+        elif kind is Compose:
+            stack += [node, _JOIN, node.second, node.first]
+        elif kind is Tensor:
+            stack += [node, _JOIN, node.right, node.left]
+        elif kind is Gen or kind is Id or kind is Swap:
+            done.append(leaf(node))
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return done[0]
+
+
+def _leaf_signature(node):
+    if isinstance(node, Gen):
+        return GEN_SIGNATURES[node.name]
+    if isinstance(node, Id):
+        return (node.word, node.word)
+    return (node.left + node.right, node.right + node.left)
+
+
+def _join_signature(node, a, b):
+    (d1, c1), (d2, c2) = a, b
+    if isinstance(node, Tensor):
+        return (d1 + d2, c1 + c2)
+    if c1 != d2:
+        raise TermTypeError(
+            f"cannot compose: codomain {c1 or 'empty'!r} does not match domain {d2 or 'empty'!r}"
+        )
+    return (d1, c2)
+
+
 def typecheck(t: CobTerm):
     """Return (domain, codomain) as words over I/S; raise TermTypeError."""
-    if isinstance(t, Gen):
-        return GEN_SIGNATURES[t.name]
-    if isinstance(t, Id):
-        return (t.word, t.word)
-    if isinstance(t, Swap):
-        return (t.left + t.right, t.right + t.left)
-    if isinstance(t, Compose):
-        d1, c1 = typecheck(t.first)
-        d2, c2 = typecheck(t.second)
-        if c1 != d2:
-            raise TermTypeError(
-                f"cannot compose: codomain {c1 or 'empty'!r} does not match domain {d2 or 'empty'!r}"
-            )
-        return (d1, c2)
-    if isinstance(t, Tensor):
-        d1, c1 = typecheck(t.left)
-        d2, c2 = typecheck(t.right)
-        return (d1 + d2, c1 + c2)
-    raise TypeError(f"not a term: {t!r}")
+    return _fold(t, _leaf_signature, _join_signature)
 
 
 def is_closed(t: CobTerm) -> bool:
@@ -429,27 +458,26 @@ class _Net:
 
 
 def _build_net(t, net):
-    if isinstance(t, Gen):
-        ins, outs = net.add_node(t.name)
-        return ins, outs
-    if isinstance(t, Id):
-        ports = [net.new_port(c) for c in t.word]
-        return ports, ports
-    if isinstance(t, Swap):
-        p = net.new_port(t.left)
-        q = net.new_port(t.right)
+    """Add the wiring of t to net and return its (domain, codomain) ports."""
+    def leaf(node):
+        if isinstance(node, Gen):
+            return net.add_node(node.name)
+        if isinstance(node, Id):
+            ports = [net.new_port(c) for c in node.word]
+            return ports, ports
+        p = net.new_port(node.left)
+        q = net.new_port(node.right)
         return [p, q], [q, p]
-    if isinstance(t, Compose):
-        d1, c1 = _build_net(t.first, net)
-        d2, c2 = _build_net(t.second, net)
-        for a, b in zip(c1, d2):
-            net.union(a, b)
+
+    def join(node, a, b):
+        (d1, c1), (d2, c2) = a, b
+        if isinstance(node, Tensor):
+            return d1 + d2, c1 + c2
+        for x, y in zip(c1, d2):
+            net.union(x, y)
         return d1, c2
-    if isinstance(t, Tensor):
-        d1, c1 = _build_net(t.left, net)
-        d2, c2 = _build_net(t.right, net)
-        return d1 + d2, c1 + c2
-    raise TypeError(f"not a term: {t!r}")
+
+    return _fold(t, leaf, join)
 
 
 def network(t: CobTerm) -> _Net:
@@ -971,15 +999,20 @@ _SUMMARIES = []
 _SUMMARY_IDS = {}
 
 
-def summary_id(t) -> int:
-    """Interned id of the summary of term t."""
-    s = summarize(t)
+def intern_summary(s: DiagramSummary) -> int:
+    """Interned id of summary s: the id of the first interned summary with
+    the same key."""
     k = s.key()
     sid = _SUMMARY_IDS.get(k)
     if sid is None:
         sid = _SUMMARY_IDS[k] = len(_SUMMARIES)
         _SUMMARIES.append(s)
     return sid
+
+
+def summary_id(t) -> int:
+    """Interned id of the summary of term t."""
+    return intern_summary(summarize(t))
 
 
 _REFS = None

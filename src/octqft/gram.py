@@ -13,11 +13,21 @@ to a small summary id; a linear combination keeps the ids of its terms.
 The closure types of a pair of ids come from gluing the two summaries into
 a closed surface in one pass (cobordism.summary_closure).  They do not
 depend on the character, so they are cached under the pair of ids.
+
+The curated spanning sets of S and I (spanning_end) skip the diagrams: each
+entry is a handle-window power σ_{g,w} or a cap sandwich, recorded by its
+exponents, and the closure types of two entries are sums of exponents
+(_curated_types).  Their Gram matrix is read off a table of χ values, one
+per closure-types tuple; the diagram pairing stays the only path for
+enumerated spaces and the oracle the formulas are tested against.  Ranks
+and quotient bases are picked by symmetric pivoting mod a prime and
+certified exactly over Z (_certified_keys).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .numkit import Matrix, Rat, ZERO, ONE, rat, Poly, nullspace
@@ -38,6 +48,7 @@ from .cobordism import (
     compose_summaries,
     summary_closure,
     summary_id,
+    intern_summary,
     _SUMMARIES,
 )
 
@@ -263,6 +274,9 @@ class TermSpace:
     spanning: list          # LinComb entries, all endomorphisms of object
     g_bound: int = None
     w_bound: int = None
+    # per entry of a curated space: ("id",), ("sig", g, w) or
+    # ("cap", x, y, z, t), the exponents of its constructor; None otherwise
+    exponents: list = None
 
 
 def spanning_end(obj: str, chi: CharacterForm) -> TermSpace:
@@ -276,44 +290,86 @@ def spanning_end(obj: str, chi: CharacterForm) -> TermSpace:
         raise TypeError("curated spanning sets need a character in closed form")
     gb = len({t[0] for t in chi.exp_terms}) + 2
     wb = len({t[1] for t in chi.exp_terms}) + 2
-    terms = []
     if obj == "S":
-        for g in range(gb + 1):
-            for w in range(wb + 1):
-                terms.append(sigma_endo(g, w))
-        for x in range(gb + 1):
-            for y in range(wb + 1):
-                for z in range(gb + 1):
-                    for t in range(wb + 1):
-                        terms.append(cap_sandwich_endo(x, y, z, t))
+        exponents = []
+        sig, cap = sigma_endo, cap_sandwich_endo
     elif obj == "I":
-        terms.append(Id("I"))
-        for g in range(gb + 1):
-            for w in range(wb + 1):
-                terms.append(iota_sigma_endo(g, w))
-        for x in range(gb + 1):
-            for y in range(wb + 1):
-                for z in range(gb + 1):
-                    for t in range(wb + 1):
-                        terms.append(iota_cap_sandwich_endo(x, y, z, t))
+        exponents = [("id",)]
+        sig, cap = iota_sigma_endo, iota_cap_sandwich_endo
     else:
         raise ValueError(f"curated spanning sets exist for 'S' and 'I', not {obj!r}")
-    return TermSpace(obj, [lc(t) for t in terms], gb, wb)
+    exponents += [("sig", g, w) for g in range(gb + 1) for w in range(wb + 1)]
+    exponents += [("cap", x, y, z, t)
+                  for x in range(gb + 1) for y in range(wb + 1)
+                  for z in range(gb + 1) for t in range(wb + 1)]
+    constructors = {"id": lambda: Id("I"), "sig": sig, "cap": cap}
+    spanning = [lc(constructors[e[0]](*e[1:])) for e in exponents]
+    return TermSpace(obj, spanning, gb, wb, exponents)
+
+
+def _curated_types(obj, a, b):
+    """Closure types of the pairing of two curated entries of S or I, given
+    by their exponent tuples a and b: the multiset closure_types returns for
+    their summaries, as sums of exponents.  In End(I) the zipper sandwiches
+    add two windows to the one component of a σ·σ or σ·cap pairing and one
+    to each of the two components of a cap·cap pairing."""
+    if a[0] > b[0]:             # kinds in the order "cap" < "id" < "sig"
+        a, b = b, a
+    s = 1 if obj == "I" else 0
+    kinds = (a[0], b[0])
+    if kinds == ("sig", "sig"):
+        return ((a[1] + b[1] + 1, a[2] + b[2] + 2 * s),)
+    if kinds == ("id", "id"):
+        return ((0, 2),)
+    if kinds == ("id", "sig"):
+        return ((b[1] + 1, b[2] + 1),)
+    x, y, z, t = a[1:]
+    if kinds == ("cap", "sig"):
+        return ((x + z + b[1], y + t + b[2] + 2 * s),)
+    if kinds == ("cap", "id"):
+        return ((x + z, y + t + 1),)
+    p, q, r, u = b[1:]
+    return tuple(sorted(((x + r, y + u + s), (z + p, t + q + s))))
+
+
+def _gram_rows(ts: TermSpace, chi):
+    """The full symmetric Gram matrix of ts under chi, as a list of rows.
+
+    A curated space reads each entry off the closure types of its exponent
+    tuples, with one χ product per distinct closure-types tuple; any other
+    space pairs its entries as diagrams."""
+    n = len(ts.spanning)
+    ex = ts.exponents
+    if ex is None:
+        def entry(i, j):
+            return pair(ts.spanning[i], ts.spanning[j], chi)
+    else:
+        values = {}
+
+        def entry(i, j):
+            types = _curated_types(ts.object, ex[i], ex[j])
+            v = values.get(types)
+            if v is None:
+                v = ONE
+                for g, w in types:
+                    v *= _chi_at(chi, g, w)
+                values[types] = v
+            return v
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        row = rows[i]
+        for j in range(i, n):
+            row[j] = rows[j][i] = entry(i, j)
+    return rows
 
 
 def gram_rank(ts: TermSpace, chi):
     """Full Gram matrix of the spanning set under the pairing, and its rank
     over the rationals.  With a complete spanning set the rank is the
     dimension of the endomorphism space in the quotient category."""
-    chi = _memo_chi(chi)
-    n = len(ts.spanning)
-    m = Matrix.zeros(n, n)
-    for i in range(n):
-        for j in range(i, n):
-            v = pair(ts.spanning[i], ts.spanning[j], chi)
-            m[i, j] = v
-            m[j, i] = v
-    return m, m.rank()
+    rows = _gram_rows(ts, _memo_chi(chi))
+    n = len(rows)
+    return Matrix(n, n, [v for row in rows for v in row]), len(_certified_keys(rows))
 
 
 def is_negligible(f, ts: TermSpace, chi) -> bool:
@@ -560,9 +616,9 @@ def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingRep
 # ---------------------------------------------------------------------------
 # symmetric pivoting
 #
-# The quotient basis and the enumerated spanning sets both need a maximal
-# set of keys whose Gram block is invertible.  One engine picks it, over Q
-# (p = 0, Fraction arithmetic) or over Z/p.  Accepted keys are
+# Gram ranks, the quotient basis and the enumerated spanning sets all need a
+# maximal set of keys whose Gram block is invertible.  One engine picks it,
+# over Q (p = 0, Fraction arithmetic) or over Z/p.  Accepted keys are
 # orthogonalised block by block, in symmetric 1x1 or 2x2 pivot blocks
 # (Bunch-Kaufman, adapted to exact fields): u_i is key i minus its
 # projection onto the earlier blocks.  Every handle h tested so far keeps
@@ -577,6 +633,13 @@ def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingRep
 # so such a pair exists exactly when some cross residual is nonzero.  A
 # nonzero determinant mod p is nonzero over Q, so modular pivoting never
 # overstates a rank; a zero mod p can only shrink the selection.
+#
+# A full Gram matrix is ranked by selecting mod MOD_P1 and certifying the
+# selection exactly (_certified_keys): with K the selected keys and B the
+# block A[K, K] of the integer-scaled Gram A, A has rank |K| over Q exactly
+# when A = A[:, K] B^-1 A[K, :], checked in integers.  Only when a value
+# nonzero over Q vanished mod p does the check fail, and the selection is
+# then redone over Q.
 
 MOD_P1 = (1 << 61) - 1
 
@@ -677,6 +740,49 @@ class _SymPivot:
                                                       [red(-s01 * di), red(ra * di)]])
                     return a, b
         return None
+
+
+def _schur_vanishes(a, keys) -> bool:
+    """True when the Schur complement of the block a[keys, keys] in the
+    symmetric integer matrix a is zero, so that rank a = len(keys) over Q.
+
+    With D the common denominator of B^-1, B = a[keys, keys], the integer
+    rows c_i = D a[i, keys] B^-1 must give D a[i][j] = c_i . a[j, keys] for
+    every i <= j, all in Python ints."""
+    if keys:
+        binv = Matrix.from_rows([[a[i][j] for j in keys] for i in keys]).inverse()
+        if binv is None:
+            return False
+        d = lcm(*(v.denominator for v in binv.entries))
+        # B^-1 is symmetric, so its rows are its columns
+        dinv = [[int(v * d) for v in row] for row in binv.to_rows()]
+    else:
+        d, dinv = 1, []
+    side = [[row[k] for k in keys] for row in a]
+    coef = [[sum(map(mul, s, col)) for col in dinv] for s in side]
+    for i, (row, c) in enumerate(zip(a, coef)):
+        for j in range(i, len(a)):
+            if d * row[j] != sum(map(mul, c, side[j])):
+                return False
+    return True
+
+
+def _certified_keys(rows) -> list:
+    """Keys of a maximal invertible block of the symmetric rational Gram
+    rows, in acceptance order; their number is the rank over Q.
+
+    The rows are scaled by the lcm of their denominators to integers and the
+    keys picked by _SymPivot mod MOD_P1, then certified exactly
+    (_schur_vanishes).  When the certificate fails, because some value
+    nonzero over Q vanished mod p, the keys are picked again over Q."""
+    scale = lcm(*{v.denominator for row in rows for v in row})
+    a = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    piv = _SymPivot(lambda i, j: a[i][j], MOD_P1)
+    piv.select(range(len(a)))
+    if not _schur_vanishes(a, piv.keys):
+        piv = _SymPivot(lambda i, j: a[i][j])
+        piv.select(range(len(a)))
+    return piv.keys
 
 
 # ---------------------------------------------------------------------------
@@ -791,25 +897,27 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
     seen_classes = set()
     deferred = []           # (gens, text, term, sid) that failed the single step
 
-    def push(term, gens):
-        if gens > size_budget:
-            return
-        sid = summary_id(term)
+    def push(term, gens, sid):
         if sid in seen_classes:
             return
         seen_classes.add(sid)
         heapq.heappush(heap, (gens, pretty(term), term, sid))
 
     def breed(term, gens, sid):
+        # a composite's summary is glued from its two interned factors
         accepted.append((term, gens, sid))
+        s = _SUMMARIES[sid]
         for other, ogens, osid in accepted:
             total = ogens + gens
             if total <= size_budget:
-                push(Compose(other, term), total)
-                push(Compose(term, other), total)
+                o = _SUMMARIES[osid]
+                push(Compose(other, term), total, intern_summary(compose_summaries(o, s)))
+                push(Compose(term, other), total, intern_summary(compose_summaries(s, o)))
 
     for a in _atom_terms(obj):
-        push(a, _gen_count(a))
+        gens = _gen_count(a)
+        if gens <= size_budget:
+            push(a, gens, summary_id(a))
 
     while True:
         while heap:
@@ -866,33 +974,23 @@ class QuotientAlgebra:
 
 
 def _pivot_basis(ts, chi):
-    """Maximal subset with invertible Gram matrix, chosen exactly over Q;
-    its size is the rank of the full Gram matrix because the pairing is
-    symmetric.  Returns the chosen positions in increasing order and their
-    Gram matrix.
+    """Maximal subset with invertible Gram matrix; its size is the rank of
+    the full Gram matrix because the pairing is symmetric.  Returns the
+    chosen positions in increasing order and their Gram matrix.
 
-    The exact symmetric pivot engine picks it in its acceptance order over
-    the spanning positions (_SymPivot.select): singles in index order until
-    they stall, then the first pair with an invertible 2x2 Schur complement
-    (an indefinite pairing can leave every diagonal residual zero while
-    cross residuals survive), then singles again.  Witness coordinates are
-    indexed by these positions, so the order is part of the contract.
+    The positions are those _certified_keys picks from the full Gram rows:
+    the symmetric pivot engine's acceptance order over the spanning
+    positions (_SymPivot.select: singles in index order until they stall,
+    then the first pair with an invertible 2x2 Schur complement, then
+    singles again), run over Z/MOD_P1, or over Q when the certificate
+    fails.  Witness coordinates are indexed by these positions, so the
+    order is part of the contract.
     """
-    memo = {}
-
-    def p(i, j):
-        k = (i, j) if i <= j else (j, i)
-        v = memo.get(k)
-        if v is None:
-            v = memo[k] = pair(ts.spanning[k[0]], ts.spanning[k[1]], chi)
-        return v
-
-    piv = _SymPivot(p)
-    piv.select(range(len(ts.spanning)))
-    chosen = sorted(piv.keys)
+    rows = _gram_rows(ts, chi)
+    chosen = sorted(_certified_keys(rows))
     if not chosen:
         return [], Matrix.zeros(0, 0)
-    return chosen, Matrix.from_rows([[p(i, j) for j in chosen] for i in chosen])
+    return chosen, Matrix.from_rows([[rows[i][j] for j in chosen] for i in chosen])
 
 
 def quotient_algebra(ts: TermSpace, chi) -> QuotientAlgebra:

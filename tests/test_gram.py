@@ -1,6 +1,7 @@
 """Tests for the pairing, spanning sets, idempotents, quotient algebras and
 nilpotent-trace witnesses."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,12 +9,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octqft.character import CharacterForm, eval_character
-from octqft.cobordism import Compose, Id, TermTypeError, _analyze, network, parse, pretty
+from octqft.cobordism import (
+    Compose,
+    Id,
+    TermTypeError,
+    _analyze,
+    compose_summaries,
+    evaluate,
+    network,
+    parse,
+    pretty,
+    summarize,
+)
+from octqft.kfa import character_of, kfa_sum, make_nonsemisimple_kfa, make_semisimple_kfa
 from octqft.numkit import Matrix
 from octqft.gram import (
     MOD_P1,
     LinComb,
+    TableCharacter,
     _SymPivot,
+    _certified_keys,
+    _gen_count,
     build_idempotents,
     categorical_trace,
     enumerate_end_terms,
@@ -153,10 +169,31 @@ def test_pair_matches_network_analysis_on_spanning_sets(obj, chi):
         assert pair(f, g, chi) == expected
 
 
-def test_categorical_trace_of_500_generators():
-    # the trace closure of the 250-fold handle is the genus-251 surface
-    term = parse(" ; ".join(["dS ; mS"] * 250))
+@pytest.mark.parametrize("repeats", [250, 500])
+def test_categorical_trace_of_500_generators(repeats):
+    # the trace closure of the k-fold handle is the genus k + 1 surface;
+    # 1,000 generators nest deeper than the interpreter's recursion limit
+    term = parse(" ; ".join(["dS ; mS"] * repeats))
     assert categorical_trace(lc(term), CHI2) == 2
+
+
+@pytest.mark.parametrize("k", [
+    make_semisimple_kfa(2, 1),
+    make_nonsemisimple_kfa(1, 1, 1, 0, 1),
+    kfa_sum(make_semisimple_kfa(1, 3), make_semisimple_kfa(1, 2)),
+], ids=["semisimple", "nonsemisimple", "sum"])
+@pytest.mark.parametrize("obj", ["S", "I"])
+def test_pair_matches_evaluation_in_the_structure(k, obj):
+    # the pairing under the character of k against the trace of the
+    # composite evaluated in k; the nonsemisimple character has only a
+    # polynomial part, the sum has coefficients 9 and 4 on lambda = 1/9, 1/4
+    chi = character_of(k)
+    spanning = spanning_end(obj, chi).spanning
+    rng = random.Random(41)
+    for _ in range(30):
+        f, g = rng.choice(spanning), rng.choice(spanning)
+        tf, tg = f.terms[0][1], g.terms[0][1]
+        assert pair(f, g, chi) == evaluate(Compose(tf, tg), k).trace()
 
 
 def test_lc_collapse_merges_equal_summaries():
@@ -196,6 +233,75 @@ def test_spanning_rejects_table_characters_and_bad_objects():
 
 # ---------------------------------------------------------------------------
 # Gram ranks
+
+# non-integer values, so that the Gram is scaled to integers before pivoting
+CHI_POLY_FRACTIONS = CharacterForm.make(
+    alpha_1=Fraction(1, 2), alpha_X=Fraction(3, 4), alpha_Y2=Fraction(2, 3))
+CHI_FRACTIONS = CharacterForm.make(
+    alpha_1=Fraction(1, 2), alpha_Y2=Fraction(2, 3),
+    exp_terms=[(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))])
+
+
+def _memo(chi):
+    return TableCharacter(lambda g, w: eval_character(chi, g, w))
+
+
+@pytest.mark.parametrize("obj", ["S", "I"])
+@pytest.mark.parametrize("chi", [CHI2, CHI_POLY3, CHI_POLY_FRACTIONS],
+                         ids=["chi2", "poly3", "poly_fractions"])
+def test_curated_gram_matches_diagram_pairing(obj, chi):
+    # the exponent formulas against the diagram pairing, entry for entry,
+    # and the certified rank against elimination over Q
+    ts = spanning_end(obj, chi)
+    m, r = gram_rank(ts, chi)
+    spanning = ts.spanning
+    memo = _memo(chi)
+    for i, f in enumerate(spanning):
+        for j in range(i, len(spanning)):
+            assert m[i, j] == m[j, i] == pair(f, spanning[j], memo)
+    assert r == m.rank()
+
+
+@pytest.mark.parametrize("obj, chi, rank", [
+    ("S", CHI_TWO_GEOMETRIC, 6), ("I", CHI_TWO_GEOMETRIC, 7),
+    ("S", CHI_FRACTIONS, 18), ("I", CHI_FRACTIONS, 11),
+], ids=["two_terms-S", "two_terms-I", "fractions-S", "fractions-I"])
+def test_curated_gram_sampled(obj, chi, rank):
+    # Matrix.rank gives the same ranks, in 3 s on the 272-entry fraction
+    # Grams and 12 s on the 650-entry two-term ones: too slow to repeat here
+    ts = spanning_end(obj, chi)
+    m, r = gram_rank(ts, chi)
+    memo = _memo(chi)
+    rng = random.Random(43)
+    n = len(ts.spanning)
+    for _ in range(400):
+        i, j = rng.randrange(n), rng.randrange(n)
+        assert m[i, j] == pair(ts.spanning[i], ts.spanning[j], memo)
+    assert r == rank
+
+
+def test_gram_rank_falls_back_over_q_when_certificate_fails():
+    # every entry is a multiple of MOD_P1: the modular selection is empty,
+    # its certificate fails, and the keys are picked again over Q
+    chi = TableCharacter(lambda g, w: MOD_P1 * eval_character(CHI_POLY3, g, w))
+    ts = spanning_end("I", CHI_POLY3)
+    m, r = gram_rank(ts, chi)
+    n = len(ts.spanning)
+    assert all(v % MOD_P1 == 0 for v in m.entries)
+    piv = _SymPivot(lambda i, j: m[i, j] % MOD_P1, MOD_P1)
+    piv.select(range(n))
+    assert piv.keys == []
+    assert r == m.rank() == 5
+    assert quotient_algebra(ts, chi).dim == 5
+
+
+def test_certified_keys_recover_rank_lost_mod_p():
+    # each Gram has a smaller rank mod MOD_P1 than over Q; in the first and
+    # the last the residual that survives over Q is off the diagonal
+    p = MOD_P1
+    for g in ([[0, p], [p, 0]], [[1, 1], [1, 1 + p]], [[1, 1, 0], [1, 1, p], [0, p, 0]]):
+        keys = _certified_keys([[Fraction(v) for v in row] for row in g])
+        assert len(keys) == len(g) == Matrix.from_rows(g).rank()
 
 
 def test_gram_rank_end_s_dimension_two():
@@ -308,6 +414,42 @@ def test_enumerate_budget_two_on_i():
     ts = enumerate_end_terms("I", 2)
     names = {pretty(e.terms[0][1]) for e in ts.spanning}
     assert names == {"id:I", "dI ; mI", "eI ; uI", "zs ; z"}
+
+
+# (object, budget) -> number of classes and the sha256 of their texts, one
+# per line, in enumeration order
+_ENUMERATIONS = {
+    ("I", 4): (9, "4c754984bdb588b2"),
+    ("S", 4): (11, "bdb08bd1e4d14221"),
+    ("II", 4): (77, "0b865095808cfefc"),
+    ("SI", 4): (28, "013e4488c090faae"),
+    ("II", 6): (224, "4ae134f095b8fdc6"),
+}
+
+
+@pytest.mark.parametrize("obj, budget", sorted(_ENUMERATIONS))
+def test_enumeration_pinned(obj, budget):
+    # the witness coordinates are indexed by the enumeration order
+    text = "\n".join(pretty(e.terms[0][1]) for e in enumerate_end_terms(obj, budget).spanning)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (text.count("\n") + 1, digest) == _ENUMERATIONS[obj, budget]
+
+
+@pytest.mark.parametrize("obj, budget", [("I", 4), ("S", 4), ("II", 4), ("II", 6)])
+def test_enumeration_candidates_compose_summaries(obj, budget):
+    # every candidate the enumeration breeds is a composite of two accepted
+    # classes within the budget; its summary is glued from theirs, and must
+    # carry the key of the summary of the composite term
+    terms = [e.terms[0][1] for e in enumerate_end_terms(obj, budget).spanning]
+    summaries = [summarize(t) for t in terms]
+    gens = [_gen_count(t) for t in terms]
+    checked = 0
+    for a, (ta, sa) in enumerate(zip(terms, summaries)):
+        for b, (tb, sb) in enumerate(zip(terms, summaries)):
+            if gens[a] + gens[b] <= budget:
+                assert compose_summaries(sa, sb).key() == summarize(Compose(ta, tb)).key()
+                checked += 1
+    assert checked >= len(terms)
 
 
 def test_enumerate_monotone_in_budget():

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numkit import (
-    ONE, ZERO, Matrix, Poly, is_squarefree, rat, rat_to_str, rational_roots,
+    ONE, ZERO, Matrix, Poly, is_squarefree, rat, rat_to_str, rational_roots, rats,
     recurrence_from_sequences,
 )
 
@@ -39,7 +39,8 @@ class SequenceTable:
     def from_rows(cls, rows):
         g_max = len(rows) - 1
         w_max = len(rows[0]) - 1
-        vals = tuple(tuple(rat(x) for x in row) for row in rows)
+        flat = iter(rats(x for row in rows for x in row))
+        vals = tuple(tuple(next(flat) for _ in row) for row in rows)
         for row in vals:
             if len(row) != w_max + 1:
                 raise ValueError("ragged table")
@@ -53,7 +54,7 @@ class SequenceTable:
 
     @classmethod
     def from_json(cls, obj):
-        return cls.from_rows([[rat(x) for x in row] for row in obj["values"]])
+        return cls.from_rows(obj["values"])
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +126,9 @@ class CharacterForm:
     @classmethod
     def from_json(cls, obj):
         poly = obj.get("poly", {})
-        return cls.make(
-            alpha_1=rat(poly.get("1", 0)),
-            alpha_X=rat(poly.get("X", 0)),
-            alpha_Y=rat(poly.get("Y", 0)),
-            alpha_Y2=rat(poly.get("Y2", 0)),
-            exp_terms=[(rat(t["lambda"]), rat(t["mu"]), rat(t["coeff"])) for t in obj.get("exp", [])],
-        )
+        alphas = rats(poly.get(key, 0) for key in ("1", "X", "Y", "Y2"))
+        flat = rats(t[key] for t in obj.get("exp", []) for key in ("lambda", "mu", "coeff"))
+        return cls.make(*alphas, exp_terms=[flat[i:i + 3] for i in range(0, len(flat), 3)])
 
 
 def _pow0(base: Fraction, e: int) -> Fraction:
@@ -139,6 +136,14 @@ def _pow0(base: Fraction, e: int) -> Fraction:
     if e == 0:
         return ONE
     return base ** e
+
+
+def _powers(base: Fraction, e_max: int) -> list:
+    """[base^0, ..., base^e_max], with 0^0 = 1 as in _pow0."""
+    out = [ONE]
+    for _ in range(e_max):
+        out.append(out[-1] * base)
+    return out
 
 
 def eval_character(form: CharacterForm, g: int, w: int) -> Fraction:
@@ -273,15 +278,13 @@ def classify_table(table: SequenceTable, rank_bound: int):
         if not split:
             return Indeterminate("X-direction spectrum does not split over the rationals")
         lams = [lam for lam, _ in lams]
-        # per column, coefficients of each lam^g via a (shifted) Vandermonde solve
+        # coefficients of each lam^g in every column at once, from one
+        # inverse of the (shifted) Vandermonde matrix
         vand = Matrix.from_rows([[lam ** (2 + i) for lam in lams] for i in range(len(lams))])
-        coef_rows = []  # coef_rows[w][j] = c_{lam_j}(w)
-        for w in range(table.w_max + 1):
-            sol = vand.solve([cols[w][i] for i in range(len(lams))])
-            assert sol is not None  # Vandermonde with distinct nonzero nodes
-            coef_rows.append(sol)
-        for j, lam in enumerate(lams):
-            c_seq = [coef_rows[w][j] for w in range(table.w_max + 1)]
+        inv = vand.inverse()
+        assert inv is not None  # Vandermonde with distinct nonzero nodes
+        coef_rows = (inv * Matrix.from_rows(deep_rows[:len(lams)])).to_rows()
+        for lam, c_seq in zip(lams, coef_rows):  # c_seq[w] = c_lam(w)
             tail = c_seq[1:]
             if any(tail):
                 q_y = recurrence_from_sequences([tail], r)
@@ -309,13 +312,21 @@ def classify_table(table: SequenceTable, rank_bound: int):
             if residue:
                 exp_terms.append((lam, ZERO, residue))
 
-    exp_form = CharacterForm.make(exp_terms=exp_terms)
+    # the geometric part on the whole table, one power grid per term
+    exp_grid = [[ZERO] * (table.w_max + 1) for _ in range(table.g_max + 1)]
+    for lam, mu, c in CharacterForm.make(exp_terms=exp_terms).exp_terms:
+        mu_pows = _powers(mu, table.w_max)
+        for row, lam_pow in zip(exp_grid, _powers(lam, table.g_max)):
+            a = c * lam_pow
+            for w, m in enumerate(mu_pows):
+                if m:
+                    row[w] += a * m
     poly = {}
-    for g in range(table.g_max + 1):
-        for w in range(table.w_max + 1):
-            rem = table.value(g, w) - _exp_value(exp_form, g, w)
-            if not rem:
+    for g, (row, exp_row) in enumerate(zip(table.values, exp_grid)):
+        for w, (value, exp_value) in enumerate(zip(row, exp_row)):
+            if value == exp_value:
                 continue
+            rem = value - exp_value
             if (g, w) in POLY_SUPPORT:
                 poly[(g, w)] = rem
             else:

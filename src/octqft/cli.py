@@ -4,10 +4,16 @@ Every subcommand reads JSON (from a file, inline, or stdin via "-"), runs
 one pipeline operation, and prints a JSON report with sorted keys, so the
 output is byte-identical across runs.  Exit codes: 0 on success, 1 when a
 verification fails (the report still prints), 2 on usage or input errors.
+
+The argument parser is built once per process, on the first call of main,
+and reused by every later call: parsing mutates no parser state, and an
+in-process caller such as a test suite or a benchmark would otherwise pay
+for building it on every call.  A shell invocation builds it once anyway.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -210,6 +216,7 @@ def _cmd_scale(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="octqft",

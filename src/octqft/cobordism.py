@@ -91,6 +91,14 @@ class LinComb:
     def signature(self):
         return self._signature
 
+    @classmethod
+    def interned(cls, term, sid):
+        """The combination 1·term, for a term whose interned summary id is
+        already known."""
+        e = cls([(ONE, term)])
+        e._sids = [(ONE, sid)]
+        return e
+
     def summary_ids(self):
         """(coefficient, interned summary id) per term, computed on first use."""
         if self._sids is None:
@@ -238,20 +246,25 @@ def parse(text: str) -> CobTerm:
 def pretty(t: CobTerm) -> str:
     """Canonical text: ';' chains unparenthesized, tensor operands that are
     compositions get parentheses."""
-    if isinstance(t, Gen):
-        return t.name
-    if isinstance(t, Id):
-        return f"id:{t.word}"
-    if isinstance(t, Swap):
-        return f"sw:{t.left},{t.right}"
-    if isinstance(t, Compose):
-        return f"{pretty(t.first)} ; {pretty(t.second)}"
-    if isinstance(t, Tensor):
-        def wrap(x):
-            s = pretty(x)
-            return f"({s})" if isinstance(x, Compose) else s
-        return f"{wrap(t.left)} * {wrap(t.right)}"
-    raise TypeError(f"not a term: {t!r}")
+    return _fold(t, _leaf_text, _join_text)
+
+
+def _leaf_text(node):
+    if isinstance(node, Gen):
+        return node.name
+    if isinstance(node, Id):
+        return f"id:{node.word}"
+    return f"sw:{node.left},{node.right}"
+
+
+def _join_text(node, a, b):
+    if isinstance(node, Compose):
+        return f"{a} ; {b}"
+    if isinstance(node.left, Compose):
+        a = f"({a})"
+    if isinstance(node.right, Compose):
+        b = f"({b})"
+    return f"{a} * {b}"
 
 
 # ---------------------------------------------------------------------------
@@ -346,23 +359,25 @@ def _gen_matrix(name: str, k: KFA) -> Matrix:
 
 
 def _eval_matrix(t: CobTerm, k: KFA) -> Matrix:
-    if isinstance(t, Gen):
-        return _gen_matrix(t.name, k)
-    if isinstance(t, Id):
-        return Matrix.identity(word_dim(t.word, k))
-    if isinstance(t, Swap):
-        d1 = word_dim(t.left, k)
-        d2 = word_dim(t.right, k)
-        m = Matrix.zeros(d1 * d2, d1 * d2)
-        for i in range(d1):
-            for j in range(d2):
-                m[j * d1 + i, i * d2 + j] = ONE
-        return m
-    if isinstance(t, Compose):
-        return _eval_matrix(t.second, k) * _eval_matrix(t.first, k)
-    if isinstance(t, Tensor):
-        return _eval_matrix(t.left, k).kron(_eval_matrix(t.right, k))
-    raise TypeError(f"not a term: {t!r}")
+    return _fold(t, lambda node: _leaf_matrix(node, k), _join_matrix)
+
+
+def _leaf_matrix(node, k: KFA) -> Matrix:
+    if isinstance(node, Gen):
+        return _gen_matrix(node.name, k)
+    if isinstance(node, Id):
+        return Matrix.identity(word_dim(node.word, k))
+    d1 = word_dim(node.left, k)
+    d2 = word_dim(node.right, k)
+    m = Matrix.zeros(d1 * d2, d1 * d2)
+    for i in range(d1):
+        for j in range(d2):
+            m[j * d1 + i, i * d2 + j] = ONE
+    return m
+
+
+def _join_matrix(node, a: Matrix, b: Matrix) -> Matrix:
+    return b * a if isinstance(node, Compose) else a.kron(b)
 
 
 def evaluate(t, k: KFA):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numkit import Matrix, Rat, Tensor, ZERO, ONE, rat, rat_to_str
+from .numkit import Matrix, Rat, Tensor, ZERO, ONE, rat, rat_to_str, rats
 
 
 class AxiomError(ValueError):
@@ -175,10 +175,10 @@ class FrobeniusAlgebra:
     @classmethod
     def from_json(cls, obj):
         n = obj["dim"]
-        prod = Tensor((n, n, n), [rat(x) for plane in obj["product"] for row in plane for x in row])
-        cop = Tensor((n, n, n), [rat(x) for plane in obj["coproduct"] for row in plane for x in row])
-        unit = Tensor((n,), [rat(x) for x in obj["unit"]])
-        counit = Tensor((n,), [rat(x) for x in obj["counit"]])
+        prod = Tensor((n, n, n), rats(x for plane in obj["product"] for row in plane for x in row))
+        cop = Tensor((n, n, n), rats(x for plane in obj["coproduct"] for row in plane for x in row))
+        unit = Tensor((n,), rats(obj["unit"]))
+        counit = Tensor((n,), rats(obj["counit"]))
         return cls(prod, unit, cop, counit)
 
 

@@ -952,7 +952,7 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
             breed(term, gens, sid)
         deferred = [d for pos, d in enumerate(deferred) if pos not in found]
 
-    ts = TermSpace(obj, [lc(t) for t, g, sid in accepted])
+    ts = TermSpace(obj, [LinComb.interned(t, sid) for t, g, sid in accepted])
     _ENUM_CACHE[key] = ts
     return ts
 
@@ -1218,7 +1218,7 @@ def _scan_witness(ts, chi):
     is deterministic for a fixed enumeration.
     """
     terms = [e.terms[0][1] for e in ts.spanning]
-    summaries = [summarize(t) for t in terms]
+    summaries = [_SUMMARIES[e.summary_ids()[0][1]] for e in ts.spanning]
     id_summary = summarize(Id(ts.object))
 
     def pair_value(sa, sb):

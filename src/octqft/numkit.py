@@ -28,6 +28,25 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+def rats(values) -> list:
+    """rat() of each value in order, parsing each distinct string once.
+
+    Only exact str values share a decoding: 1, 1.0 and True hash equal, so
+    every other value goes through rat() and raises as it would alone.
+    Sharing is safe because Fractions are immutable."""
+    parsed = {}
+    out = []
+    for x in values:
+        if type(x) is str:
+            v = parsed.get(x)
+            if v is None:
+                v = parsed[x] = Fraction(x)
+            out.append(v)
+        else:
+            out.append(rat(x))
+    return out
+
+
 def rat_to_str(x: Fraction) -> str:
     x = rat(x)
     if x.denominator == 1:
@@ -160,12 +179,13 @@ class Matrix:
     def from_rows(cls, rows_list):
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
-        flat = []
-        for r in rows_list:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(rat(x) for x in r)
-        return cls(rows, cols, flat)
+
+        def cells():
+            for r in rows_list:
+                if len(r) != cols:
+                    raise ValueError("ragged rows")
+                yield from r
+        return cls(rows, cols, rats(cells()))
 
     @classmethod
     def column(cls, vec):

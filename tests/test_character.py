@@ -206,3 +206,131 @@ def test_product_matches_tables(a, b):
     for g in range(6):
         for w in range(6):
             assert eval_character(m, g, w) == eval_character(a, g, w) * eval_character(b, g, w)
+
+
+def _classify_table_per_column(table, r):
+    """classify_table as it was before one Vandermonde inverse served every
+    column: one exact solve per column w and a cell-by-cell remainder.  The
+    oracle of test_classify_table_matches_per_column_solve."""
+    from octqft.character import POLY_SUPPORT, _exp_value
+    from octqft.numkit import (
+        ZERO, Matrix, is_squarefree, rat_to_str, rational_roots, recurrence_from_sequences,
+    )
+
+    deep_rows = [table.values[g] for g in range(2, table.g_max + 1)]
+    exp_terms = []
+    if any(x for row in deep_rows for x in row):
+        cols = [[row[w] for row in deep_rows] for w in range(table.w_max + 1)]
+        q_x = recurrence_from_sequences(cols, r)
+        if q_x is None:
+            return NotGood(f"no common recurrence in the X direction of order <= {r}")
+        if q_x(ZERO) == 0 or not is_squarefree(q_x):
+            return NotGood("X-direction recurrence has a zero or repeated root")
+        lams, split = rational_roots(q_x)
+        if not split:
+            return Indeterminate("X-direction spectrum does not split over the rationals")
+        lams = [lam for lam, _ in lams]
+        vand = Matrix.from_rows([[lam ** (2 + i) for lam in lams] for i in range(len(lams))])
+        coef_rows = [vand.solve([cols[w][i] for i in range(len(lams))])
+                     for w in range(table.w_max + 1)]
+        for j, lam in enumerate(lams):
+            c_seq = [coef_rows[w][j] for w in range(table.w_max + 1)]
+            tail = c_seq[1:]
+            if any(tail):
+                q_y = recurrence_from_sequences([tail], r)
+                if q_y is None:
+                    return NotGood(
+                        f"no recurrence in the Y direction of order <= {r} for lam = {rat_to_str(lam)}")
+                if q_y(ZERO) == 0 or not is_squarefree(q_y):
+                    return NotGood(
+                        f"Y-direction recurrence has a zero or repeated root for lam = {rat_to_str(lam)}")
+                mus, split = rational_roots(q_y)
+                if not split:
+                    return Indeterminate(
+                        f"Y-direction spectrum does not split over the rationals for lam = {rat_to_str(lam)}")
+                mus = [mu for mu, _ in mus]
+                mvand = Matrix.from_rows([[mu ** (1 + i) for mu in mus] for i in range(len(mus))])
+                alphas = mvand.solve([tail[i] for i in range(len(mus))])
+            else:
+                mus, alphas = [], []
+            for mu, c in zip(mus, alphas):
+                if c:
+                    exp_terms.append((lam, mu, c))
+            residue = c_seq[0] - sum(alphas, ZERO)
+            if residue:
+                exp_terms.append((lam, ZERO, residue))
+
+    exp_form = CharacterForm.make(exp_terms=exp_terms)
+    poly = {}
+    for g in range(table.g_max + 1):
+        for w in range(table.w_max + 1):
+            rem = table.value(g, w) - _exp_value(exp_form, g, w)
+            if not rem:
+                continue
+            if (g, w) in POLY_SUPPORT:
+                poly[(g, w)] = rem
+            else:
+                return NotGood(
+                    "remainder after removing geometric terms is not supported on 1, X, Y, Y^2",
+                    witness=(g, w))
+    form = CharacterForm.make(
+        poly.get((0, 0), ZERO), poly.get((1, 0), ZERO),
+        poly.get((0, 1), ZERO), poly.get((0, 2), ZERO), exp_terms)
+    for g in range(table.g_max + 1):
+        for w in range(table.w_max + 1):
+            if eval_character(form, g, w) != table.value(g, w):
+                return NotGood("reconstructed form does not reproduce the table", witness=(g, w))
+    return Good(form)
+
+
+def test_classify_table_matches_per_column_solve(monkeypatch):
+    import random
+
+    from octqft import character
+    from octqft.kfa import (
+        invariant_table, kfa_sum, make_nonsemisimple_kfa, make_semisimple_kfa,
+    )
+
+    rng = random.Random(5)
+    values = [F(v) for v in (1, 2, 3, -1, -2)] + [F(1, 2), F(-2, 3), F(1, 3)]
+    cases = []
+    # tables of seeded KFAs, at the size character_of reads
+    for _ in range(6):
+        k = make_semisimple_kfa(rng.choice((1, 2)), rng.choice(values))
+        n = make_nonsemisimple_kfa(rng.choice((0, 1)), 1, rng.choice(values),
+                                   rng.choice(values), rng.choice(values))
+        for kk in (k, n, kfa_sum(k, n)):
+            r = kk.closed.dim
+            cases.append((invariant_table(kk, 2 * r + 4, 2 * r + 4), r))
+    # tables classify_rational expands from generating functions
+    real = character.classify_table
+    monkeypatch.setattr(character, "classify_table",
+                        lambda t, r: cases.append((t, r)) or real(t, r))
+    for text in ("1/((1-2*X)*(1-3*Y))", "5 + 3*X + 2*Y + 3*Y*Y", "1/(1-Y)", "X/(1-2*Y)",
+                 "1/(1-2*X)", "1/(1-X*Y)", "1/((1-X)*(1-X))", "2 + X/((1-X)*(1-2*Y))"):
+        classify_rational(*parse_rational_expr(text))
+    monkeypatch.setattr(character, "classify_table", real)
+    # seeded closed forms, each also with one cell perturbed
+    for _ in range(25):
+        terms = [(rng.choice(values), rng.choice(values + [F(0)]), rng.choice(values))
+                 for _ in range(rng.randint(0, 3))]
+        f = CharacterForm.make(rng.choice(values), rng.choice(values), 0, rng.choice(values),
+                               terms)
+        t = to_table(f, 10, 10)
+        cases.append((t, 3))
+        rows = [list(row) for row in t.values]
+        rows[rng.randint(0, 10)][rng.randint(0, 10)] += 1
+        cases.append((SequenceTable.from_rows(rows), 3))
+    # the NotGood and Indeterminate tables of the tests above
+    cases += [
+        (tbl(lambda g, w: F(3) ** w if g == 0 else F(0)), 1),
+        (tbl(lambda g, w: F(2) ** w if g == 1 else F(0)), 1),
+        (tbl(lambda g, w: F(2) ** (g // 2) if w == 0 and g % 2 == 0 else F(0), 8, 8), 2),
+        (tbl(lambda g, w: g * F(2) ** g if w == 0 else F(0), 10, 10), 3),
+    ]
+    kinds = set()
+    for table, r in cases:
+        got = classify_table(table, r)
+        assert got.to_json() == _classify_table_per_column(table, r).to_json()
+        kinds.add(type(got))
+    assert kinds == {Good, NotGood, Indeterminate}

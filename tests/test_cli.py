@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from octqft.cli import main
+from octqft.cli import build_parser, main
 from octqft.kfa import make_semisimple_kfa
 
 
@@ -104,10 +104,21 @@ def test_eval_bad_term_usage_error(capsys, kfa_path):
     assert code == 2
 
 
-def test_eval_deep_term_exits_two(capsys, kfa_path):
-    # 1,000 generators nest past the interpreter's recursion limit
+def test_eval_deep_term(capsys, kfa_path):
+    # 1,000 generators nest past the interpreter's recursion limit, so
+    # evaluation must not recurse on the term
     term = " ; ".join(["dS ; mS"] * 500)
-    code = main(["eval", "--term", term, "--kfa", kfa_path])
+    code, out = run(capsys, ["eval", "--term", term, "--kfa", kfa_path])
+    assert code == 0
+    assert json.loads(out) == [["1"]]
+
+
+def test_recursion_error_exits_two(capsys, kfa_path, monkeypatch):
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("octqft.cli.evaluate", too_deep)
+    code = main(["eval", "--term", "uS ; eS", "--kfa", kfa_path])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("octqft: ") and err.count("\n") == 1
@@ -215,3 +226,50 @@ def test_unknown_subcommand_exits_two(capsys):
         main(["frobnicate"])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+def test_malformed_rational_exits_two(capsys):
+    obj = make_semisimple_kfa(2, 1).to_json()
+    obj["closed"]["counit"][0] = "1/x"
+    code = main(["check-kfa", "--kfa", json.dumps(obj)])
+    assert capsys.readouterr().err.startswith("octqft: ")
+    assert code == 2
+
+
+def test_reused_parser_leaks_no_state(capsys, kfa_path, tmp_path):
+    # the parser is built once per process; each command run after others
+    # must behave as when it runs alone in a fresh process
+    chi = json.dumps({"exp": [{"lambda": "1", "mu": "3", "coeff": "2"}]})
+    table = json.dumps({"values": [[str(2 ** w) for w in range(9)] for g in range(9)]})
+    dest = tmp_path / "gram.json"
+    commands = [
+        ["check-kfa", "--kfa", kfa_path],
+        ["invariants", "--kfa", kfa_path, "--gmax", "2", "--wmax", "3"],
+        ["classify", "--rational", "1/((1-2X)(1-3Y))"],
+        ["classify", "--table", table],
+        ["eval", "--term", "dI ; mI", "--kfa", kfa_path],
+        ["gram", "--object", "S", "--char", chi, "-o", str(dest)],
+        ["classify", "--rank-bound", "1"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        written = None
+        if dest.exists():
+            written = dest.read_text()
+            dest.unlink()
+        return code, captured.out, captured.err, written
+
+    alone = []
+    for argv in commands:
+        build_parser.cache_clear()
+        alone.append(call(argv))
+    assert alone[-1][0] == 2 and "usage:" in alone[-1][2]
+    assert alone[-2][3] is not None
+    build_parser.cache_clear()
+    assert [call(argv) for argv in commands * 2] == alone * 2
+    assert build_parser() is build_parser()

@@ -81,6 +81,12 @@ def test_pretty_canonical():
     assert pretty(parse("(uS ; eS) * (uI ; eI)")) == "(uS ; eS) * (uI ; eI)"
 
 
+def test_pretty_of_1000_generators():
+    # deeper than the interpreter's recursion limit
+    text = " ; ".join(["dS ; mS"] * 500)
+    assert pretty(parse(text)) == text
+
+
 def test_typecheck():
     assert typecheck(parse("mI")) == ("II", "I")
     assert typecheck(parse("(z * z) ; mI")) == ("SS", "I")

@@ -196,6 +196,23 @@ def test_pair_matches_evaluation_in_the_structure(k, obj):
         assert pair(f, g, chi) == evaluate(Compose(tf, tg), k).trace()
 
 
+@pytest.mark.parametrize("k", [
+    make_semisimple_kfa(2, 1),
+    make_nonsemisimple_kfa(1, 1, 1, 0, 1),
+    kfa_sum(make_semisimple_kfa(1, 3), make_semisimple_kfa(1, 2)),
+], ids=["semisimple", "nonsemisimple", "sum"])
+@pytest.mark.parametrize("obj", ["S", "I"])
+def test_gram_rank_at_most_rank_of_evaluated_span(k, obj):
+    # the universal construction maps onto the hom-space of k: the pairing
+    # under the character of k is the trace of the composite evaluated in
+    # k, so the Gram factors through evaluation and cannot exceed its rank
+    chi = character_of(k)
+    space = spanning_end(obj, chi)
+    _, rank = gram_rank(space, chi)
+    images = Matrix.from_rows([evaluate(e, k).entries for e in space.spanning])
+    assert 0 < rank <= images.rank()
+
+
 def test_lc_collapse_merges_equal_summaries():
     f = LinComb([(Fraction(1), sigma_endo(1, 1)), (Fraction(2), parse("z ; zs ; dS ; mS"))])
     collapsed = lc_collapse(f)
@@ -456,6 +473,21 @@ def test_enumerate_monotone_in_budget():
     sizes = [len(enumerate_end_terms("I", b).spanning) for b in (0, 2, 4)]
     assert sizes[0] <= sizes[1] <= sizes[2]
     assert sizes == [1, 4, 9]
+
+
+def test_enumerated_entries_keep_their_summary_ids(monkeypatch):
+    # only the atoms are summarized from their terms: each class keeps the
+    # id the enumeration interned, so pairing the entries summarizes nothing
+    from octqft import cobordism, gram
+
+    calls = []
+    real = cobordism.summarize
+    monkeypatch.setattr(cobordism, "summarize", lambda t: calls.append(t) or real(t))
+    monkeypatch.setattr(gram, "_ENUM_CACHE", {})
+    ts = enumerate_end_terms("I", 6)
+    assert len(calls) == sum(_gen_count(a) <= 6 for a in gram._atom_terms("I"))
+    gram._gram_rows(ts, CHI2)
+    assert len(calls) == sum(_gen_count(a) <= 6 for a in gram._atom_terms("I"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import json
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,3 +306,34 @@ def test_semisimple_always_valid_and_good(n, alpha):
     k = make_semisimple_kfa(n, alpha)
     assert check_kfa(k).valid
     assert character_of(k) == interpolated_gl_character(n, alpha)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_structures_roundtrip_through_json(monkeypatch):
+    # the 170 seeded structures of the benchmark's families, up to open
+    # dimension 13, decode back to themselves from their JSON text
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    rng = random.Random(1)
+    for i in range(workloads.GROUPS):
+        k = workloads._build_kfa(workloads.SHAPES[i % len(workloads.SHAPES)], rng)
+        obj = json.loads(json.dumps(k.to_json()))
+        back = KFA.from_json(obj)
+        assert back == k
+        assert back.to_json() == obj
+
+
+def test_kfa_json_float_entry_raises_type_error():
+    # a float equal to an exact entry decoded earlier must not share it
+    obj = make_semisimple_kfa(2, 1).to_json()
+    obj["open"]["product"][0][0][0] = 1
+    obj["open"]["product"][1][1][1] = 1.0
+    with pytest.raises(TypeError):
+        KFA.from_json(obj)
+    obj = make_semisimple_kfa(2, 1).to_json()
+    obj["zipper"][1][0] = 1.0
+    with pytest.raises(TypeError):
+        KFA.from_json(obj)

@@ -12,19 +12,22 @@ atom := GEN | "id:" WORD | "sw:" LETTER "," LETTER | "(" term ")".
 tighter.  Whitespace is insignificant.
 
 Besides parsing, typechecking and evaluation against a concrete structure,
-the module analyses closed terms combinatorially: connected components of
-the wire graph, Euler characteristics, and the (genus, windows) type of
-every component, obtained from the Euler count plus an exact count of free
-boundary circles.
+the module summarizes terms combinatorially.  The summary of a term (see
+DiagramSummary) is a fold over fixed summaries of its generators, identities
+and swaps; gluing two summaries into a closed surface gives the (genus,
+windows) type of every connected component, from an Euler count plus an
+exact count of free boundary circles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
-from .numkit import Matrix, Rat, ZERO, ONE, rat
+from .numkit import Matrix, ONE
 from .frobenius import ConsistencyError
-from .kfa import KFA, make_semisimple_kfa
-from .character import CharacterForm, eval_character
+
+if TYPE_CHECKING:
+    from .kfa import KFA
 
 
 class ParseError(ValueError):
@@ -323,10 +326,6 @@ def typecheck(t: CobTerm):
     return _fold(t, _leaf_signature, _join_signature)
 
 
-def is_closed(t: CobTerm) -> bool:
-    return typecheck(t) == ("", "")
-
-
 def word_dim(word: str, k: KFA) -> int:
     d = 1
     for c in word:
@@ -404,104 +403,23 @@ def evaluate(t, k: KFA):
 
 
 # ---------------------------------------------------------------------------
-# wire graphs
-
-
-class _Net:
-    """Port-level wiring of a term.
-
-    Ports are integers; union-find classes are wires.  Generator instances
-    are nodes; identity and swap wires are contracted implicitly by sharing
-    or uniting ports.
-    """
-
-    def __init__(self):
-        self.gens = []        # generator name per node
-        self.node_in = []     # per node: list of port ids
-        self.node_out = []
-        self.port_type = []   # per port: "I" or "S"
-        self.parent = []
-        self.loops = []       # letters of nodeless loops formed at closure
-        self.dom = []
-        self.cod = []
-
-    def new_port(self, letter):
-        p = len(self.parent)
-        self.parent.append(p)
-        self.port_type.append(letter)
-        return p
-
-    def find(self, p):
-        while self.parent[p] != p:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            # the wire closes on itself: a loop with no generators on it
-            self.loops.append(self.port_type[ra])
-        else:
-            self.parent[ra] = rb
-
-    def add_node(self, name):
-        dom_word, cod_word = GEN_SIGNATURES[name]
-        ins = [self.new_port(c) for c in dom_word]
-        outs = [self.new_port(c) for c in cod_word]
-        self.gens.append(name)
-        self.node_in.append(ins)
-        self.node_out.append(outs)
-        return ins, outs
-
-    def close(self):
-        """Glue the codomain back onto the domain (categorical trace)."""
-        for a, b in zip(self.cod, self.dom):
-            self.union(a, b)
-        self.dom = []
-        self.cod = []
-
-    def wires(self):
-        """dict wire-root -> list of (node, dir, slot) attachment points."""
-        out = {}
-        for node in range(len(self.gens)):
-            for slot, p in enumerate(self.node_in[node]):
-                out.setdefault(self.find(p), []).append((node, "in", slot))
-            for slot, p in enumerate(self.node_out[node]):
-                out.setdefault(self.find(p), []).append((node, "out", slot))
-        return out
-
-
-def _build_net(t, net):
-    """Add the wiring of t to net and return its (domain, codomain) ports."""
-    def leaf(node):
-        if isinstance(node, Gen):
-            return net.add_node(node.name)
-        if isinstance(node, Id):
-            ports = [net.new_port(c) for c in node.word]
-            return ports, ports
-        p = net.new_port(node.left)
-        q = net.new_port(node.right)
-        return [p, q], [q, p]
-
-    def join(node, a, b):
-        (d1, c1), (d2, c2) = a, b
-        if isinstance(node, Tensor):
-            return d1 + d2, c1 + c2
-        for x, y in zip(c1, d2):
-            net.union(x, y)
-        return d1, c2
-
-    return _fold(t, leaf, join)
-
-
-def network(t: CobTerm) -> _Net:
-    net = _Net()
-    dom, cod = _build_net(t, net)
-    net.dom = dom
-    net.cod = cod
-    return net
-
+# diagram summaries
+#
+# A summary keeps just the topological data needed to go on gluing an open
+# diagram.  Its boundary positions are numbered domain first, then
+# codomain; the two side endpoints T and B of position p are numbered 2p and
+# 2p + 1.  The summary records the component of each position, the Euler
+# characteristic and window count of each component that reaches the
+# boundary, how the free-boundary arcs pair up the side endpoints of the
+# interval positions, and the (genus, windows) types of the components that
+# are already closed.  Components are numbered by first appearance along the
+# positions, so diagrams that glue alike have equal summaries and a summary
+# is its own hash key.
+#
+# summarize folds fixed leaf summaries, one per generator plus the bare
+# wires of identities and swaps, under compose_summaries and
+# tensor_summaries.  Each join takes time in the boundary size only, so
+# pairing large endomorphism families never walks whole composite terms.
 
 # free-boundary arcs of each generator on its interval ports, as pairs of
 # (dir, slot, side) endpoints with side "T" (top) or "B" (bottom)
@@ -523,184 +441,128 @@ GEN_ARCS = {
     "uS": (), "eS": (), "mS": (), "dS": (),
 }
 
-
-class _DictUF:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _analyze(net: _Net):
-    """Per-component data of a fully closed net.
-
-    Returns a list of (genus, windows) pairs, one per connected component,
-    including (1, 0) for each nodeless closed loop and (0, 2) for each
-    nodeless interval loop.
-    """
-    wires = net.wires()
-    for root, ends in wires.items():
-        if len(ends) != 2:
-            raise ConsistencyError(f"wire with {len(ends)} attachment points in a closed diagram")
-
-    nodes_uf = _DictUF()
-    for node in range(len(net.gens)):
-        nodes_uf.find(node)
-    for root, ends in wires.items():
-        nodes_uf.union(ends[0][0], ends[1][0])
-
-    # Euler characteristic: generator values minus internal interval wires
-    euler = {}
-    for node, name in enumerate(net.gens):
-        c = nodes_uf.find(node)
-        euler[c] = euler.get(c, 0) + GEN_EULER[name]
-    iwires = {}
-    for root, ends in wires.items():
-        if net.port_type[root] == "I":
-            c = nodes_uf.find(ends[0][0])
-            euler[c] = euler.get(c, 0) - 1
-
-    # free boundary circles: arcs inside generators, side-preserving gluing
-    # along interval wires
-    ends_uf = _DictUF()
-    for node, name in enumerate(net.gens):
-        for a, b in GEN_ARCS[name]:
-            ends_uf.union((node,) + a, (node,) + b)
-    for root, ends in wires.items():
-        if net.port_type[root] != "I":
-            continue
-        (n1, d1, s1), (n2, d2, s2) = ends
-        ends_uf.union((n1, d1, s1, "T"), (n2, d2, s2, "T"))
-        ends_uf.union((n1, d1, s1, "B"), (n2, d2, s2, "B"))
-    circles = {}
-    seen = set()
-    for key in list(ends_uf.parent):
-        r = ends_uf.find(key)
-        if r in seen:
-            continue
-        seen.add(r)
-        c = nodes_uf.find(r[0])
-        circles[c] = circles.get(c, 0) + 1
-
-    out = []
-    roots = sorted({nodes_uf.find(n) for n in range(len(net.gens))})
-    for c in roots:
-        e = euler.get(c, 0)
-        w = circles.get(c, 0)
-        rem = 2 - e - w
-        if rem < 0 or rem % 2:
-            raise ConsistencyError(
-                f"component has Euler characteristic {e} with {w} windows; no valid genus"
-            )
-        out.append((rem // 2, w))
-    for letter in net.loops:
-        out.append((1, 0) if letter == "S" else (0, 2))
-    return out
-
-
-def _closed_net(t: CobTerm) -> _Net:
-    if not is_closed(t):
-        dom, cod = typecheck(t)
-        raise TermTypeError(f"term must be closed, has type {dom or 'empty'!r} -> {cod or 'empty'!r}")
-    return network(t)
-
-
-def components(t: CobTerm):
-    """Partition of the generator instances of a closed term into connected
-    components; instances are numbered in parse order."""
-    net = _closed_net(t)
-    wires = net.wires()
-    uf = _DictUF()
-    for node in range(len(net.gens)):
-        uf.find(node)
-    for root, ends in wires.items():
-        if len(ends) == 2:
-            uf.union(ends[0][0], ends[1][0])
-    groups = {}
-    for node in range(len(net.gens)):
-        groups.setdefault(uf.find(node), []).append(node)
-    return sorted(groups.values())
-
-
-def euler_characteristic(t: CobTerm) -> int:
-    """Sum of the generator Euler values minus the number of internal
-    interval wires; equals 2 - 2g - w on connected closed terms."""
-    net = _closed_net(t)
-    total = sum(GEN_EULER[name] for name in net.gens)
-    for root, ends in net.wires().items():
-        if net.port_type[root] == "I":
-            total -= 1
-    return total
-
-
-def surface_types(t: CobTerm):
-    """(genus, windows) of every connected component of a closed term."""
-    return _analyze(_closed_net(t))
-
-
-# ---------------------------------------------------------------------------
-# open-diagram summaries
-#
-# A summary keeps just the topological data needed to continue gluing an open
-# diagram: which boundary positions share a connected component, the Euler
-# characteristic and window count accumulated per component, how the
-# free-boundary arcs pair up the T/B side endpoints of interval boundary
-# positions, and the (genus, windows) types of components that are already
-# closed.  Summaries compose and trace in time depending only on boundary
-# size, so repeated pairing computations on large endomorphism families avoid
-# reanalyzing whole composite networks.
-
 # Euler characteristic carried by a bare boundary-to-boundary wire: an
 # interval wire is a square patch, a circle wire is a cylinder.
 WIRE_EULER = {"I": 1, "S": 0}
 
 
-class DiagramSummary:
-    __slots__ = ("dom", "cod", "comp", "comps", "match", "closed", "_key")
+class DiagramSummary(NamedTuple):
+    dom: str            # domain word
+    cod: str            # codomain word
+    comp: tuple         # per boundary position: its component
+    comps: tuple        # per component: (euler, windows)
+    match: tuple        # per side endpoint: its arc partner, -1 on circle positions
+    closed: tuple       # sorted (genus, windows) of the closed components
 
-    def __init__(self, dom, cod, comp, comps, match, closed):
-        self.dom = dom          # domain word
-        self.cod = cod          # codomain word
-        self.comp = comp        # boundary position ("d", i) / ("c", i) -> component id
-        self.comps = comps      # component id -> (euler, windows)
-        self.match = match      # arc matching on side endpoints (position, "T"/"B")
-        self.closed = closed    # sorted tuple of (genus, windows) of closed parts
-        self._key = None
 
-    def positions(self):
-        return [("d", i) for i in range(len(self.dom))] + \
-               [("c", i) for i in range(len(self.cod))]
+def _summary(dom, cod, raw, data, match, closed):
+    """The summary whose position p lies on raw component raw[p], with data
+    giving (euler, windows) per raw component; renumbers the components by
+    first appearance."""
+    order = {}
+    comp = tuple([order.setdefault(c, len(order)) for c in raw])
+    return DiagramSummary(dom, cod, comp, tuple([data[c] for c in order]),
+                          tuple(match), tuple(sorted(closed)))
 
-    def key(self):
-        """Canonical hashable form; equal keys mean the same summary."""
-        if self._key is None:
-            order = {}
-            ids = []
-            for pos in self.positions():
-                c = self.comp[pos]
-                if c not in order:
-                    order[c] = len(order)
-                    ids.append(c)
-            compkey = tuple(order[self.comp[pos]] for pos in self.positions())
-            compdata = tuple(self.comps[c] for c in ids)
-            mk = []
-            for pos in self.positions():
-                for side in ("T", "B"):
-                    e = (pos, side)
-                    if e in self.match:
-                        mk.append((pos, side, self.match[e][0], self.match[e][1]))
-            self._key = (self.dom, self.cod, compkey, compdata, tuple(mk), self.closed)
-        return self._key
+
+def _gen_summary(name):
+    dom, cod = GEN_SIGNATURES[name]
+    n = len(dom) + len(cod)
+    match = [-1] * (2 * n)
+    for ends in GEN_ARCS[name]:
+        e, f = (2 * (slot + len(dom) * (d == "out")) + (side == "B") for d, slot, side in ends)
+        match[e], match[f] = f, e
+    return _summary(dom, cod, [0] * n, [(GEN_EULER[name], 0)], match, ())
+
+
+_GEN_SUMMARIES = {name: _gen_summary(name) for name in GEN_SIGNATURES}
+
+
+def _wire_summary(dom, cod, perm):
+    """Summary of bare wires, domain position i running to codomain
+    position perm[i]."""
+    n = len(dom)
+    raw = list(range(n)) * 2
+    match = [-1] * (4 * n)
+    for i, j in enumerate(perm):
+        raw[n + j] = i
+        if dom[i] == "I":
+            for s in (0, 1):
+                e, f = 2 * i + s, 2 * (n + j) + s
+                match[e], match[f] = f, e
+    return _summary(dom, cod, raw, [(WIRE_EULER[c], 0) for c in dom], match, ())
+
+
+def _leaf_summary(node):
+    if isinstance(node, Gen):
+        return _GEN_SUMMARIES[node.name]
+    if isinstance(node, Id):
+        return _wire_summary(node.word, node.word, range(len(node.word)))
+    return _wire_summary(node.left + node.right, node.right + node.left, (1, 0))
+
+
+def _join_summary(node, a, b):
+    if isinstance(node, Compose):
+        return compose_summaries(a, b)
+    return tensor_summaries(a, b)
+
+
+def summarize(term) -> DiagramSummary:
+    """Topological summary of a well-typed term; raises TermTypeError on an
+    ill-typed composite."""
+    return _fold(term, _leaf_summary, _join_summary)
+
+
+def tensor_summaries(a: DiagramSummary, b: DiagramSummary) -> DiagramSummary:
+    """Summary of a placed beside b (a * b)."""
+    da, db, ca = len(a.dom), len(b.dom), len(a.cod)
+    place = ([p if p < da else p + db for p in range(len(a.comp))],
+             [q + da if q < db else q + da + ca for q in range(len(b.comp))])
+    raw = [0] * (len(a.comp) + len(b.comp))
+    match = [-1] * (2 * len(raw))
+    for s, pos, shift in ((a, place[0], 0), (b, place[1], len(a.comps))):
+        for p, c in enumerate(s.comp):
+            raw[pos[p]] = c + shift
+        for e, f in enumerate(s.match):
+            if f >= 0:
+                match[2 * pos[e >> 1] + (e & 1)] = 2 * pos[f >> 1] + (f & 1)
+    return _summary(a.dom + b.dom, a.cod + b.cod, raw, a.comps + b.comps, match,
+                    a.closed + b.closed)
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _glue(a, b, pairs):
+    """Union-find over the components of a (numbered first) and of b, glued
+    at the (position of a, position of b, letter) pairs.  Returns the parent
+    array and the Euler characteristic and window count per component; a
+    glued interval wire takes one from the Euler characteristic."""
+    ka = len(a.comps)
+    comps = a.comps + b.comps
+    parent = list(range(len(comps)))
+    euler = [e for e, _ in comps]
+    windows = [w for _, w in comps]
+    for p, q, letter in pairs:
+        x = a.comp[p]
+        parent[_find(parent, x)] = _find(parent, ka + b.comp[q])
+        if letter == "I":
+            euler[x] -= 1
+    return parent, euler, windows
+
+
+def _totals(parent, euler, windows):
+    """root -> (euler, windows) summed over its glued components."""
+    out = {}
+    for x in range(len(parent)):
+        r = _find(parent, x)
+        e, w = out.get(r, (0, 0))
+        out[r] = (e + euler[x], w + windows[x])
+    return out
 
 
 def _finish_component(e, w, closed):
@@ -711,238 +573,66 @@ def _finish_component(e, w, closed):
     closed.append((rem // 2, w))
 
 
-def summarize(term) -> DiagramSummary:
-    """Topological summary of an arbitrary well-typed term."""
-    dom_w, cod_w = typecheck(term)
-    net = network(term)
-    wires = net.wires()
-
-    droots = [net.find(p) for p in net.dom]
-    croots = [net.find(p) for p in net.cod]
-    bpos = {}
-    for i, r in enumerate(droots):
-        bpos.setdefault(r, []).append(("d", i))
-    for i, r in enumerate(croots):
-        bpos.setdefault(r, []).append(("c", i))
-
-    uf = _DictUF()
-    for node in range(len(net.gens)):
-        uf.find(("n", node))
-    for r in bpos:
-        uf.find(("w", r))
-    for root, ends in wires.items():
-        na = len(ends)
-        nb = len(bpos.get(root, []))
-        if na + nb != 2:
-            raise ConsistencyError(f"wire with {na} node ends and {nb} boundary ends")
-        keys = [("n", e[0]) for e in ends] + ([("w", root)] if nb else [])
-        for k in keys[1:]:
-            uf.union(keys[0], k)
-
-    euler = {}
-    for node, name in enumerate(net.gens):
-        c = uf.find(("n", node))
-        euler[c] = euler.get(c, 0) + GEN_EULER[name]
-    for root, ends in wires.items():
-        if len(ends) == 2 and not bpos.get(root):
-            if net.port_type[root] == "I":
-                c = uf.find(("n", ends[0][0]))
-                euler[c] = euler.get(c, 0) - 1
-    for root, poss in bpos.items():
-        if root not in wires:
-            if len(poss) != 2:
-                raise ConsistencyError("bare wire must touch exactly two boundary positions")
-            c = uf.find(("w", root))
-            euler[c] = euler.get(c, 0) + WIRE_EULER[net.port_type[root]]
-
-    # chase the free-boundary arcs through the generators
-    ends_uf = _DictUF()
-    for node, name in enumerate(net.gens):
-        for a, b in GEN_ARCS[name]:
-            ends_uf.union((node,) + a, (node,) + b)
-    open_ends = {}
-    for root, ends in wires.items():
-        if net.port_type[root] != "I":
-            continue
-        here = bpos.get(root, [])
-        if len(ends) == 2:
-            (n1, d1, s1), (n2, d2, s2) = ends
-            ends_uf.union((n1, d1, s1, "T"), (n2, d2, s2, "T"))
-            ends_uf.union((n1, d1, s1, "B"), (n2, d2, s2, "B"))
-        elif len(ends) == 1:
-            (n1, d1, s1), = ends
-            pos = here[0]
-            open_ends[(pos, "T")] = (n1, d1, s1, "T")
-            open_ends[(pos, "B")] = (n1, d1, s1, "B")
-
-    comp = {}
-    for r, poss in bpos.items():
-        c = uf.find(("w", r))
-        for pos in poss:
-            comp[pos] = c
-
-    windows = {}
-    match = {}
-    for root, poss in bpos.items():
-        if len(poss) == 2 and net.port_type[root] == "I":
-            a, b = poss
-            match[(a, "T")] = (b, "T")
-            match[(b, "T")] = (a, "T")
-            match[(a, "B")] = (b, "B")
-            match[(b, "B")] = (a, "B")
-    cls = {}
-    for bend, nend in open_ends.items():
-        cls.setdefault(ends_uf.find(nend), []).append(bend)
-    for r, bends in cls.items():
-        if len(bends) != 2:
-            raise ConsistencyError(f"arc chain with {len(bends)} open endpoints")
-        a, b = bends
-        match[a] = b
-        match[b] = a
-    openroots = set(cls)
-    seen = set()
-    for kk in list(ends_uf.parent):
-        r = ends_uf.find(kk)
-        if r in seen or r in openroots:
-            continue
-        seen.add(r)
-        c = uf.find(("n", r[0]))
-        windows[c] = windows.get(c, 0) + 1
-
-    closed = []
-    bcomps = set(comp.values())
-    comps = {}
-    for c in set(euler) | bcomps:
-        e = euler.get(c, 0)
-        w = windows.get(c, 0)
-        if c in bcomps:
-            comps[c] = (e, w)
-        else:
-            _finish_component(e, w, closed)
-    for letter in net.loops:
-        closed.append((1, 0) if letter == "S" else (0, 2))
-    return DiagramSummary(dom_w, cod_w, comp, comps, match, tuple(sorted(closed)))
-
-
 def compose_summaries(a: DiagramSummary, b: DiagramSummary) -> DiagramSummary:
     """Summary of the composite (a then b)."""
     if a.cod != b.dom:
-        raise ConsistencyError(f"cannot compose codomain {a.cod!r} with domain {b.dom!r}")
-    uf = _DictUF()
-    for c in a.comps:
-        uf.find(("a", c))
-    for c in b.comps:
-        uf.find(("b", c))
-    for i in range(len(a.cod)):
-        uf.union(("a", a.comp[("c", i)]), ("b", b.comp[("d", i)]))
+        raise TermTypeError(
+            f"cannot compose: codomain {a.cod or 'empty'!r} does not match domain {b.dom or 'empty'!r}")
+    na, m = len(a.dom), len(a.cod)
+    # a's codomain position na + i meets b's domain position i
+    parent, euler, windows = _glue(a, b, [(na + i, i, c) for i, c in enumerate(a.cod)])
 
-    merged_e = {}
-    merged_w = {}
-    for tag, s in (("a", a), ("b", b)):
-        for c, (e, w) in s.comps.items():
-            r = uf.find((tag, c))
-            merged_e[r] = merged_e.get(r, 0) + e
-            merged_w[r] = merged_w.get(r, 0) + w
-    for i in range(len(a.cod)):
-        if a.cod[i] == "I":
-            r = uf.find(("a", a.comp[("c", i)]))
-            merged_e[r] -= 1
+    # splice the arcs across the interface: a's endpoint off + e meets b's
+    # endpoint e; outer endpoints keep their number in a, b's codomain
+    # endpoints shift by off - 2m
+    off, bm = 2 * na, 2 * m
+    seen = bytearray(bm)        # interface endpoints already on a path
+    match = [-1] * (off + len(b.match) - bm)
 
-    # splice arcs across the glued interface; endpoints are (tag, pos, side)
-    def inner(tag, e):
-        m = a.match if tag == "a" else b.match
-        nxt = m.get(e)
-        if nxt is None:
-            return None
-        return (tag, nxt[0], nxt[1])
-
-    def across(pt):
-        tag, pos, side = pt
-        kind, i = pos
-        if tag == "a" and kind == "c":
-            return ("b", ("d", i), side)
-        if tag == "b" and kind == "d":
-            return ("a", ("c", i), side)
-        return None
-
-    outer = []
-    for i in range(len(a.dom)):
-        if a.dom[i] == "I":
-            outer.append(("a", ("d", i), "T"))
-            outer.append(("a", ("d", i), "B"))
-    for i in range(len(b.cod)):
-        if b.cod[i] == "I":
-            outer.append(("b", ("c", i), "T"))
-            outer.append(("b", ("c", i), "B"))
-
-    match = {}
-    visited = set()
-
-    def outpos(pt):
-        tag, pos, side = pt
-        kind, i = pos
-        if tag == "a":
-            return (("d", i), side)
-        return (("c", i), side)
-
-    for start in outer:
-        if start in visited:
-            continue
-        visited.add(start)
-        cur = start
+    def walk(e, in_a):
         while True:
-            tag, pos, side = cur
-            nxt = inner(tag, (pos, side))
-            if nxt is None:
-                raise ConsistencyError("missing arc at boundary endpoint")
-            jump = across(nxt)
-            if jump is None:
-                visited.add(nxt)
-                match[outpos(start)] = outpos(nxt)
-                match[outpos(nxt)] = outpos(start)
-                break
-            visited.add(nxt)
-            visited.add(jump)
-            cur = jump
+            if in_a:
+                e = a.match[e] - off
+                if e < 0:
+                    return e + off
+            else:
+                e = b.match[e]
+                if e >= bm:
+                    return e - bm + off
+            seen[e] = 1
+            in_a = not in_a
+            e += off if in_a else 0
+
+    for start in range(off):
+        if a.match[start] >= 0 and match[start] < 0:
+            end = walk(start, True)
+            match[start], match[end] = end, start
+    for start in range(bm, len(b.match)):
+        here = start - bm + off
+        if b.match[start] >= 0 and match[here] < 0:
+            end = walk(start, False)
+            match[here], match[end] = end, here
 
     # arc cycles trapped at the interface become windows
-    for i in range(len(a.cod)):
-        if a.cod[i] != "I":
+    for start in range(bm):
+        if seen[start] or a.match[off + start] < 0:
             continue
-        for side in ("T", "B"):
-            k = ("a", ("c", i), side)
-            if k in visited:
-                continue
-            r = uf.find(("a", a.comp[("c", i)]))
-            merged_w[r] = merged_w.get(r, 0) + 1
-            cur = k
-            while cur not in visited:
-                visited.add(cur)
-                tag, pos, sd = cur
-                nxt = inner(tag, (pos, sd))
-                visited.add(nxt)
-                jump = across(nxt)
-                if jump is None:
-                    raise ConsistencyError("interface circle reached the outer boundary")
-                cur = jump
+        windows[a.comp[na + start // 2]] += 1
+        e = start
+        while not seen[e]:
+            f = a.match[off + e] - off
+            seen[e] = seen[f] = 1
+            e = b.match[f]
 
-    comp = {}
-    for i in range(len(a.dom)):
-        comp[("d", i)] = uf.find(("a", a.comp[("d", i)]))
-    for i in range(len(b.cod)):
-        comp[("c", i)] = uf.find(("b", b.comp[("c", i)]))
-
-    closed = list(a.closed) + list(b.closed)
-    bcomps = set(comp.values())
-    comps = {}
-    for r in set(merged_e):
-        e = merged_e[r]
-        w = merged_w.get(r, 0)
-        if r in bcomps:
-            comps[r] = (e, w)
-        else:
+    ka = len(a.comps)
+    raw = [_find(parent, c) for c in a.comp[:na]] + [_find(parent, ka + c) for c in b.comp[m:]]
+    data = _totals(parent, euler, windows)
+    closed = list(a.closed + b.closed)
+    boundary = set(raw)
+    for r, (e, w) in data.items():
+        if r not in boundary:
             _finish_component(e, w, closed)
-    return DiagramSummary(a.dom, b.cod, comp, comps, match, tuple(sorted(closed)))
+    return _summary(a.dom, b.cod, raw, data, match, closed)
 
 
 def summary_closure(a: DiagramSummary, b: DiagramSummary):
@@ -950,59 +640,33 @@ def summary_closure(a: DiagramSummary, b: DiagramSummary):
 
     a.cod is glued to b.dom and b.cod to a.dom in one union-find pass over
     the boundary components of both summaries; every cycle of free-boundary
-    arcs through the glued interfaces is a window.  Agrees with
-    surface_types of the closed-up composite term.
+    arcs through the glued interfaces is a window.
     """
     if a.cod != b.dom or b.cod != a.dom:
         raise ConsistencyError(
             f"cannot close {a.dom!r} -> {a.cod!r} against {b.dom!r} -> {b.cod!r}")
-    index = {}              # (0 for a / 1 for b, component id) -> slot
-    euler = []
-    windows = []
-    for tag, s in enumerate((a, b)):
-        for c, (e, w) in s.comps.items():
-            index[tag, c] = len(euler)
-            euler.append(e)
-            windows.append(w)
-    parent = list(range(len(euler)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # a.cod meets b.dom, b.cod meets a.dom; a glued interval wire takes one
-    # from the Euler characteristic
-    for tag_s, s, tag_t, t in ((0, a, 1, b), (1, b, 0, a)):
-        for i, letter in enumerate(s.cod):
-            x = index[tag_s, s.comp["c", i]]
-            parent[find(x)] = find(index[tag_t, t.comp["d", i]])
-            if letter == "I":
-                euler[x] -= 1
+    n, m = len(a.dom), len(a.cod)
+    parent, euler, windows = _glue(a, b, [(n + i, i, c) for i, c in enumerate(a.cod)]
+                                   + [(j, m + j, c) for j, c in enumerate(a.dom)])
 
     # an arc of a, the step across into b, an arc of b and the step back
-    # lead from one endpoint of a to the next on the same cycle
-    flip = {"c": "d", "d": "c"}
-    seen = set()
-    for end in a.match:
-        if end in seen:
+    # lead from one endpoint of a to the next on the same cycle: a's
+    # endpoint e < 2n meets b's e + 2m, a's e >= 2n meets b's e - 2n
+    dn, dm = 2 * n, 2 * m
+    seen = bytearray(len(a.match))
+    for start, f in enumerate(a.match):
+        if f < 0 or seen[start]:
             continue
-        windows[index[0, a.comp[end[0]]]] += 1
-        while end not in seen:
-            (kind, i), side = a.match[end]
-            seen.add(end)
-            seen.add(((kind, i), side))
-            (kind, i), side = b.match[(flip[kind], i), side]
-            end = ((flip[kind], i), side)
+        windows[a.comp[start >> 1]] += 1
+        e = start
+        while not seen[e]:
+            f = a.match[e]
+            seen[e] = seen[f] = 1
+            g = b.match[f + dm if f < dn else f - dn]
+            e = g + dn if g < dm else g - dm
 
-    totals = {}
-    for x in range(len(euler)):
-        r = find(x)
-        e, w = totals.get(r, (0, 0))
-        totals[r] = (e + euler[x], w + windows[x])
-    closed = list(a.closed) + list(b.closed)
-    for e, w in totals.values():
+    closed = list(a.closed + b.closed)
+    for e, w in _totals(parent, euler, windows).values():
         _finish_component(e, w, closed)
     return tuple(sorted(closed))
 
@@ -1015,12 +679,11 @@ _SUMMARY_IDS = {}
 
 
 def intern_summary(s: DiagramSummary) -> int:
-    """Interned id of summary s: the id of the first interned summary with
-    the same key."""
-    k = s.key()
-    sid = _SUMMARY_IDS.get(k)
+    """Interned id of summary s: the id of the first interned summary equal
+    to it."""
+    sid = _SUMMARY_IDS.get(s)
     if sid is None:
-        sid = _SUMMARY_IDS[k] = len(_SUMMARIES)
+        sid = _SUMMARY_IDS[s] = len(_SUMMARIES)
         _SUMMARIES.append(s)
     return sid
 
@@ -1028,65 +691,6 @@ def intern_summary(s: DiagramSummary) -> int:
 def summary_id(t) -> int:
     """Interned id of the summary of term t."""
     return intern_summary(summarize(t))
-
-
-_REFS = None
-
-
-def _reference_kfas():
-    global _REFS
-    if _REFS is None:
-        _REFS = (make_semisimple_kfa(3, 1), make_semisimple_kfa(2, 2))
-    return _REFS
-
-
-def _exact_power(value, base):
-    """Exponent k with base**k == value, or None."""
-    value = rat(value)
-    if value <= 0:
-        return None
-    k = 0
-    while value.numerator % base == 0 and value.denominator == 1:
-        value /= base
-        k += 1
-    while value.denominator % base == 0:
-        value *= base
-        k -= 1
-    return k if value == 1 else None
-
-
-def classify_closed_connected(t: CobTerm):
-    """(genus, windows) of a closed connected term.
-
-    Normative method: evaluate under two reference structures whose
-    invariants are 3^w and 2^(2-2g), then extract the exponents; the
-    combinatorial Euler characteristic must agree with 2 - 2g - w.
-    """
-    net = _closed_net(t)
-    if len(_analyze(net)) != 1:
-        raise TermTypeError("term must have exactly one connected component")
-    r1, r2 = _reference_kfas()
-    w = _exact_power(evaluate(t, r1), 3)
-    k2 = _exact_power(evaluate(t, r2), 2)
-    if w is None or w < 0 or k2 is None or (2 - k2) % 2 or (2 - k2) < 0:
-        raise ConsistencyError(
-            f"reference evaluations are not the expected powers (3-exponent {w}, 2-exponent {k2})"
-        )
-    g = (2 - k2) // 2
-    if euler_characteristic(t) != 2 - 2 * g - w:
-        raise ConsistencyError(
-            f"Euler characteristic {euler_characteristic(t)} disagrees with classification ({g},{w})"
-        )
-    return (g, w)
-
-
-def chi_value(t: CobTerm, chi: CharacterForm):
-    """Value of the character on a closed term: the product over connected
-    components of the character at that component's (genus, windows)."""
-    total = ONE
-    for g, w in surface_types(t):
-        total *= eval_character(chi, g, w)
-    return total
 
 
 def sigma_term(g: int, w: int) -> CobTerm:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from operator import mul
 
@@ -50,6 +51,7 @@ from .cobordism import (
     summary_id,
     intern_summary,
     _SUMMARIES,
+    _fold,
 )
 
 
@@ -125,35 +127,40 @@ def _chi_at(chi, g, w):
 # endomorphism term constructors
 
 
-def _sigma_texts(g, w):
-    return ["dS ; mS"] * g + ["z ; zs"] * w
+def _chain(names):
+    """The generators named, composed in diagram order and nested to the
+    left, as parse builds "a ; b ; c"."""
+    return reduce(Compose, map(Gen, names))
+
+
+def _sigma_names(g, w):
+    return ["dS", "mS"] * g + ["z", "zs"] * w
 
 
 def sigma_endo(g: int, w: int):
     """G^g ∘ W^w as an endomorphism term of S (handle and window loops)."""
-    parts = _sigma_texts(g, w)
-    return parse(" ; ".join(parts)) if parts else Id("S")
+    names = _sigma_names(g, w)
+    return _chain(names) if names else Id("S")
 
 
 def hole_endo(m: int):
     """H^m as an endomorphism term of I (hole loops)."""
-    return parse(" ; ".join(["dI ; mI"] * m)) if m else Id("I")
+    return _chain(["dI", "mI"] * m) if m else Id("I")
 
 
 def iota_sigma_endo(g: int, w: int):
     """The zipper sandwich ι ∘ G^g W^w ∘ ι* as an endomorphism of I."""
-    return parse(" ; ".join(["zs"] + _sigma_texts(g, w) + ["z"]))
+    return _chain(["zs", *_sigma_names(g, w), "z"])
 
 
 def cap_sandwich_endo(x: int, y: int, z: int, t: int):
     """σ_{x,y} ∘ u_S ε_S ∘ σ_{z,t} as an endomorphism of S."""
-    return parse(" ; ".join(_sigma_texts(z, t) + ["eS ; uS"] + _sigma_texts(x, y)))
+    return _chain(_sigma_names(z, t) + ["eS", "uS"] + _sigma_names(x, y))
 
 
 def iota_cap_sandwich_endo(x: int, y: int, z: int, t: int):
     """ι ∘ σ_{x,y} ∘ u_S ε_S ∘ σ_{z,t} ∘ ι* as an endomorphism of I."""
-    parts = ["zs"] + _sigma_texts(z, t) + ["eS ; uS"] + _sigma_texts(x, y) + ["z"]
-    return parse(" ; ".join(parts))
+    return _chain(["zs", *_sigma_names(z, t), "eS", "uS", *_sigma_names(x, y), "z"])
 
 
 def lc(term, coeff=ONE) -> LinComb:
@@ -527,7 +534,7 @@ def build_idempotents(chi: CharacterForm) -> IdempotentSet:
     nonzero_mus = sorted({p[1] for p in pairs if p[1]})
     a_mu = {mu: hole_idempotent(chi, mu) for mu in nonzero_mus}
 
-    iota_g = lc(parse("zs ; dS ; mS ; z"))
+    iota_g = lc(iota_sigma_endo(1, 0))
     g_prime = LinComb([])
     for mu in nonzero_mus:
         g_prime = lc_add(g_prime, lc_scale(lc_compose(a_mu[mu], lc_compose(iota_g, a_mu[mu])), ONE / mu))
@@ -808,15 +815,7 @@ _BINARY_TEXTS = {
 
 
 def _gen_count(term) -> int:
-    if isinstance(term, Gen):
-        return 1
-    if isinstance(term, (Id, Swap)):
-        return 0
-    if isinstance(term, (Compose, Tensor)):
-        a = term.first if isinstance(term, Compose) else term.left
-        b = term.second if isinstance(term, Compose) else term.right
-        return _gen_count(a) + _gen_count(b)
-    raise TypeError(f"not a term: {term!r}")
+    return _fold(term, lambda node: int(isinstance(node, Gen)), lambda node, a, b: a + b)
 
 
 def _placed(word, i, span, core):
@@ -883,6 +882,8 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
     the probe-rank stopping rule makes the result a lower-bound spanning
     set: complete whenever the probe sees the full endomorphism space.
     """
+    if not obj or any(c not in "IS" for c in obj):
+        raise ValueError(f"object word must be nonempty over I/S, got {obj!r}")
     if size_budget < 0:
         raise ValueError("budget must be >= 0")
     key = (obj, size_budget)

@@ -1,0 +1,457 @@
+"""Independent implementations that the tests check the program against.
+
+- The wire graph of a term (network, _analyze): generator instances are
+  nodes, identity and swap wires are contracted into shared ports, and the
+  (genus, windows) type of every component of a closed term comes from an
+  Euler count plus an exact count of free boundary circles.
+- network_summary: the topological summary of an open term read off its
+  wire graph, in the form of a canonical key; the oracle for
+  cobordism.summarize, which folds leaf summaries instead.
+- classify_closed_connected: the type of a closed connected term from its
+  values under two reference structures whose invariants are 3^w and
+  2^(2-2g).
+"""
+from __future__ import annotations
+
+from octqft.character import CharacterForm, eval_character
+from octqft.cobordism import (
+    GEN_ARCS,
+    GEN_EULER,
+    GEN_SIGNATURES,
+    WIRE_EULER,
+    CobTerm,
+    Gen,
+    Id,
+    Tensor,
+    TermTypeError,
+    _finish_component,
+    _fold,
+    evaluate,
+    typecheck,
+)
+from octqft.frobenius import ConsistencyError
+from octqft.kfa import make_semisimple_kfa
+from octqft.numkit import ONE, rat
+
+
+# ---------------------------------------------------------------------------
+# wire graphs
+
+
+class _Net:
+    """Port-level wiring of a term.
+
+    Ports are integers; union-find classes are wires.  Generator instances
+    are nodes; identity and swap wires are contracted implicitly by sharing
+    or uniting ports.
+    """
+
+    def __init__(self):
+        self.gens = []        # generator name per node
+        self.node_in = []     # per node: list of port ids
+        self.node_out = []
+        self.port_type = []   # per port: "I" or "S"
+        self.parent = []
+        self.loops = []       # letters of nodeless loops formed at closure
+        self.dom = []
+        self.cod = []
+
+    def new_port(self, letter):
+        p = len(self.parent)
+        self.parent.append(p)
+        self.port_type.append(letter)
+        return p
+
+    def find(self, p):
+        while self.parent[p] != p:
+            self.parent[p] = self.parent[self.parent[p]]
+            p = self.parent[p]
+        return p
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            # the wire closes on itself: a loop with no generators on it
+            self.loops.append(self.port_type[ra])
+        else:
+            self.parent[ra] = rb
+
+    def add_node(self, name):
+        dom_word, cod_word = GEN_SIGNATURES[name]
+        ins = [self.new_port(c) for c in dom_word]
+        outs = [self.new_port(c) for c in cod_word]
+        self.gens.append(name)
+        self.node_in.append(ins)
+        self.node_out.append(outs)
+        return ins, outs
+
+    def close(self):
+        """Glue the codomain back onto the domain (categorical trace)."""
+        for a, b in zip(self.cod, self.dom):
+            self.union(a, b)
+        self.dom = []
+        self.cod = []
+
+    def wires(self):
+        """dict wire-root -> list of (node, dir, slot) attachment points."""
+        out = {}
+        for node in range(len(self.gens)):
+            for slot, p in enumerate(self.node_in[node]):
+                out.setdefault(self.find(p), []).append((node, "in", slot))
+            for slot, p in enumerate(self.node_out[node]):
+                out.setdefault(self.find(p), []).append((node, "out", slot))
+        return out
+
+
+def _build_net(t, net):
+    """Add the wiring of t to net and return its (domain, codomain) ports."""
+    def leaf(node):
+        if isinstance(node, Gen):
+            return net.add_node(node.name)
+        if isinstance(node, Id):
+            ports = [net.new_port(c) for c in node.word]
+            return ports, ports
+        p = net.new_port(node.left)
+        q = net.new_port(node.right)
+        return [p, q], [q, p]
+
+    def join(node, a, b):
+        (d1, c1), (d2, c2) = a, b
+        if isinstance(node, Tensor):
+            return d1 + d2, c1 + c2
+        for x, y in zip(c1, d2):
+            net.union(x, y)
+        return d1, c2
+
+    return _fold(t, leaf, join)
+
+
+def network(t: CobTerm) -> _Net:
+    net = _Net()
+    dom, cod = _build_net(t, net)
+    net.dom = dom
+    net.cod = cod
+    return net
+
+
+class _DictUF:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def _analyze(net: _Net):
+    """Per-component data of a fully closed net.
+
+    Returns a list of (genus, windows) pairs, one per connected component,
+    including (1, 0) for each nodeless closed loop and (0, 2) for each
+    nodeless interval loop.
+    """
+    wires = net.wires()
+    for root, ends in wires.items():
+        if len(ends) != 2:
+            raise ConsistencyError(f"wire with {len(ends)} attachment points in a closed diagram")
+
+    nodes_uf = _DictUF()
+    for node in range(len(net.gens)):
+        nodes_uf.find(node)
+    for root, ends in wires.items():
+        nodes_uf.union(ends[0][0], ends[1][0])
+
+    # Euler characteristic: generator values minus internal interval wires
+    euler = {}
+    for node, name in enumerate(net.gens):
+        c = nodes_uf.find(node)
+        euler[c] = euler.get(c, 0) + GEN_EULER[name]
+    for root, ends in wires.items():
+        if net.port_type[root] == "I":
+            c = nodes_uf.find(ends[0][0])
+            euler[c] = euler.get(c, 0) - 1
+
+    # free boundary circles: arcs inside generators, side-preserving gluing
+    # along interval wires
+    ends_uf = _DictUF()
+    for node, name in enumerate(net.gens):
+        for a, b in GEN_ARCS[name]:
+            ends_uf.union((node,) + a, (node,) + b)
+    for root, ends in wires.items():
+        if net.port_type[root] != "I":
+            continue
+        (n1, d1, s1), (n2, d2, s2) = ends
+        ends_uf.union((n1, d1, s1, "T"), (n2, d2, s2, "T"))
+        ends_uf.union((n1, d1, s1, "B"), (n2, d2, s2, "B"))
+    circles = {}
+    seen = set()
+    for key in list(ends_uf.parent):
+        r = ends_uf.find(key)
+        if r in seen:
+            continue
+        seen.add(r)
+        c = nodes_uf.find(r[0])
+        circles[c] = circles.get(c, 0) + 1
+
+    out = []
+    roots = sorted({nodes_uf.find(n) for n in range(len(net.gens))})
+    for c in roots:
+        e = euler.get(c, 0)
+        w = circles.get(c, 0)
+        rem = 2 - e - w
+        if rem < 0 or rem % 2:
+            raise ConsistencyError(
+                f"component has Euler characteristic {e} with {w} windows; no valid genus"
+            )
+        out.append((rem // 2, w))
+    for letter in net.loops:
+        out.append((1, 0) if letter == "S" else (0, 2))
+    return out
+
+
+def _closed_net(t: CobTerm) -> _Net:
+    dom, cod = typecheck(t)
+    if dom or cod:
+        raise TermTypeError(f"term must be closed, has type {dom or 'empty'!r} -> {cod or 'empty'!r}")
+    return network(t)
+
+
+def components(t: CobTerm):
+    """Partition of the generator instances of a closed term into connected
+    components; instances are numbered in parse order."""
+    net = _closed_net(t)
+    wires = net.wires()
+    uf = _DictUF()
+    for node in range(len(net.gens)):
+        uf.find(node)
+    for root, ends in wires.items():
+        if len(ends) == 2:
+            uf.union(ends[0][0], ends[1][0])
+    groups = {}
+    for node in range(len(net.gens)):
+        groups.setdefault(uf.find(node), []).append(node)
+    return sorted(groups.values())
+
+
+def euler_characteristic(t: CobTerm) -> int:
+    """Sum of the generator Euler values minus the number of internal
+    interval wires; equals 2 - 2g - w on connected closed terms."""
+    net = _closed_net(t)
+    total = sum(GEN_EULER[name] for name in net.gens)
+    for root, ends in net.wires().items():
+        if net.port_type[root] == "I":
+            total -= 1
+    return total
+
+
+def surface_types(t: CobTerm):
+    """(genus, windows) of every connected component of a closed term."""
+    return _analyze(_closed_net(t))
+
+
+# ---------------------------------------------------------------------------
+# summaries of open terms, read off the wire graph
+
+
+def network_summary(term):
+    """Canonical key of the topological summary of a well-typed term: (dom,
+    cod, component of each boundary position numbered by first appearance,
+    (euler, windows) per component in that order, the arc matching as
+    (position, side, partner position, partner side) in position order, the
+    sorted closed types).  Positions are ("d", i) and ("c", i); sides are
+    "T" and "B"."""
+    dom_w, cod_w = typecheck(term)
+    net = network(term)
+    wires = net.wires()
+
+    droots = [net.find(p) for p in net.dom]
+    croots = [net.find(p) for p in net.cod]
+    bpos = {}
+    for i, r in enumerate(droots):
+        bpos.setdefault(r, []).append(("d", i))
+    for i, r in enumerate(croots):
+        bpos.setdefault(r, []).append(("c", i))
+
+    uf = _DictUF()
+    for node in range(len(net.gens)):
+        uf.find(("n", node))
+    for r in bpos:
+        uf.find(("w", r))
+    for root, ends in wires.items():
+        na = len(ends)
+        nb = len(bpos.get(root, []))
+        if na + nb != 2:
+            raise ConsistencyError(f"wire with {na} node ends and {nb} boundary ends")
+        keys = [("n", e[0]) for e in ends] + ([("w", root)] if nb else [])
+        for k in keys[1:]:
+            uf.union(keys[0], k)
+
+    euler = {}
+    for node, name in enumerate(net.gens):
+        c = uf.find(("n", node))
+        euler[c] = euler.get(c, 0) + GEN_EULER[name]
+    for root, ends in wires.items():
+        if len(ends) == 2 and not bpos.get(root):
+            if net.port_type[root] == "I":
+                c = uf.find(("n", ends[0][0]))
+                euler[c] = euler.get(c, 0) - 1
+    for root, poss in bpos.items():
+        if root not in wires:
+            if len(poss) != 2:
+                raise ConsistencyError("bare wire must touch exactly two boundary positions")
+            c = uf.find(("w", root))
+            euler[c] = euler.get(c, 0) + WIRE_EULER[net.port_type[root]]
+
+    # chase the free-boundary arcs through the generators
+    ends_uf = _DictUF()
+    for node, name in enumerate(net.gens):
+        for a, b in GEN_ARCS[name]:
+            ends_uf.union((node,) + a, (node,) + b)
+    open_ends = {}
+    for root, ends in wires.items():
+        if net.port_type[root] != "I":
+            continue
+        here = bpos.get(root, [])
+        if len(ends) == 2:
+            (n1, d1, s1), (n2, d2, s2) = ends
+            ends_uf.union((n1, d1, s1, "T"), (n2, d2, s2, "T"))
+            ends_uf.union((n1, d1, s1, "B"), (n2, d2, s2, "B"))
+        elif len(ends) == 1:
+            (n1, d1, s1), = ends
+            pos = here[0]
+            open_ends[(pos, "T")] = (n1, d1, s1, "T")
+            open_ends[(pos, "B")] = (n1, d1, s1, "B")
+
+    comp = {}
+    for r, poss in bpos.items():
+        c = uf.find(("w", r))
+        for pos in poss:
+            comp[pos] = c
+
+    windows = {}
+    match = {}
+    for root, poss in bpos.items():
+        if len(poss) == 2 and net.port_type[root] == "I":
+            a, b = poss
+            match[(a, "T")] = (b, "T")
+            match[(b, "T")] = (a, "T")
+            match[(a, "B")] = (b, "B")
+            match[(b, "B")] = (a, "B")
+    cls = {}
+    for bend, nend in open_ends.items():
+        cls.setdefault(ends_uf.find(nend), []).append(bend)
+    for r, bends in cls.items():
+        if len(bends) != 2:
+            raise ConsistencyError(f"arc chain with {len(bends)} open endpoints")
+        a, b = bends
+        match[a] = b
+        match[b] = a
+    openroots = set(cls)
+    seen = set()
+    for kk in list(ends_uf.parent):
+        r = ends_uf.find(kk)
+        if r in seen or r in openroots:
+            continue
+        seen.add(r)
+        c = uf.find(("n", r[0]))
+        windows[c] = windows.get(c, 0) + 1
+
+    closed = []
+    bcomps = set(comp.values())
+    comps = {}
+    for c in set(euler) | bcomps:
+        e = euler.get(c, 0)
+        w = windows.get(c, 0)
+        if c in bcomps:
+            comps[c] = (e, w)
+        else:
+            _finish_component(e, w, closed)
+    for letter in net.loops:
+        closed.append((1, 0) if letter == "S" else (0, 2))
+
+    positions = [("d", i) for i in range(len(dom_w))] + [("c", i) for i in range(len(cod_w))]
+    order = {}
+    for pos in positions:
+        order.setdefault(comp[pos], len(order))
+    mk = tuple((pos, side) + match[pos, side]
+               for pos in positions for side in ("T", "B") if (pos, side) in match)
+    return (dom_w, cod_w, tuple(order[comp[pos]] for pos in positions),
+            tuple(comps[c] for c in order), mk, tuple(sorted(closed)))
+
+
+def summary_key(s):
+    """The network_summary key of a cobordism.DiagramSummary."""
+    positions = [("d", i) for i in range(len(s.dom))] + [("c", i) for i in range(len(s.cod))]
+    mk = tuple((positions[e // 2], "TB"[e % 2], positions[f // 2], "TB"[f % 2])
+               for e, f in enumerate(s.match) if f >= 0)
+    return (s.dom, s.cod, s.comp, s.comps, mk, s.closed)
+
+
+# ---------------------------------------------------------------------------
+# classification by evaluation in reference structures
+
+_REFS = None
+
+
+def _reference_kfas():
+    global _REFS
+    if _REFS is None:
+        _REFS = (make_semisimple_kfa(3, 1), make_semisimple_kfa(2, 2))
+    return _REFS
+
+
+def _exact_power(value, base):
+    """Exponent k with base**k == value, or None."""
+    value = rat(value)
+    if value <= 0:
+        return None
+    k = 0
+    while value.numerator % base == 0 and value.denominator == 1:
+        value /= base
+        k += 1
+    while value.denominator % base == 0:
+        value *= base
+        k -= 1
+    return k if value == 1 else None
+
+
+def classify_closed_connected(t: CobTerm):
+    """(genus, windows) of a closed connected term.
+
+    Evaluates under two reference structures whose invariants are 3^w and
+    2^(2-2g), then extracts the exponents; the combinatorial Euler
+    characteristic must agree with 2 - 2g - w.
+    """
+    net = _closed_net(t)
+    if len(_analyze(net)) != 1:
+        raise TermTypeError("term must have exactly one connected component")
+    r1, r2 = _reference_kfas()
+    w = _exact_power(evaluate(t, r1), 3)
+    k2 = _exact_power(evaluate(t, r2), 2)
+    if w is None or w < 0 or k2 is None or (2 - k2) % 2 or (2 - k2) < 0:
+        raise ConsistencyError(
+            f"reference evaluations are not the expected powers (3-exponent {w}, 2-exponent {k2})"
+        )
+    g = (2 - k2) // 2
+    if euler_characteristic(t) != 2 - 2 * g - w:
+        raise ConsistencyError(
+            f"Euler characteristic {euler_characteristic(t)} disagrees with classification ({g},{w})"
+        )
+    return (g, w)
+
+
+def chi_value(t: CobTerm, chi: CharacterForm):
+    """Value of the character on a closed term: the product over connected
+    components of the character at that component's (genus, windows)."""
+    total = ONE
+    for g, w in surface_types(t):
+        total *= eval_character(chi, g, w)
+    return total

@@ -161,6 +161,15 @@ def test_witness_report_exits_one(capsys):
     assert witness["element"] == [["1", "z ; zs"]]
 
 
+@pytest.mark.parametrize("word", ["X", "I S", ""])
+def test_witness_rejects_bad_object_words(capsys, word):
+    code = main(["witness", "--object", word, "--char", "1/(1-X*Y)", "--budget", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"object word must be nonempty over I/S, got {word!r}" in captured.err
+
+
 def test_scale_output_reloads(capsys, kfa_path):
     code, out = run(capsys, ["scale", "--kfa", kfa_path, "--s", "1/2"])
     assert code == 0

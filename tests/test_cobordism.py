@@ -12,8 +12,10 @@ from octqft.kfa import (
     invariant_table,
     KFA,
 )
-from octqft.character import CharacterForm
+from octqft.character import CharacterForm, eval_character
 from octqft.cobordism import (
+    GEN_SIGNATURES,
+    DiagramSummary,
     Gen,
     Id,
     Swap,
@@ -26,16 +28,24 @@ from octqft.cobordism import (
     pretty,
     typecheck,
     evaluate,
+    sigma_term,
+    summarize,
+    compose_summaries,
+    summary_closure,
+    _leaf_summary,
+    RELATION_FAMILIES,
+    check_relations,
+)
+from oracles import (
     components,
     euler_characteristic,
     surface_types,
     classify_closed_connected,
     chi_value,
-    sigma_term,
     network,
+    network_summary,
+    summary_key,
     _analyze,
-    RELATION_FAMILIES,
-    check_relations,
 )
 
 
@@ -143,35 +153,41 @@ def test_sigma_terms_match_invariant_table():
                 assert evaluate(sigma_term(g, w), k) == table.values[g][w]
 
 
+# the hand-computed answers below hold for the wire-graph oracle and for
+# the closed types of the folded summary alike
+
+
 def test_components():
     assert components(parse("uS ; eS")) == [[0, 1]]
     assert components(parse("(uS ; eS) * (uI ; eI)")) == [[0, 1], [2, 3]]
     t = parse("(uS ; dS ; mS ; eS) * (uS ; z ; eI) * (uS ; eS)")
     assert len(components(t)) == 3
+    assert summarize(t).closed == ((0, 0), (0, 1), (1, 0))
     with pytest.raises(TermTypeError):
         components(parse("id:S"))
 
 
 def test_euler_characteristic():
-    assert euler_characteristic(parse("uS ; eS")) == 2
-    assert euler_characteristic(parse("uS ; dS ; mS ; eS")) == 0
-    assert euler_characteristic(parse("uI ; dI ; mI ; eI")) == 0
-    assert euler_characteristic(parse("uS ; z ; eI")) == 1
-    assert euler_characteristic(parse("uS ; z ; zs ; z ; zs ; eS")) == 0
+    for text, euler in [("uS ; eS", 2), ("uS ; dS ; mS ; eS", 0), ("uI ; dI ; mI ; eI", 0),
+                        ("uS ; z ; eI", 1), ("uS ; z ; zs ; z ; zs ; eS", 0)]:
+        assert euler_characteristic(parse(text)) == euler
+        (g, w), = summarize(parse(text)).closed
+        assert 2 - 2 * g - w == euler
 
 
 def test_classify_closed_connected():
-    assert classify_closed_connected(parse("uS ; dS ; mS ; eS")) == (1, 0)
-    assert classify_closed_connected(parse("uS ; z ; eI")) == (0, 1)
-    assert classify_closed_connected(parse("uS ; z ; zs ; z ; zs ; eS")) == (0, 2)
-    assert classify_closed_connected(parse("uI ; dI ; mI ; eI")) == (0, 2)
-    assert classify_closed_connected(parse("uS ; eS")) == (0, 0)
+    for text, gw in [("uS ; dS ; mS ; eS", (1, 0)), ("uS ; z ; eI", (0, 1)),
+                     ("uS ; z ; zs ; z ; zs ; eS", (0, 2)), ("uI ; dI ; mI ; eI", (0, 2)),
+                     ("uS ; eS", (0, 0))]:
+        assert classify_closed_connected(parse(text)) == gw
+        assert summarize(parse(text)).closed == (gw,)
 
 
 def test_classify_sigma_grid():
     for g in range(6):
         for w in range(6):
             assert classify_closed_connected(sigma_term(g, w)) == (g, w)
+            assert summarize(sigma_term(g, w)).closed == ((g, w),)
 
 
 def test_classify_rejections():
@@ -184,8 +200,10 @@ def test_classify_rejections():
 def test_surface_types_multicomponent():
     t = parse("(uS ; dS ; mS ; eS) * (uS ; z ; eI)")
     assert sorted(surface_types(t)) == [(0, 1), (1, 0)]
+    assert summarize(t).closed == ((0, 1), (1, 0))
     t2 = parse("(uI ; dI ; mI ; eI) * (uS ; eS)")
     assert sorted(surface_types(t2)) == [(0, 0), (0, 2)]
+    assert summarize(t2).closed == ((0, 0), (0, 2))
 
 
 def test_nodeless_loops():
@@ -201,14 +219,21 @@ def test_nodeless_loops():
     assert _analyze(net) == [(0, 2)]
 
 
+def _chi_of_closed(t, chi):
+    value = 1
+    for g, w in summarize(t).closed:
+        value *= eval_character(chi, g, w)
+    return value
+
+
 def test_chi_value():
     chi = CharacterForm.make(exp_terms=[(2, 3, 1)])
-    assert chi_value(sigma_term(1, 0), chi) == 2
     chi2 = CharacterForm.make(exp_terms=[(2, 3, 4)])
-    both = Tensor(sigma_term(0, 0), sigma_term(1, 1))
-    assert chi_value(both, chi2) == 96
     zero = CharacterForm.make()
-    assert chi_value(sigma_term(0, 0), zero) == 0
+    both = Tensor(sigma_term(0, 0), sigma_term(1, 1))
+    for t, c, value in [(sigma_term(1, 0), chi, 2), (both, chi2, 96), (sigma_term(0, 0), zero, 0)]:
+        assert chi_value(t, c) == value
+        assert _chi_of_closed(t, c) == value
 
 
 def test_chi_value_matches_evaluation():
@@ -274,7 +299,6 @@ def _closure_via_network(term):
 
 
 def _random_endo(rng, word, depth):
-    from octqft.cobordism import summarize  # noqa: F401  (import check)
     pool = {
         "I": ["id:I", "eI ; uI", "zs ; z", "dI ; mI", "zs ; dS ; mS ; z"],
         "S": ["id:S", "eS ; uS", "z ; zs", "dS ; mS"],
@@ -307,8 +331,6 @@ def _random_endo(rng, word, depth):
 def test_summary_closure_matches_network_analysis():
     import random
 
-    from octqft.cobordism import summarize, compose_summaries, summary_closure
-
     rng = random.Random(7)
     for word in ["I", "S", "II", "IS", "III"]:
         for _ in range(25):
@@ -323,8 +345,6 @@ def test_summary_closure_matches_network_analysis():
 def test_summary_closure_of_pair_equals_closure_of_composite():
     import random
 
-    from octqft.cobordism import summarize, compose_summaries, summary_closure
-
     rng = random.Random(23)
     for word in ["I", "S", "II", "IS", "SI", "III", "ISI"]:
         ident = summarize(Id(word))
@@ -338,24 +358,89 @@ def test_summary_closure_of_pair_equals_closure_of_composite():
             assert got == _closure_via_network(Compose(a, b))
 
 
+def _same_partition(summaries, keys):
+    # equal summaries exactly where the oracle keys are equal
+    return len(set(summaries)) == len(set(keys)) == len(set(zip(summaries, keys)))
+
+
 def test_summary_compose_matches_summarize_of_composite():
     import random
 
-    from octqft.cobordism import summarize, compose_summaries
-
     rng = random.Random(19)
+    glued, keys = [], []
     for word in ["II", "III"]:
         for _ in range(20):
             a = _random_endo(rng, word, 3)
             b = _random_endo(rng, word, 3)
-            direct = summarize(Compose(a, b))
-            glued = compose_summaries(summarize(a), summarize(b))
-            assert glued.key() == direct.key()
+            glued.append(compose_summaries(summarize(a), summarize(b)))
+            keys.append(network_summary(Compose(a, b)))
+    assert _same_partition(glued, keys)
+    assert len(set(keys)) < len(keys)
+
+
+def test_leaf_summaries_match_the_oracle():
+    leaves = [Gen(name) for name in GEN_SIGNATURES]
+    leaves += [Id(word) for word in ["I", "S", "IS", "SSI", "ISIS"]]
+    leaves += [Swap(x, y) for x in "IS" for y in "IS"]
+    for node in leaves:
+        assert summary_key(_leaf_summary(node)) == network_summary(node)
+
+
+# pieces of one layer of a random term, by the word they act on
+_PIECES = {
+    "": ["uI", "uS"],
+    "I": ["id:I", "eI", "dI", "zs", "dI ; mI", "eI ; uI"],
+    "S": ["id:S", "eS", "dS", "z", "dS ; mS", "eS ; uS"],
+    "II": ["mI", "sw:I,I"],
+    "SS": ["mS", "sw:S,S"],
+    "IS": ["sw:I,S"],
+    "SI": ["sw:S,I"],
+}
+
+
+def _random_layer(rng, word):
+    """A tensor of pieces across word, sometimes with a unit beside them,
+    whose codomain has at most four letters."""
+    while True:
+        pieces = []
+        i = 0
+        while i < len(word):
+            span = 2 if i + 1 < len(word) and rng.random() < 0.35 else 1
+            pieces.append(parse(rng.choice(_PIECES[word[i:i + span]])))
+            i += span
+        if not word or rng.random() < 0.15:
+            pieces.insert(rng.randrange(len(pieces) + 1), parse(rng.choice(_PIECES[""])))
+        layer = pieces[0]
+        for p in pieces[1:]:
+            layer = Tensor(layer, p)
+        if len(typecheck(layer)[1]) <= 4:
+            return layer
+
+
+def test_summaries_in_bijection_with_the_oracle():
+    import random
+
+    rng = random.Random(61)
+    summaries, keys = [], []
+    for word in ["I", "S", "II", "IS", "SI", "SS", "III", "ISI"]:
+        for _ in range(150):
+            t = Id(word)
+            for _ in range(rng.randint(1, 4)):
+                t = Compose(t, _random_layer(rng, typecheck(t)[1]))
+            summaries.append(summarize(t))
+            keys.append(network_summary(t))
+    assert _same_partition(summaries, keys)
+    assert len(set(keys)) < len(keys)
+
+
+def test_summarize_4000_generators():
+    # deeper than the interpreter's recursion limit
+    s = summarize(parse(" ; ".join(["dS ; mS"] * 2000)))
+    assert s == DiagramSummary("S", "S", (0, 0), ((-4000, 0),), (-1,) * 4, ())
+    assert summary_closure(s, summarize(Id("S"))) == ((2001, 0),)
 
 
 def test_summary_closure_of_identity_words():
-    from octqft.cobordism import summarize, summary_closure
-
     def closure(text, word):
         return summary_closure(summarize(parse(text)), summarize(Id(word)))
 

@@ -4,6 +4,7 @@ nilpotent-trace witnesses."""
 import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +14,8 @@ from octqft.cobordism import (
     Compose,
     Id,
     TermTypeError,
-    _analyze,
     compose_summaries,
     evaluate,
-    network,
     parse,
     pretty,
     summarize,
@@ -31,10 +30,14 @@ from octqft.gram import (
     _certified_keys,
     _gen_count,
     build_idempotents,
+    cap_sandwich_endo,
     categorical_trace,
     enumerate_end_terms,
     gram_rank,
+    hole_endo,
     hole_idempotent,
+    iota_cap_sandwich_endo,
+    iota_sigma_endo,
     is_negligible,
     lc,
     lc_collapse,
@@ -51,6 +54,7 @@ from octqft.gram import (
     spanning_end,
     verify_splitting,
 )
+from oracles import _analyze, network, network_summary
 
 CHI2 = CharacterForm.make(exp_terms=[(1, 3, 2)])          # f = 2/((1-X)(1-3Y))
 CHI_ZERO = CharacterForm.make()
@@ -222,6 +226,27 @@ def test_lc_collapse_merges_equal_summaries():
 
 # ---------------------------------------------------------------------------
 # curated spanning sets
+
+
+def test_curated_constructors_match_their_texts():
+    # the constructors chain generator nodes; parse of the joined texts
+    # builds the same left-nested composites
+    def sig(g, w):
+        return ["dS ; mS"] * g + ["z ; zs"] * w
+
+    def text(parts):
+        return parse(" ; ".join(parts))
+
+    grid = range(3)
+    for m in range(4):
+        assert hole_endo(m) == (text(["dI ; mI"] * m) if m else Id("I"))
+    for g, w in product(grid, grid):
+        assert sigma_endo(g, w) == (text(sig(g, w)) if g or w else Id("S"))
+        assert iota_sigma_endo(g, w) == text(["zs"] + sig(g, w) + ["z"])
+    for x, y, z, t in product(grid, repeat=4):
+        assert cap_sandwich_endo(x, y, z, t) == text(sig(z, t) + ["eS ; uS"] + sig(x, y))
+        assert iota_cap_sandwich_endo(x, y, z, t) == text(
+            ["zs"] + sig(z, t) + ["eS ; uS"] + sig(x, y) + ["z"])
 
 
 def test_spanning_bounds_single_exp_term():
@@ -455,18 +480,20 @@ def test_enumeration_pinned(obj, budget):
 @pytest.mark.parametrize("obj, budget", [("I", 4), ("S", 4), ("II", 4), ("II", 6)])
 def test_enumeration_candidates_compose_summaries(obj, budget):
     # every candidate the enumeration breeds is a composite of two accepted
-    # classes within the budget; its summary is glued from theirs, and must
-    # carry the key of the summary of the composite term
+    # classes within the budget; its summary is glued from theirs, and the
+    # glued summaries must tell the composites apart exactly as the
+    # wire-graph oracle does
     terms = [e.terms[0][1] for e in enumerate_end_terms(obj, budget).spanning]
     summaries = [summarize(t) for t in terms]
     gens = [_gen_count(t) for t in terms]
-    checked = 0
+    glued, keys = [], []
     for a, (ta, sa) in enumerate(zip(terms, summaries)):
         for b, (tb, sb) in enumerate(zip(terms, summaries)):
             if gens[a] + gens[b] <= budget:
-                assert compose_summaries(sa, sb).key() == summarize(Compose(ta, tb)).key()
-                checked += 1
-    assert checked >= len(terms)
+                glued.append(compose_summaries(sa, sb))
+                keys.append(network_summary(Compose(ta, tb)))
+    assert len(glued) >= len(terms)
+    assert len(set(glued)) == len(set(keys)) == len(set(zip(glued, keys)))
 
 
 def test_enumerate_monotone_in_budget():

@@ -36,6 +36,7 @@ from .character import (
     Indeterminate,
     NotGood,
     SequenceTable,
+    TableCharacter,
     char_add,
     char_mul,
     char_scale,
@@ -43,6 +44,7 @@ from .character import (
     classify_table,
     eval_character,
     parse_rational_expr,
+    rational_character,
     scale_transform,
     to_table,
 )
@@ -57,7 +59,6 @@ from .cobordism import (
 )
 from .gram import (
     IncompleteSpanningError,
-    TableCharacter,
     build_idempotents,
     categorical_trace,
     enumerate_end_terms,
@@ -67,7 +68,6 @@ from .gram import (
     nilpotent_trace_obstruction,
     pair,
     quotient_algebra,
-    rational_character,
     spanning_end,
     verify_splitting,
 )

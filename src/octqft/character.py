@@ -130,6 +130,29 @@ class CharacterForm:
         flat = rats(t[key] for t in obj.get("exp", []) for key in ("lambda", "mu", "coeff"))
         return cls.make(*alphas, exp_terms=[flat[i:i + 3] for i in range(0, len(flat), 3)])
 
+    def value(self, g: int, w: int) -> Fraction:
+        return eval_character(self, g, w)
+
+
+class TableCharacter:
+    """Character presented by its values (g, w) -> rational.
+
+    Used for generating functions that are not good and therefore have no
+    CharacterForm, and to cache the values of one that has; values are
+    computed on demand.
+    """
+
+    def __init__(self, fn, label=""):
+        self.fn = fn
+        self.label = label
+        self._cache = {}
+
+    def value(self, g, w):
+        key = (g, w)
+        if key not in self._cache:
+            self._cache[key] = rat(self.fn(g, w))
+        return self._cache[key]
+
 
 def _pow0(base: Fraction, e: int) -> Fraction:
     # 0^0 = 1: a mu = 0 term contributes exactly in the w = 0 column
@@ -348,16 +371,39 @@ def classify_table(table: SequenceTable, rank_bound: int):
 # rational generating functions
 
 
-def bipoly_deg_x(p: dict) -> int:
-    return max((i for (i, j) in p), default=0)
+def rational_character(num: dict, den: dict, label="") -> TableCharacter:
+    """Character whose generating function is num/den, with num and den
+    bivariate polynomials as {(x_deg, y_deg): coeff} dicts.
 
+    A value at (g, w) first fills, in row order, every coefficient of the
+    box [0, g] x [0, w] not yet known.  Each needs only coefficients before
+    it, so the expansion needs no recursion at any depth."""
+    num = {k: rat(v) for k, v in num.items() if v}
+    den = {k: rat(v) for k, v in den.items() if v}
+    d00 = den.get((0, 0), ZERO)
+    if not d00:
+        raise ValueError("denominator must have a nonzero constant term")
+    den_rest = [(k, v) for k, v in den.items() if k != (0, 0)]
+    rows = []       # rows[g][w], each row a prefix of its coefficients
 
-def bipoly_deg_y(p: dict) -> int:
-    return max((j for (i, j) in p), default=0)
+    def coeff(g, w):
+        if g < 0 or w < 0:
+            raise ValueError("genus and window count must be nonnegative")
+        if g < len(rows) and w < len(rows[g]):
+            return rows[g][w]
+        while len(rows) <= g:
+            rows.append([])
+        for i in range(g + 1):
+            row = rows[i]
+            for j in range(len(row), w + 1):
+                s = num.get((i, j), ZERO)
+                for (a, b), v in den_rest:
+                    if a <= i and b <= j:
+                        s -= v * rows[i - a][j - b]
+                row.append(s / d00)
+        return rows[g][w]
 
-
-def bipoly_total_deg(p: dict) -> int:
-    return max((i + j for (i, j) in p), default=0)
+    return TableCharacter(coeff, label)
 
 
 def classify_rational(num: dict, den: dict):
@@ -366,25 +412,16 @@ def classify_rational(num: dict, den: dict):
 
     The denominator must be invertible as a power series: den[(0,0)] != 0.
     """
-    num = {k: rat(v) for k, v in num.items() if v}
-    den = {k: rat(v) for k, v in den.items() if v}
-    d00 = den.get((0, 0), ZERO)
-    if not d00:
-        raise ValueError("denominator must have a nonzero constant term")
-    dx, dy = bipoly_deg_x(den), bipoly_deg_y(den)
+    chi = rational_character(num, den)
+    den_keys = [k for k, v in den.items() if v]
+    dx = max((i for i, _ in den_keys), default=0)
+    dy = max((j for _, j in den_keys), default=0)
     # dx*dy bounds the joint spectrum only when both degrees are positive; the
     # extra dx + dy keeps single-variable denominators like 1/(1-2X) in budget
-    r = dx * dy + dx + dy + bipoly_total_deg(num)
+    r = dx * dy + dx + dy + max((i + j for (i, j), v in num.items() if v), default=0)
     size = 2 * r + 4
-    rows = [[ZERO] * (size + 1) for _ in range(size + 1)]
-    den_rest = [(k, v) for k, v in den.items() if k != (0, 0)]
-    for g in range(size + 1):
-        for w in range(size + 1):
-            s = num.get((g, w), ZERO)
-            for (i, j), v in den_rest:
-                if i <= g and j <= w:
-                    s -= v * rows[g - i][w - j]
-            rows[g][w] = s / d00
+    chi.value(size, size)       # fills the whole box
+    rows = [[chi.value(g, w) for w in range(size + 1)] for g in range(size + 1)]
     return classify_table(SequenceTable.from_rows(rows), r)
 
 

@@ -37,13 +37,13 @@ from .character import (
     classify_rational,
     classify_table,
     parse_rational_expr,
+    rational_character,
 )
 from .cobordism import TermTypeError, evaluate, parse
 from .gram import (
     IncompleteSpanningError,
     gram_rank,
     nilpotent_trace_obstruction,
-    rational_character,
     spanning_end,
     verify_splitting,
 )

@@ -93,56 +93,33 @@ class FrobeniusAlgebra:
     def pairing(self) -> Matrix:
         """Matrix of the form b(x, y) = counit(x * y)."""
         if self._pairing is None:
-            n = self.dim
-            m = Matrix.zeros(n, n)
-            for (c, a, b), v in self.product.iter_nonzeros():
-                e = self.counit[c]
-                if e:
-                    m[a, b] = m[a, b] + e * v
-            self._pairing = m
+            b = self.counit_matrix() * self.product_matrix()
+            self._pairing = Matrix(self.dim, self.dim, b.entries)
         return self._pairing
 
     def copairing(self) -> Matrix:
         """Matrix of coproduct(unit), indexed [a, b]."""
-        n = self.dim
-        m = Matrix.zeros(n, n)
-        for (a, b, c), v in self.coproduct.iter_nonzeros():
-            u = self.unit[c]
-            if u:
-                m[a, b] = m[a, b] + u * v
-        return m
+        return Matrix(self.dim, self.dim, (self.coproduct_matrix() * self.unit_matrix()).entries)
 
     def product_matrix(self) -> Matrix:
-        """Product as a matrix [n, n*n]; column index is a*n + b."""
+        """Product as a matrix [n, n*n]; column index is a*n + b, so its
+        entries are those of the tensor, in the same row-major order."""
         if self._pmat is None:
-            n = self.dim
-            m = Matrix.zeros(n, n * n)
-            for (c, a, b), v in self.product.iter_nonzeros():
-                m[c, a * n + b] = v
-            self._pmat = m
+            self._pmat = Matrix(self.dim, self.dim ** 2, list(self.product.entries))
         return self._pmat
 
     def coproduct_matrix(self) -> Matrix:
-        """Coproduct as a matrix [n*n, n]; row index is a*n + b."""
+        """Coproduct as a matrix [n*n, n]; row index is a*n + b, so its
+        entries are those of the tensor, in the same row-major order."""
         if self._dmat is None:
-            n = self.dim
-            m = Matrix.zeros(n * n, n)
-            for (a, b, c), v in self.coproduct.iter_nonzeros():
-                m[a * n + b, c] = v
-            self._dmat = m
+            self._dmat = Matrix(self.dim ** 2, self.dim, list(self.coproduct.entries))
         return self._dmat
 
     def unit_matrix(self) -> Matrix:
-        m = Matrix.zeros(self.dim, 1)
-        for k, v in self.unit.nonzeros():
-            m[k, 0] = v
-        return m
+        return Matrix(self.dim, 1, list(self.unit.entries))
 
     def counit_matrix(self) -> Matrix:
-        m = Matrix.zeros(1, self.dim)
-        for k, v in self.counit.nonzeros():
-            m[0, k] = v
-        return m
+        return Matrix(1, self.dim, list(self.counit.entries))
 
     def __eq__(self, other):
         return (

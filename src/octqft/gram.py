@@ -8,11 +8,14 @@ The pairing of two endomorphisms f, g of the same object is the character
 value of the trace closure of f∘g: glue the outputs of the composite back
 onto its inputs, split the resulting closed diagram into connected
 components, and multiply the character values of their (genus, windows)
-types.  Every term is summarized once (cobordism.summarize) and interned
-to a small summary id; a linear combination keeps the ids of its terms.
-The closure types of a pair of ids come from gluing the two summaries into
-a closed surface in one pass (cobordism.summary_closure).  They do not
-depend on the character, so they are cached under the pair of ids.
+types.  Characters (closed forms, value tables, rational generating
+functions) live in the character module; the pairing reads one only
+through value(g, w).  Every term is summarized once (cobordism.summarize)
+and interned to a small summary id; a linear combination keeps the ids of
+its terms.  The closure types of a pair of ids come from gluing the two
+summaries into a closed surface in one pass (cobordism.summary_closure).
+They do not depend on the character, so they are cached under the pair of
+ids.
 
 The curated spanning sets of S and I (spanning_end) skip the diagrams: each
 entry is a handle-window power σ_{g,w} or a cap sandwich, recorded by its
@@ -25,6 +28,7 @@ certified exactly over Z (_certified_keys).
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -33,7 +37,7 @@ from operator import mul
 
 from .numkit import Matrix, Rat, ZERO, ONE, rat, Poly, nullspace
 from .frobenius import ConsistencyError
-from .character import CharacterForm, eval_character
+from .character import CharacterForm, TableCharacter
 from .cobordism import (
     Gen,
     Id,
@@ -44,7 +48,6 @@ from .cobordism import (
     TermTypeError,
     parse,
     pretty,
-    typecheck,
     summarize,
     compose_summaries,
     summary_closure,
@@ -60,67 +63,22 @@ class IncompleteSpanningError(RuntimeError):
     enumeration budget behind it) is too small."""
 
 
-# ---------------------------------------------------------------------------
-# characters without a closed form
-
-
-class TableCharacter:
-    """Character presented by its values (g, w) -> rational.
-
-    Used for generating functions that are not good and therefore have no
-    CharacterForm; values are computed on demand and cached.
-    """
-
-    def __init__(self, fn, label=""):
-        self.fn = fn
-        self.label = label
-        self._cache = {}
-
-    def value(self, g, w):
-        key = (g, w)
-        if key not in self._cache:
-            self._cache[key] = rat(self.fn(g, w))
-        return self._cache[key]
-
-
-def rational_character(num: dict, den: dict, label="") -> TableCharacter:
-    """Character whose generating function is num/den, with num and den
-    bivariate polynomials as {(x_deg, y_deg): coeff} dicts."""
-    num = {k: rat(v) for k, v in num.items() if v}
-    den = {k: rat(v) for k, v in den.items() if v}
-    d00 = den.get((0, 0), ZERO)
-    if not d00:
-        raise ValueError("denominator must have a nonzero constant term")
-    den_rest = [(k, v) for k, v in den.items() if k != (0, 0)]
-    memo = {}
-
-    def value(g, w):
-        if g < 0 or w < 0:
-            return ZERO
-        if (g, w) not in memo:
-            s = num.get((g, w), ZERO)
-            for (i, j), v in den_rest:
-                if i <= g and j <= w:
-                    s -= v * value(g - i, w - j)
-            memo[(g, w)] = s / d00
-        return memo[(g, w)]
-
-    return TableCharacter(value, label)
-
-
 def _memo_chi(chi):
     """chi with its values cached, for the many pairings of one Gram build."""
     if isinstance(chi, CharacterForm):
-        return TableCharacter(lambda g, w: eval_character(chi, g, w))
+        return TableCharacter(chi.value)
     return chi
 
 
-def _chi_at(chi, g, w):
-    if isinstance(chi, CharacterForm):
-        return eval_character(chi, g, w)
-    if hasattr(chi, "value"):
-        return chi.value(g, w)
-    raise TypeError(f"not a character: {chi!r}")
+def _types_value(chi, types) -> Rat:
+    """Product of the values of chi over (genus, windows) types: the value
+    of a closed diagram with one component of each type."""
+    v = ONE
+    for g, w in types:
+        v *= chi.value(g, w)
+        if not v:
+            break
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +211,7 @@ def pair(f, g, chi) -> Rat:
     g_ids = g.summary_ids()
     for cf, sid_f in f.summary_ids():
         for cg, sid_g in g_ids:
-            v = ONE
-            for gg, ww in closure_types(sid_g, sid_f):
-                v *= _chi_at(chi, gg, ww)
-                if not v:
-                    break
-            total += cf * cg * v
+            total += cf * cg * _types_value(chi, closure_types(sid_g, sid_f))
     return total
 
 
@@ -291,7 +244,9 @@ def spanning_end(obj: str, chi: CharacterForm) -> TermSpace:
 
     Exponents are truncated at the number of distinct handle (resp. window)
     eigenvalues plus two, which is sound because the handle and hole
-    endomorphisms satisfy the minimal polynomials t^2 Π(t - root).
+    endomorphisms satisfy the minimal polynomials t^2 Π(t - root).  The set
+    of I misses the powers of the hole, so a rank computed on it is only a
+    lower bound for the dimension of End(I).
     """
     if not isinstance(chi, CharacterForm):
         raise TypeError("curated spanning sets need a character in closed form")
@@ -357,10 +312,7 @@ def _gram_rows(ts: TermSpace, chi):
             types = _curated_types(ts.object, ex[i], ex[j])
             v = values.get(types)
             if v is None:
-                v = ONE
-                for g, w in types:
-                    v *= _chi_at(chi, g, w)
-                values[types] = v
+                v = values[types] = _types_value(chi, types)
             return v
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -373,7 +325,9 @@ def _gram_rows(ts: TermSpace, chi):
 def gram_rank(ts: TermSpace, chi):
     """Full Gram matrix of the spanning set under the pairing, and its rank
     over the rationals.  With a complete spanning set the rank is the
-    dimension of the endomorphism space in the quotient category."""
+    dimension of the endomorphism space in the quotient category; on the
+    curated set of I (spanning_end), which misses hole powers, it is a
+    lower bound."""
     rows = _gram_rows(ts, _memo_chi(chi))
     n = len(rows)
     return Matrix(n, n, [v for row in rows for v in row]), len(_certified_keys(rows))
@@ -414,14 +368,23 @@ class MinimalPolyReport:
         )
 
 
-def _poly_of_handle(coeffs) -> LinComb:
-    terms = [(c, sigma_endo(m, 0)) for m, c in enumerate(coeffs) if c]
-    return LinComb(terms)
+def _handle_power(m: int):
+    return sigma_endo(m, 0)
 
 
-def _poly_of_hole(coeffs) -> LinComb:
-    terms = [(c, hole_endo(m)) for m, c in enumerate(coeffs) if c]
-    return LinComb(terms)
+def _poly_of(p: Poly, power) -> LinComb:
+    """p evaluated at an endomorphism whose m-th power is the term power(m)."""
+    return LinComb([(c, power(m)) for m, c in enumerate(p.coeffs) if c])
+
+
+def _projector(roots, root) -> Poly:
+    """(t²/r²) Π_{r′≠r} (t−r′)/(r−r′) for r = root: the spectral projector
+    onto root among roots, as a polynomial in t."""
+    others = [x for x in roots if x != root]
+    denom = root * root
+    for x in others:
+        denom *= root - x
+    return Poly.from_roots(others).shift(2).scale(ONE / denom)
 
 
 def minimal_poly_negligibility(chi: CharacterForm) -> MinimalPolyReport:
@@ -434,23 +397,16 @@ def minimal_poly_negligibility(chi: CharacterForm) -> MinimalPolyReport:
     """
     lams = sorted({t[0] for t in chi.exp_terms})
     mus = sorted({t[1] for t in chi.exp_terms if t[1]})
-    s_space = spanning_end("S", chi)
-    i_space = spanning_end("I", chi)
 
-    g_full = Poly.from_roots(lams).shift(2)
-    h_full = Poly.from_roots(mus).shift(2)
-    handle_ok = is_negligible(_poly_of_handle(g_full.coeffs), s_space, chi)
-    hole_ok = is_negligible(_poly_of_hole(h_full.coeffs), i_space, chi)
+    def check(roots, power, space):
+        # whether t^2 Π(t - root) kills the endomorphism, and per root
+        # whether dropping its factor breaks that
+        def kills(rs):
+            return is_negligible(_poly_of(Poly.from_roots(rs).shift(2), power), space, chi)
+        return kills(roots), {r: not kills([x for x in roots if x != r]) for r in roots}
 
-    handle_drops = {}
-    for root in lams:
-        dropped = Poly.from_roots([x for x in lams if x != root]).shift(2)
-        handle_drops[root] = not is_negligible(_poly_of_handle(dropped.coeffs), s_space, chi)
-    hole_drops = {}
-    for root in mus:
-        dropped = Poly.from_roots([x for x in mus if x != root]).shift(2)
-        hole_drops[root] = not is_negligible(_poly_of_hole(dropped.coeffs), i_space, chi)
-
+    handle_ok, handle_drops = check(lams, _handle_power, spanning_end("S", chi))
+    hole_ok, hole_drops = check(mus, hole_endo, spanning_end("I", chi))
     return MinimalPolyReport(
         k=2,
         handle_roots=tuple(lams),
@@ -481,12 +437,7 @@ def handle_idempotent(chi: CharacterForm, lam) -> LinComb:
     lams = sorted({t[0] for t in chi.exp_terms})
     if lam not in lams:
         raise ValueError(f"{lam} is not a handle eigenvalue of the character")
-    others = [x for x in lams if x != lam]
-    denom = lam * lam
-    for x in others:
-        denom *= lam - x
-    p = Poly.from_roots(others).shift(2).scale(ONE / denom)
-    return _poly_of_handle(p.coeffs)
+    return _poly_of(_projector(lams, lam), _handle_power)
 
 
 def hole_idempotent(chi: CharacterForm, mu) -> LinComb:
@@ -498,12 +449,7 @@ def hole_idempotent(chi: CharacterForm, mu) -> LinComb:
     mus = sorted({t[1] for t in chi.exp_terms if t[1]})
     if mu not in mus:
         raise ValueError(f"{mu} is not a nonzero window eigenvalue of the character")
-    others = [x for x in mus if x != mu]
-    denom = mu * mu
-    for x in others:
-        denom *= mu - x
-    p = Poly.from_roots(others).shift(2).scale(ONE / denom)
-    return _poly_of_hole(p.coeffs)
+    return _poly_of(_projector(mus, mu), hole_endo)
 
 
 def build_idempotents(chi: CharacterForm) -> IdempotentSet:
@@ -634,7 +580,7 @@ def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingRep
 # seen.  The residual pairing of two handles is pair(h1, h2) - z1.w2; no
 # inverse is kept and no linear system is solved.
 #
-# Callers accept singles in candidate order, pass after pass, until they
+# select accepts singles in sorted order, pass after pass, until they
 # stall, and then the first pair in lexicographic order with an invertible
 # 2x2 Schur complement.  Once singles stall every diagonal residual is zero,
 # so such a pair exists exactly when some cross residual is nonzero.  A
@@ -708,26 +654,52 @@ class _SymPivot:
         self._push([h], [[self._inv(r)]])
         return True
 
-    def select(self, cands):
-        """Run the acceptance order over cands: singles in order, pass after
-        pass, until they stall, then the first pair; repeat until no pair
-        extends the block."""
-        remaining = list(cands)
+    def select(self, cands, breed=None):
+        """Run the acceptance order over the sortable handles cands.
+
+        Handles leave a heap in sorted order and are tried as singles.
+        breed(h), when given, returns the handles that accepting h opens
+        up; they join the heap, so they are tried before any stalled
+        handle is retried.  Once the heap is empty the stalled handles are
+        retried as singles, pass after pass, until a pass accepts none or
+        breeding refills the heap; then the first pair of the sorted
+        stalled handles with an invertible 2x2 Schur complement is
+        accepted.  This repeats until no pair extends the block."""
+        heap = list(cands)
+        heapq.heapify(heap)
+        stalled = []
+
+        def push_bred(h):
+            for new in breed(h) if breed else ():
+                heapq.heappush(heap, new)
+
         while True:
-            progressed = True
-            while progressed:
-                progressed = False
-                rem = []
-                for h in remaining:
+            while heap:
+                h = heapq.heappop(heap)
+                if self.accept_single(h):
+                    push_bred(h)
+                else:
+                    stalled.append(h)
+            changed = True
+            while changed and not heap:
+                changed = False
+                still = []
+                for h in stalled:
                     if self.accept_single(h):
-                        progressed = True
+                        push_bred(h)
+                        changed = True
                     else:
-                        rem.append(h)
-                remaining = rem
-            found = self.first_pair(remaining)
+                        still.append(h)
+                stalled = still
+            if heap:
+                continue
+            stalled.sort()
+            found = self.first_pair(stalled)
             if found is None:
                 return
-            remaining = [h for pos, h in enumerate(remaining) if pos not in found]
+            for pos in found:
+                push_bred(stalled[pos])
+            stalled = [h for pos, h in enumerate(stalled) if pos not in found]
 
     def first_pair(self, cands):
         """Accept the first pair of cands, in lexicographic order of
@@ -849,15 +821,14 @@ _ENUM_CACHE = {}
 _PROBE_MOD_MEMO = {}
 
 
-def _probe_val(sid1, sid2):
-    """Probe-character pairing of two summarized terms, mod MOD_P1."""
+def _probe_val(h1, h2):
+    """Probe-character pairing of two enumeration handles (gens, text,
+    sid), mod MOD_P1."""
     v = 1
-    for gg, ww in closure_types(sid1, sid2):
-        key = (gg, ww)
+    for key in closure_types(h1[2], h2[2]):
         c = _PROBE_MOD_MEMO.get(key)
         if c is None:
-            c = _mod_of(eval_character(PROBE_CHARACTER, gg, ww), MOD_P1)
-            _PROBE_MOD_MEMO[key] = c
+            c = _PROBE_MOD_MEMO[key] = _mod_of(PROBE_CHARACTER.value(*key), MOD_P1)
         v = v * c % MOD_P1
         if not v:
             break
@@ -872,15 +843,12 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
     terms breed new candidates by composition within the budget.
 
     Candidates are deduplicated by topological summary before any rank
-    test and run through the symmetric pivot engine over Z/MOD_P1 under
-    the probe character.  Acceptance order: candidates in (generators,
-    text) order as singles; once the heap is empty the stalled candidates
-    are retried as singles, pass after pass, until none is accepted; then
-    the first sorted pair with an invertible 2x2 Schur complement is
-    accepted, so indefinite probe pairings cannot hide rank, and its
-    offspring refill the heap.  A zero mod p can only drop a candidate, and
-    the probe-rank stopping rule makes the result a lower-bound spanning
-    set: complete whenever the probe sees the full endomorphism space.
+    test and handed, as handles (generators, text, summary id), to the
+    symmetric pivot engine over Z/MOD_P1 under the probe character, which
+    fixes the acceptance order (_SymPivot.select).  A zero mod p can only
+    drop a candidate, and the probe-rank stopping rule makes the result a
+    lower-bound spanning set: complete whenever the probe sees the full
+    endomorphism space.
     """
     if not obj or any(c not in "IS" for c in obj):
         raise ValueError(f"object word must be nonempty over I/S, got {obj!r}")
@@ -889,71 +857,38 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
     key = (obj, size_budget)
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
-    import heapq
 
-    accepted = []           # (term, gens, sid)
-    piv = _SymPivot(_probe_val, MOD_P1)
+    terms = {}              # sid -> the first term found in its class
+    accepted = []           # (gens, sid) in acceptance order
 
-    heap = []
-    seen_classes = set()
-    deferred = []           # (gens, text, term, sid) that failed the single step
+    def offer(out, term, gens, sid):
+        # the first term found in a class stands for it
+        if sid not in terms:
+            terms[sid] = term
+            out.append((gens, pretty(term), sid))
 
-    def push(term, gens, sid):
-        if sid in seen_classes:
-            return
-        seen_classes.add(sid)
-        heapq.heappush(heap, (gens, pretty(term), term, sid))
-
-    def breed(term, gens, sid):
+    def breed(h):
         # a composite's summary is glued from its two interned factors
-        accepted.append((term, gens, sid))
-        s = _SUMMARIES[sid]
-        for other, ogens, osid in accepted:
+        gens, _, sid = h
+        accepted.append((gens, sid))
+        term, s = terms[sid], _SUMMARIES[sid]
+        out = []
+        for ogens, osid in accepted:
             total = ogens + gens
             if total <= size_budget:
-                o = _SUMMARIES[osid]
-                push(Compose(other, term), total, intern_summary(compose_summaries(o, s)))
-                push(Compose(term, other), total, intern_summary(compose_summaries(s, o)))
+                other, o = terms[osid], _SUMMARIES[osid]
+                offer(out, Compose(other, term), total, intern_summary(compose_summaries(o, s)))
+                offer(out, Compose(term, other), total, intern_summary(compose_summaries(s, o)))
+        return out
 
+    atoms = []
     for a in _atom_terms(obj):
         gens = _gen_count(a)
         if gens <= size_budget:
-            push(a, gens, summary_id(a))
-
-    while True:
-        while heap:
-            gens, text, term, sid = heapq.heappop(heap)
-            if typecheck(term) != (obj, obj):
-                continue
-            if piv.accept_single(sid):
-                breed(term, gens, sid)
-            else:
-                deferred.append((gens, text, term, sid))
-        # singles over the stalled candidates until nothing moves; pair
-        # acceptances below can unlock them, and breeding refills the heap
-        changed = True
-        while changed and not heap:
-            changed = False
-            still = []
-            for gens, text, term, sid in deferred:
-                if piv.accept_single(sid):
-                    breed(term, gens, sid)
-                    changed = True
-                else:
-                    still.append((gens, text, term, sid))
-            deferred = still
-        if heap:
-            continue
-        deferred.sort()
-        found = piv.first_pair([d[3] for d in deferred])
-        if found is None:
-            break
-        for pos in found:
-            gens, text, term, sid = deferred[pos]
-            breed(term, gens, sid)
-        deferred = [d for pos, d in enumerate(deferred) if pos not in found]
-
-    ts = TermSpace(obj, [LinComb.interned(t, sid) for t, g, sid in accepted])
+            offer(atoms, a, gens, summary_id(a))
+    piv = _SymPivot(_probe_val, MOD_P1)
+    piv.select(atoms, breed)
+    ts = TermSpace(obj, [LinComb.interned(terms[sid], sid) for _, _, sid in piv.keys])
     _ENUM_CACHE[key] = ts
     return ts
 
@@ -1223,12 +1158,7 @@ def _scan_witness(ts, chi):
     id_summary = summarize(Id(ts.object))
 
     def pair_value(sa, sb):
-        v = ONE
-        for g, w in summary_closure(sa, sb):
-            v = v * _chi_at(chi, g, w)
-            if not v:
-                break
-        return v
+        return _types_value(chi, summary_closure(sa, sb))
 
     best = None
     best_key = None

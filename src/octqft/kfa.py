@@ -398,23 +398,12 @@ class StructuralEndos:
     hole: Matrix
 
 
-def _loop_endo(fa: FrobeniusAlgebra) -> Matrix:
-    """product o coproduct as a matrix, via the sparse tables."""
-    n = fa.dim
-    m = Matrix.zeros(n, n)
-    mult = fa.mult_table()
-    for (a, b, c), v in fa.coproduct.iter_nonzeros():
-        for d, v2 in mult.get((a, b), ()):
-            m[d, c] = m[d, c] + v * v2
-    return m
-
-
 def structural_endos(k: KFA) -> StructuralEndos:
     """Handle (closed loop), window (cozipper o zipper) and hole (open loop)
     endomorphisms, with their commutation identities verified."""
-    handle = _loop_endo(k.closed)
+    handle = k.closed.product_matrix() * k.closed.coproduct_matrix()
     window = k.cozipper * k.zipper
-    hole = _loop_endo(k.open)
+    hole = k.open.product_matrix() * k.open.coproduct_matrix()
     if handle * window != window * handle:
         raise ConsistencyError("handle and window endomorphisms do not commute")
     if k.zipper * window != hole * k.zipper:

@@ -365,15 +365,6 @@ def _echelon(drows, ncols):
     return [prows[c] for c in pivots], pivots
 
 
-def rank_of_rows(rows_list) -> int:
-    drows = []
-    for r in rows_list:
-        d = {j: v for j, v in enumerate(r) if v}
-        if d:
-            drows.append(d)
-    return len(_echelon(drows, len(rows_list[0]) if rows_list else 0)[1])
-
-
 def solve(a: Matrix, rhs):
     """Particular solution of a x = rhs (free coordinates zero), or None."""
     n = a.cols
@@ -612,71 +603,6 @@ def is_squarefree(p: Poly) -> bool:
     if p.degree <= 0:
         return True
     return poly_gcd(p, p.derivative()).degree == 0
-
-
-def minimal_polynomial(m: Matrix) -> Poly:
-    """Minimal polynomial of a square matrix: lcm over basis vectors of the
-    minimal annihilator of the Krylov sequence v, m v, m^2 v, ..."""
-    if m.rows != m.cols:
-        raise ValueError("minimal polynomial of a non-square matrix")
-    n = m.rows
-    result = Poly.one()
-    for start in range(n):
-        # skip if result already annihilates e_start
-        v = [ZERO] * n
-        v[start] = ONE
-        if _poly_apply_kills(result, m, v):
-            continue
-        ann = _krylov_annihilator(m, v)
-        result = _poly_lcm(result, ann)
-        if result.degree == n:
-            break
-    return result
-
-
-def _mat_apply(m: Matrix, v):
-    out = [ZERO] * m.rows
-    for i, row in enumerate(m.nonzero_rows()):
-        s = ZERO
-        for j, a in row:
-            if v[j]:
-                s += a * v[j]
-        out[i] = s
-    return out
-
-
-def _poly_apply_kills(p: Poly, m: Matrix, v) -> bool:
-    acc = [ZERO] * len(v)
-    w = list(v)
-    for c in p.coeffs:
-        if c:
-            acc = [x + c * y for x, y in zip(acc, w)]
-        w = _mat_apply(m, w)
-    return all(not x for x in acc)
-
-
-def _krylov_annihilator(m: Matrix, v) -> Poly:
-    n = len(v)
-    chain = [list(v)]
-    # grow until linearly dependent
-    while True:
-        rows = chain
-        r = rank_of_rows(rows)
-        if r < len(rows):
-            break
-        chain.append(_mat_apply(m, chain[-1]))
-    k = len(chain) - 1  # first k vectors independent, chain[k] dependent
-    a = Matrix.from_rows([[chain[i][j] for i in range(k)] for j in range(n)])
-    sol = a.solve([chain[k][j] for j in range(n)])
-    assert sol is not None
-    return Poly([-c for c in sol] + [ONE])
-
-
-def _poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly.zero()
-    g = poly_gcd(a, b)
-    return (a * b.divmod(g)[0]).monic()
 
 
 def rational_roots(p: Poly):

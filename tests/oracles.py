@@ -10,6 +10,8 @@
 - classify_closed_connected: the type of a closed connected term from its
   values under two reference structures whose invariants are 3^w and
   2^(2-2g).
+- reference_select: the symmetric pivot's acceptance order as a plain
+  list loop, without the heap and breeding of gram._SymPivot.select.
 """
 from __future__ import annotations
 
@@ -455,3 +457,29 @@ def chi_value(t: CobTerm, chi: CharacterForm):
     for g, w in surface_types(t):
         total *= eval_character(chi, g, w)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the pivot acceptance order
+
+
+def reference_select(piv, cands):
+    """Run piv's acceptance order over cands in the given order: singles,
+    pass after pass, until they stall, then the first pair; repeat until
+    no pair extends the block."""
+    remaining = list(cands)
+    while True:
+        progressed = True
+        while progressed:
+            progressed = False
+            rem = []
+            for h in remaining:
+                if piv.accept_single(h):
+                    progressed = True
+                else:
+                    rem.append(h)
+            remaining = rem
+        found = piv.first_pair(remaining)
+        if found is None:
+            return
+        remaining = [h for pos, h in enumerate(remaining) if pos not in found]

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octqft.character import CharacterForm, eval_character
+from octqft.character import CharacterForm, TableCharacter, eval_character, rational_character
 from octqft.cobordism import (
     Compose,
     Id,
@@ -25,7 +25,6 @@ from octqft.numkit import Matrix
 from octqft.gram import (
     MOD_P1,
     LinComb,
-    TableCharacter,
     _SymPivot,
     _certified_keys,
     _gen_count,
@@ -49,12 +48,11 @@ from octqft.gram import (
     nilpotent_trace_obstruction,
     pair,
     quotient_algebra,
-    rational_character,
     sigma_endo,
     spanning_end,
     verify_splitting,
 )
-from oracles import _analyze, network, network_summary
+from oracles import _analyze, network, network_summary, reference_select
 
 CHI2 = CharacterForm.make(exp_terms=[(1, 3, 2)])          # f = 2/((1-X)(1-3Y))
 CHI_ZERO = CharacterForm.make()
@@ -85,6 +83,12 @@ def test_rational_character_matches_closed_form():
 def test_rational_character_rejects_zero_constant_denominator():
     with pytest.raises(ValueError):
         rational_character({(0, 0): 1}, {(1, 0): 1})
+
+
+def test_rational_character_deep_trace():
+    # closing (dS ; mS)^1100 gives genus 1101, far past the recursion limit
+    chi = rational_character({(0, 0): 1}, {(0, 0): 1, (1, 0): -2})
+    assert categorical_trace(parse(" ; ".join(["dS ; mS"] * 1100)), chi) == 2 ** 1101
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +632,36 @@ def test_sym_pivot_selects_rank_on_random_symmetric(p):
         if chosen:
             block = Matrix.from_rows([[g[i][j] for j in chosen] for i in chosen])
             assert block.inverse() is not None
+
+
+@pytest.mark.parametrize("p", [0, MOD_P1], ids=["Q", "mod_p"])
+def test_select_matches_reference_order(p):
+    rng = random.Random(20231209)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        g = _random_symmetric(rng, n)
+        keys = []
+        for select in (_SymPivot.select, reference_select):
+            piv = _SymPivot(lambda a, b: g[a][b] % p if p else Fraction(g[a][b]), p)
+            select(piv, range(n))
+            keys.append(piv.keys)
+        assert keys[0] == keys[1]
+
+
+@pytest.mark.parametrize("p", [0, MOD_P1], ids=["Q", "mod_p"])
+def test_select_tries_bred_handles_before_stalled_ones(p):
+    # g1: 0 is null and stalls, 1 makes it acceptable, but 1 breeds 2, a
+    # copy of 0, which is tried first and takes its place.  g2: 0 and 1 are
+    # null and stall, 2 makes 1 acceptable on its retry and 1 makes 0
+    # acceptable, but 1 breeds 3, a copy of 0, which is tried before 0 is
+    # retried.  Without breeding the stalled 0 is accepted.
+    g1 = [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
+    g2 = [[0, 1, 0, 0], [1, 0, 1, 1], [0, 1, 1, 0], [0, 1, 0, 0]]
+    for g, cands, bred, keys in ((g1, [0, 1], {}, [1, 0]), (g1, [0, 1], {1: [2]}, [1, 2]),
+                                 (g2, [0, 1, 2], {}, [2, 1, 0]), (g2, [0, 1, 2], {1: [3]}, [2, 1, 3])):
+        piv = _SymPivot(lambda a, b, g=g: g[a][b], p)
+        piv.select(cands, lambda h, bred=bred: bred.get(h, []))
+        assert piv.keys == keys
 
 
 def test_sym_pivot_zero_diagonal_needs_pair_steps():

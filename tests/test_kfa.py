@@ -160,6 +160,32 @@ def test_structural_endos_nilpotent_handle():
     assert (g * g).is_zero()
 
 
+def _sums_over_nonzeros(fa):
+    """The pairing, the copairing and the loop (product after coproduct) of
+    fa, summed entry by entry over its nonzero structure constants."""
+    n = fa.dim
+    pairing, copairing, loop = {}, {}, {}
+    for (c, a, b), v in fa.product.iter_nonzeros():
+        pairing[a, b] = pairing.get((a, b), 0) + fa.counit[c] * v
+    for (a, b, c), v in fa.coproduct.iter_nonzeros():
+        copairing[a, b] = copairing.get((a, b), 0) + fa.unit[c] * v
+        for (d, a2, b2), v2 in fa.product.iter_nonzeros():
+            if (a2, b2) == (a, b):
+                loop[d, c] = loop.get((d, c), 0) + v2 * v
+    return [Matrix.from_rows([[m.get((i, j), 0) for j in range(n)] for i in range(n)])
+            for m in (pairing, copairing, loop)]
+
+
+def test_structure_matrices_match_sums_over_nonzeros():
+    # sectors built by make_F, make_A, direct_sum, tensor_product and scaling
+    k1 = make_semisimple_kfa(2, 3)
+    k2 = make_nonsemisimple_kfa(1, 2, 3, 1, 2)
+    for k in (k1, k2, kfa_sum(k1, k2), kfa_product(k1, k2), scale_kfa(k2, F(1, 3))):
+        e = structural_endos(k)
+        for fa, loop in ((k.closed, e.handle), (k.open, e.hole)):
+            assert [fa.pairing(), fa.copairing(), loop] == _sums_over_nonzeros(fa)
+
+
 def test_invariant_table_cross_check_catches_corruption():
     k = make_semisimple_kfa(2, 1)
     bad = KFA(k.open, k.closed, k.zipper, k.cozipper.scale(2))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octqft.numkit import (
-    Matrix, Poly, Tensor, is_squarefree, minimal_polynomial, poly_gcd, rank_of_rows,
+    Matrix, Poly, Tensor, is_squarefree, poly_gcd,
     rat, rat_to_str, rational_roots, recurrence_from_sequences,
 )
 
@@ -79,11 +79,6 @@ def test_solve_and_nullspace():
     assert [sum(r[j] * v[j] for j in range(3)) for r in a.to_rows()] == [0, 0]
 
 
-def test_rank_of_rows_empty():
-    assert rank_of_rows([]) == 0
-    assert rank_of_rows([[0, 0]]) == 0
-
-
 def test_poly_arith():
     p = Poly([1, 2, 1])        # (1+t)^2
     q = Poly([-1, 1])          # t-1
@@ -101,16 +96,6 @@ def test_poly_gcd_squarefree():
     assert not is_squarefree(p)
     assert is_squarefree(Poly.from_roots([1, 2, 3]))
     assert is_squarefree(Poly([5]))
-
-
-def test_minimal_polynomial_oracle():
-    # diagonal(2,2,3): minimal polynomial (t-2)(t-3) = t^2 - 5t + 6
-    m = Matrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 3]])
-    assert minimal_polynomial(m) == Poly([6, -5, 1])
-    # nilpotent Jordan block: t^2
-    n = Matrix.from_rows([[0, 1], [0, 0]])
-    assert minimal_polynomial(n) == Poly([0, 0, 1])
-    assert minimal_polynomial(Matrix.identity(4)) == Poly([-1, 1])
 
 
 def test_rational_roots_oracle():
@@ -164,17 +149,3 @@ def test_from_roots_has_those_roots(roots):
     found, split = rational_roots(p)
     assert split
     assert sorted(r for r, m in found for _ in range(m)) == sorted(roots)
-
-
-@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
-@settings(max_examples=50, deadline=None)
-def test_minpoly_annihilates(a, b, c, d):
-    m = Matrix.from_rows([[a, b], [c, d]])
-    p = minimal_polynomial(m)
-    acc = Matrix.zeros(2, 2)
-    power = Matrix.identity(2)
-    for coeff in p.coeffs:
-        acc = acc + power.scale(coeff)
-        power = m * power
-    assert acc.is_zero()
-    assert 1 <= p.degree <= 2

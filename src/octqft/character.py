@@ -66,7 +66,8 @@ class CharacterForm:
     """Canonical closed form of a good character.
 
     exp_terms is a sorted tuple of (lam, mu, coeff) with lam != 0, coeff != 0
-    and pairwise distinct (lam, mu).
+    and pairwise distinct (lam, mu).  value() remembers every cell it has
+    evaluated; the memo takes no part in equality or hashing.
     """
 
     alpha_1: Fraction = ZERO
@@ -74,6 +75,7 @@ class CharacterForm:
     alpha_Y: Fraction = ZERO
     alpha_Y2: Fraction = ZERO
     exp_terms: tuple = ()
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for lam, mu, c in self.exp_terms:
@@ -131,15 +133,17 @@ class CharacterForm:
         return cls.make(*alphas, exp_terms=[flat[i:i + 3] for i in range(0, len(flat), 3)])
 
     def value(self, g: int, w: int) -> Fraction:
-        return eval_character(self, g, w)
+        v = self._values.get((g, w))
+        if v is None:
+            v = self._values[(g, w)] = eval_character(self, g, w)
+        return v
 
 
 class TableCharacter:
     """Character presented by its values (g, w) -> rational.
 
     Used for generating functions that are not good and therefore have no
-    CharacterForm, and to cache the values of one that has; values are
-    computed on demand.
+    CharacterForm; values are computed on demand and cached.
     """
 
     def __init__(self, fn, label=""):

@@ -37,10 +37,6 @@ class ConsistencyError(RuntimeError):
     violates a precondition the operation could not verify directly."""
 
 
-def _strip(d):
-    return {k: v for k, v in d.items() if v}
-
-
 class FrobeniusAlgebra:
     """Structure-tensor container.  Instances are treated as immutable."""
 
@@ -79,16 +75,6 @@ class FrobeniusAlgebra:
                 table.setdefault(c, []).append((a, b, v))
             self._comult = table
         return self._comult
-
-    def mult_dict(self, x: dict, y: dict) -> dict:
-        """Multiply two vectors given as {basis_index: coeff} dicts."""
-        table = self.mult_table()
-        out = {}
-        for a, xa in x.items():
-            for b, yb in y.items():
-                for c, v in table.get((a, b), ()):
-                    out[c] = out.get(c, ZERO) + xa * yb * v
-        return _strip(out)
 
     def pairing(self) -> Matrix:
         """Matrix of the form b(x, y) = counit(x * y)."""
@@ -189,38 +175,49 @@ class FrobeniusReport:
         return {"flags": dict(self.flags), "first_violation": self.first_violation}
 
 
-def _unital_violation(n, mult, unit_nz):
-    for a in range(n):
-        left = {}
-        right = {}
-        for b, ub in unit_nz:
-            for c, v in mult.get((b, a), ()):
-                left[c] = left.get(c, ZERO) + ub * v
-            for c, v in mult.get((a, b), ()):
-                right[c] = right.get(c, ZERO) + ub * v
-        if _strip(left) != {a: ONE}:
-            return f"unit * e_{a} != e_{a}"
-        if _strip(right) != {a: ONE}:
-            return f"e_{a} * unit != e_{a}"
-    return None
+def _first_difference(lhs, rhs):
+    """Least key at which the sums of two streams of (key, value)
+    contributions differ, or None when the sums agree."""
+    diff = {}
+    for k, v in lhs:
+        diff[k] = diff.get(k, ZERO) + v
+    for k, v in rhs:
+        diff[k] = diff.get(k, ZERO) - v
+    return min((k for k, v in diff.items() if v), default=None)
 
 
-def _counital_violation(n, cmap, counit):
-    for c in range(n):
-        lacc = {}
-        racc = {}
-        for a, b, v in cmap.get(c, ()):
-            ea = counit[a]
-            if ea:
-                lacc[b] = lacc.get(b, ZERO) + ea * v
-            eb = counit[b]
-            if eb:
-                racc[a] = racc.get(a, ZERO) + eb * v
-        if _strip(lacc) != {c: ONE}:
-            return f"(counit x id) o coproduct != id at basis {c}"
-        if _strip(racc) != {c: ONE}:
-            return f"(id x counit) o coproduct != id at basis {c}"
-    return None
+def _violation(lhs, rhs, message):
+    """message(*key) at the first difference of lhs and rhs, or None."""
+    key = _first_difference(lhs, rhs)
+    return None if key is None else message(*key)
+
+
+def _identity_twice(n):
+    """Contributions of id on both sides, keyed (a, side, a)."""
+    return [((a, side, a), ONE) for a in range(n) for side in (0, 1)]
+
+
+def _unital_violation(n, product, unit):
+    u = dict(unit.nonzeros())
+    prod = list(product.iter_nonzeros())
+    return _violation(
+        [((b, 0, c), u[a] * v) for (c, a, b), v in prod if a in u]
+        + [((a, 1, c), u[b] * v) for (c, a, b), v in prod if b in u],
+        _identity_twice(n),
+        lambda a, side, c: f"unit * e_{a} != e_{a}" if side == 0 else f"e_{a} * unit != e_{a}",
+    )
+
+
+def _counital_violation(n, coproduct, counit):
+    e = dict(counit.nonzeros())
+    cop = list(coproduct.iter_nonzeros())
+    return _violation(
+        [((c, 0, b), e[a] * v) for (a, b, c), v in cop if a in e]
+        + [((c, 1, a), e[b] * v) for (a, b, c), v in cop if b in e],
+        _identity_twice(n),
+        lambda c, side, x: (f"(counit x id) o coproduct != id at basis {c}" if side == 0
+                            else f"(id x counit) o coproduct != id at basis {c}"),
+    )
 
 
 def _product_joins(product):
@@ -233,74 +230,37 @@ def _product_joins(product):
 
 
 def _associative_violation(product, by_in1, by_in2):
-    diff = {}
-    for (d, a, b), v1 in product.iter_nonzeros():
-        for e, c, v2 in by_in1.get(d, ()):
-            k = (a, b, c, e)
-            diff[k] = diff.get(k, ZERO) + v1 * v2
-    for (d, b, c), v1 in product.iter_nonzeros():
-        for e, a, v2 in by_in2.get(d, ()):
-            k = (a, b, c, e)
-            diff[k] = diff.get(k, ZERO) - v1 * v2
-    bad = [k for k, v in diff.items() if v]
-    if bad:
-        a, b, c, e = min(bad)
-        return f"(e_{a} e_{b}) e_{c} and e_{a} (e_{b} e_{c}) differ in the e_{e} component"
-    return None
+    return _violation(
+        (((a, b, c, e), v1 * v2) for (d, a, b), v1 in product.iter_nonzeros()
+         for e, c, v2 in by_in1.get(d, ())),
+        (((a, b, c, e), v1 * v2) for (d, b, c), v1 in product.iter_nonzeros()
+         for e, a, v2 in by_in2.get(d, ())),
+        lambda a, b, c, e: f"(e_{a} e_{b}) e_{c} and e_{a} (e_{b} e_{c}) differ in the e_{e} component",
+    )
 
 
 def _coassociative_violation(cmap):
-    diff = {}
-    for c, terms in cmap.items():
-        for x, y, v1 in terms:
-            for p, q, v2 in cmap.get(x, ()):
-                k = (p, q, y, c)
-                diff[k] = diff.get(k, ZERO) + v1 * v2
-            for p, q, v2 in cmap.get(y, ()):
-                k = (x, p, q, c)
-                diff[k] = diff.get(k, ZERO) - v1 * v2
-    bad = [k for k, v in diff.items() if v]
-    if bad:
-        p, q, r, c = min(bad)
-        return f"coassociativity fails on basis {c} at component ({p},{q},{r})"
-    return None
+    return _violation(
+        (((p, q, y, c), v1 * v2) for c, terms in cmap.items() for x, y, v1 in terms
+         for p, q, v2 in cmap.get(x, ())),
+        (((x, p, q, c), v1 * v2) for c, terms in cmap.items() for x, y, v1 in terms
+         for p, q, v2 in cmap.get(y, ())),
+        lambda p, q, r, c: f"coassociativity fails on basis {c} at component ({p},{q},{r})",
+    )
 
 
 def _frobenius_violation(product, cmap, by_in1, by_in2):
-    m1 = {}
-    for (d, a, b), v1 in product.iter_nonzeros():
-        for x, y, v2 in cmap.get(d, ()):
-            k = (a, b, x, y)
-            m1[k] = m1.get(k, ZERO) + v1 * v2
-    m2 = {}
-    for b, terms in cmap.items():
-        for x, y, v2 in terms:
-            for d, a, v3 in by_in2.get(x, ()):
-                k = (a, b, d, y)
-                m2[k] = m2.get(k, ZERO) + v2 * v3
-    m3 = {}
-    for a, terms in cmap.items():
-        for x, y, v2 in terms:
-            for d, b, v3 in by_in1.get(y, ()):
-                k = (a, b, x, d)
-                m3[k] = m3.get(k, ZERO) + v2 * v3
-
-    def first_diff(p, q):
-        diff = dict(p)
-        for k, v in q.items():
-            diff[k] = diff.get(k, ZERO) - v
-        bad = [k for k, v in diff.items() if v]
-        return min(bad) if bad else None
-
-    k = first_diff(m1, m2)
-    if k is not None:
-        a, b, x, y = k
-        return f"coproduct o product and (product x id)(id x coproduct) differ at input ({a},{b}) component ({x},{y})"
-    k = first_diff(m1, m3)
-    if k is not None:
-        a, b, x, y = k
-        return f"coproduct o product and (id x product)(coproduct x id) differ at input ({a},{b}) component ({x},{y})"
-    return None
+    m1 = [((a, b, x, y), v1 * v2) for (d, a, b), v1 in product.iter_nonzeros()
+          for x, y, v2 in cmap.get(d, ())]
+    m2 = (((a, b, d, y), v2 * v3) for b, terms in cmap.items() for x, y, v2 in terms
+          for d, a, v3 in by_in2.get(x, ()))
+    m3 = (((a, b, x, d), v2 * v3) for a, terms in cmap.items() for x, y, v2 in terms
+          for d, b, v3 in by_in1.get(y, ()))
+    return _violation(m1, m2, lambda a, b, x, y: (
+        f"coproduct o product and (product x id)(id x coproduct) differ at input ({a},{b}) component ({x},{y})"
+    )) or _violation(m1, m3, lambda a, b, x, y: (
+        f"coproduct o product and (id x product)(coproduct x id) differ at input ({a},{b}) component ({x},{y})"
+    ))
 
 
 def _commutative_violation(product):
@@ -326,12 +286,14 @@ def check_frobenius(fa: FrobeniusAlgebra) -> FrobeniusReport:
     frobenius, pairing_nondegenerate.  Descriptive flags: commutative
     (product equals its flip) and symmetric (counit of a product is
     flip-invariant).  first_violation names the first failed structural
-    flag together with the offending entry.
+    flag together with the offending entry.  Each identity is checked by
+    _first_difference, so its entry is the least one in the key order of
+    the check: (a, side, c) for unital, (c, side, x) for counital,
+    (a, b, c, e) for associative, (p, q, r, c) for coassociative and
+    (a, b, x, y) for frobenius, its first identity before the second.
     """
     n = fa.dim
-    mult = fa.mult_table()
     cmap = fa.comult_table()
-    unit_nz = fa.unit.nonzeros()
     by_in1, by_in2 = _product_joins(fa.product)
     beta = fa.pairing()
 
@@ -343,8 +305,8 @@ def check_frobenius(fa: FrobeniusAlgebra) -> FrobeniusReport:
         return violation is None
 
     flags = {}
-    flags["unital"] = record("unital", _unital_violation(n, mult, unit_nz))
-    flags["counital"] = record("counital", _counital_violation(n, cmap, fa.counit))
+    flags["unital"] = record("unital", _unital_violation(n, fa.product, fa.unit))
+    flags["counital"] = record("counital", _counital_violation(n, fa.coproduct, fa.counit))
     flags["associative"] = record("associative", _associative_violation(fa.product, by_in1, by_in2))
     flags["coassociative"] = record("coassociative", _coassociative_violation(cmap))
     flags["frobenius"] = record("frobenius", _frobenius_violation(fa.product, cmap, by_in1, by_in2))
@@ -447,10 +409,7 @@ def frobenius_from_form(product: Tensor, unit: Tensor, counit: Tensor) -> Froben
     if product.shape != (n, n, n) or counit.shape != (n,):
         raise ValueError("inconsistent tensor shapes")
 
-    mult = {}
-    for (c, a, b), v in product.iter_nonzeros():
-        mult.setdefault((a, b), []).append((c, v))
-    violation = _unital_violation(n, mult, unit.nonzeros())
+    violation = _unital_violation(n, product, unit)
     if violation is not None:
         raise AxiomError("unital: " + violation)
     by_in1, by_in2 = _product_joins(product)
@@ -458,11 +417,8 @@ def frobenius_from_form(product: Tensor, unit: Tensor, counit: Tensor) -> Froben
     if violation is not None:
         raise AxiomError("associative: " + violation)
 
-    beta = Matrix.zeros(n, n)
-    for (c, a, b), v in product.iter_nonzeros():
-        e = counit[c]
-        if e:
-            beta[a, b] = beta[a, b] + e * v
+    # the coproduct is derived below; the form is the pairing of the algebra
+    beta = FrobeniusAlgebra(product, unit, Tensor.zeros((n, n, n)), counit).pairing()
     gamma = beta.inverse()
     if gamma is None:
         raise RankError("form counit(x * y) is degenerate", rank=beta.rank(), dim=n)
@@ -503,27 +459,18 @@ def central_transition(f_from: FrobeniusAlgebra, f_to: FrobeniusAlgebra) -> Tens
     if sol is None:
         raise RankError("target pairing is degenerate", rank=beta.rank(), dim=n)
 
-    avec = {i: sol[i] for i in range(n) if sol[i]}
-    mult = f_to.mult_table()
-    for x in range(n):
-        acc = ZERO
-        for c, av in avec.items():
-            for d, v in mult.get((c, x), ()):
-                acc += av * v * f_to.counit[d]
-        if acc != f_from.counit[x]:
-            raise ConsistencyError("transition element does not reproduce the source counit")
-    for b in range(n):
-        left = {}
-        right = {}
-        for c, av in avec.items():
-            for d, v in mult.get((c, b), ()):
-                left[d] = left.get(d, ZERO) + av * v
-            for d, v in mult.get((b, c), ()):
-                right[d] = right.get(d, ZERO) + av * v
-        if _strip(left) != _strip(right):
-            raise ConsistencyError(
-                "transition element is not central; both counits must be symmetric"
-            )
+    a = {i: sol[i] for i in range(n) if sol[i]}
+    prod = list(f_to.product.iter_nonzeros())
+    if _first_difference(
+        ((x, a[c] * v * f_to.counit[d]) for (d, c, x), v in prod if c in a),
+        ((x, f_from.counit[x]) for x in range(n)),
+    ) is not None:
+        raise ConsistencyError("transition element does not reproduce the source counit")
+    if _first_difference(
+        (((b, d), a[c] * v) for (d, c, b), v in prod if c in a),
+        (((b, d), a[c] * v) for (d, b, c), v in prod if c in a),
+    ) is not None:
+        raise ConsistencyError("transition element is not central; both counits must be symmetric")
     return Tensor((n,), [sol[i] for i in range(n)])
 
 

@@ -37,7 +37,7 @@ from operator import mul
 
 from .numkit import Matrix, Rat, ZERO, ONE, rat, Poly, nullspace
 from .frobenius import ConsistencyError
-from .character import CharacterForm, TableCharacter
+from .character import CharacterForm
 from .cobordism import (
     Gen,
     Id,
@@ -61,13 +61,6 @@ from .cobordism import (
 class IncompleteSpanningError(RuntimeError):
     """A product left the span of the term space: the spanning set (or the
     enumeration budget behind it) is too small."""
-
-
-def _memo_chi(chi):
-    """chi with its values cached, for the many pairings of one Gram build."""
-    if isinstance(chi, CharacterForm):
-        return TableCharacter(chi.value)
-    return chi
 
 
 def _types_value(chi, types) -> Rat:
@@ -328,7 +321,7 @@ def gram_rank(ts: TermSpace, chi):
     dimension of the endomorphism space in the quotient category; on the
     curated set of I (spanning_end), which misses hole powers, it is a
     lower bound."""
-    rows = _gram_rows(ts, _memo_chi(chi))
+    rows = _gram_rows(ts, chi)
     n = len(rows)
     return Matrix(n, n, [v for row in rows for v in row]), len(_certified_keys(rows))
 
@@ -337,7 +330,6 @@ def is_negligible(f, ts: TermSpace, chi) -> bool:
     """True when f pairs to zero with every element of the spanning set;
     with a complete spanning set this is exact radical membership."""
     f = lc_collapse(_as_lincomb(f))
-    chi = _memo_chi(chi)
     for s in ts.spanning:
         if pair(f, s, chi):
             return False
@@ -825,7 +817,7 @@ def _probe_val(h1, h2):
     """Probe-character pairing of two enumeration handles (gens, text,
     sid), mod MOD_P1."""
     v = 1
-    for key in closure_types(h1[2], h2[2]):
+    for key in summary_closure(_SUMMARIES[h1[2]], _SUMMARIES[h2[2]]):
         c = _PROBE_MOD_MEMO.get(key)
         if c is None:
             c = _PROBE_MOD_MEMO[key] = _mod_of(PROBE_CHARACTER.value(*key), MOD_P1)
@@ -937,7 +929,6 @@ def quotient_algebra(ts: TermSpace, chi) -> QuotientAlgebra:
     the resulting structure constants are associative and unital; failures
     raise IncompleteSpanningError since they mean products escaped the span.
     """
-    chi = _memo_chi(chi)
     chosen, gb = _pivot_basis(ts, chi)
     dim = len(chosen)
     basis = [ts.spanning[i] for i in chosen]

@@ -187,10 +187,6 @@ class Matrix:
                 yield from r
         return cls(rows, cols, rats(cells()))
 
-    @classmethod
-    def column(cls, vec):
-        return cls(len(vec), 1, [rat(x) for x in vec])
-
     def to_json(self):
         n = self.cols
         return [[rat_to_str(self.entries[i * n + j]) for j in range(n)] for i in range(self.rows)]
@@ -207,10 +203,6 @@ class Matrix:
         if m.rows != rows or m.cols != cols:
             raise ValueError(f"expected {rows}x{cols} matrix, got {m.rows}x{m.cols}")
         return m
-
-    @classmethod
-    def row(cls, vec):
-        return cls(1, len(vec), [rat(x) for x in vec])
 
     def __getitem__(self, rc):
         r, c = rc
@@ -501,21 +493,6 @@ class Poly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

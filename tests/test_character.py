@@ -25,6 +25,21 @@ def test_eval_and_poly_spots():
     assert eval_character(f, 2, 0) == 0
 
 
+def test_form_value_evaluates_each_cell_once(monkeypatch):
+    from octqft import character
+
+    cells = []
+    real = character.eval_character
+    monkeypatch.setattr(character, "eval_character",
+                        lambda form, g, w: cells.append((g, w)) or real(form, g, w))
+    f = CharacterForm.make(exp_terms=[(2, 3, 1)])
+    assert f.value(2, 1) == f.value(2, 1) == 12
+    assert cells == [(2, 1)]
+    # the memo takes no part in equality or hashing
+    g = CharacterForm.make(exp_terms=[(2, 3, 1)])
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+
+
 def test_mu_zero_column_convention():
     f = CharacterForm.make(exp_terms=[(2, 0, 1)])
     assert eval_character(f, 3, 0) == 8

@@ -434,6 +434,19 @@ def test_idempotents_orthogonal_two_blocks():
     assert is_negligible(lc_sub(lc_compose(e, e), e), s_space, chi)
 
 
+def test_build_idempotents_evaluates_each_cell_once(monkeypatch):
+    # the is_negligible loops of the verification read chi at the same
+    # (genus, windows) cells again and again; the form remembers them
+    from octqft import character
+
+    cells = []
+    real = character.eval_character
+    monkeypatch.setattr(character, "eval_character",
+                        lambda form, g, w: cells.append((g, w)) or real(form, g, w))
+    build_idempotents(CharacterForm.make(exp_terms=[(2, 3, 1), (4, 5, 1)]))
+    assert len(cells) == len(set(cells)) == 192
+
+
 def test_splitting_two_blocks():
     chi = CharacterForm.make(exp_terms=[(2, 3, 1), (4, 5, 1)])
     report = verify_splitting(chi, 3, 3)

@@ -410,23 +410,72 @@ def rational_character(num: dict, den: dict, label="") -> TableCharacter:
     return TableCharacter(coeff, label)
 
 
+def _form_fraction(form: CharacterForm):
+    """(num_f, den_f) with num_f/den_f the generating function of form, over
+    den_f = prod (1 - lam X) * prod (1 - mu Y): one factor per distinct lam
+    and one per distinct mu != 0."""
+    x_facs = {lam: {(0, 0): ONE, (1, 0): -lam} for lam, _, _ in form.exp_terms}
+    y_facs = {mu: {(0, 0): ONE, (0, 1): -mu} for _, mu, _ in form.exp_terms if mu}
+
+    def product(factors, scale=ONE):
+        out = {(0, 0): scale}
+        for f in factors:
+            out = _bp_mul(out, f)
+        return out
+
+    den_f = product([*x_facs.values(), *y_facs.values()])
+    alphas = (form.alpha_1, form.alpha_X, form.alpha_Y, form.alpha_Y2)
+    num_f = _bp_mul({k: a for k, a in zip(POLY_SUPPORT, alphas) if a}, den_f)
+    for lam, mu, c in form.exp_terms:
+        rest = [f for l, f in x_facs.items() if l != lam] + [f for m, f in y_facs.items() if m != mu]
+        num_f = _bp_add(num_f, product(rest, c))
+    return num_f, den_f
+
+
+def _classify_series(chi: TableCharacter, r: int):
+    size = 2 * r + 4
+    chi.value(size, size)       # fills the whole box
+    rows = [[chi.value(g, w) for w in range(size + 1)] for g in range(size + 1)]
+    return classify_table(SequenceTable.from_rows(rows), r)
+
+
 def classify_rational(num: dict, den: dict):
     """Classify the power-series expansion of num/den, where num and den are
     bivariate polynomials as {(x_deg, y_deg): coefficient} dicts.
 
     The denominator must be invertible as a power series: den[(0,0)] != 0.
+
+    The table is first classified at rank bound r0 = max(dx, dy), with dx and
+    dy the X- and Y-degrees of den.  That is enough to find a good form: the
+    reduced denominator prod (1 - lam X) * prod (1 - mu Y) of a good series
+    (one factor per distinct lam and per distinct mu != 0) divides every
+    denominator the series can be written with, so it has at most dx
+    distinct lam and at most dy distinct nonzero mu.  A Good found there is
+    accepted only with a certificate: num * den_f == num_f * den in Q[X, Y],
+    where num_f/den_f is the form over its reduced denominator.  Both
+    constant terms are nonzero, so the identity proves the two power series
+    equal.  On any other outcome (NotGood, Indeterminate, or a failed
+    certificate) the same series is classified again at the full bound
+    r = dx*dy + dx + dy + deg(num), unless r == r0, so every verdict that is
+    not a certified Good is the one the full-size table gives.
     """
     chi = rational_character(num, den)
-    den_keys = [k for k, v in den.items() if v]
-    dx = max((i for i, _ in den_keys), default=0)
-    dy = max((j for _, j in den_keys), default=0)
+    num = {k: rat(v) for k, v in num.items() if v}
+    den = {k: rat(v) for k, v in den.items() if v}
+    dx = max((i for i, _ in den), default=0)
+    dy = max((j for _, j in den), default=0)
+    r0 = max(dx, dy)
+    result = _classify_series(chi, r0)
+    if isinstance(result, Good):
+        num_f, den_f = _form_fraction(result.form)
+        if _bp_mul(num, den_f) == _bp_mul(num_f, den):
+            return result
     # dx*dy bounds the joint spectrum only when both degrees are positive; the
     # extra dx + dy keeps single-variable denominators like 1/(1-2X) in budget
-    r = dx * dy + dx + dy + max((i + j for (i, j), v in num.items() if v), default=0)
-    size = 2 * r + 4
-    chi.value(size, size)       # fills the whole box
-    rows = [[chi.value(g, w) for w in range(size + 1)] for g in range(size + 1)]
-    return classify_table(SequenceTable.from_rows(rows), r)
+    r = dx * dy + dx + dy + max((i + j for i, j in num), default=0)
+    if r == r0:
+        return result
+    return _classify_series(chi, r)
 
 
 class ExprError(ValueError):

@@ -399,18 +399,19 @@ def invariant_table(k: KFA, g_max: int, w_max: int) -> SequenceTable:
     r = k.closed.dim
     eps = k.closed.counit_matrix()
 
+    # invariant(g, w) = (eps window^w) . (handle^g unit): the nonzeros of one
+    # row vector per w, one column vector per g, and a dot product per cell
+    row_vecs = [eps]
+    for _ in range(w_max):
+        row_vecs.append(row_vecs[-1] * window)
+    row_nzs = [vec.nonzero_rows()[0] for vec in row_vecs]
     rows = []
-    gvec = k.closed.unit_matrix()
+    col = k.closed.unit_matrix()
     for g in range(g_max + 1):
         if g:
-            gvec = handle * gvec
-        vec = gvec
-        row = []
-        for w in range(w_max + 1):
-            if w:
-                vec = window * vec
-            row.append((eps * vec)[0, 0])
-        rows.append(row)
+            col = handle * col
+        u = col.entries
+        rows.append([sum((a * u[i] for i, a in row_nz), ZERO) for row_nz in row_nzs])
 
     # closed-trace identity
     if g_max >= 1:

@@ -12,10 +12,17 @@
   2^(2-2g).
 - reference_select: the symmetric pivot's acceptance order as a plain
   list loop, without the heap and breeding of gram._SymPivot.select.
+- classify_rational_full: classification of a rational generating function
+  on the table sized from its unsimplified degrees alone, without the
+  small certified first try of character.classify_rational.
+- invariant_rows: the invariant table of a KFA as one matrix-vector product
+  per cell, without the dot products of kfa.invariant_table.
 """
 from __future__ import annotations
 
-from octqft.character import CharacterForm, eval_character
+from octqft.character import (
+    CharacterForm, SequenceTable, classify_table, eval_character, rational_character,
+)
 from octqft.cobordism import (
     GEN_ARCS,
     GEN_EULER,
@@ -32,7 +39,7 @@ from octqft.cobordism import (
     typecheck,
 )
 from octqft.frobenius import ConsistencyError
-from octqft.kfa import make_semisimple_kfa
+from octqft.kfa import make_semisimple_kfa, structural_endos
 from octqft.numkit import ONE, rat
 
 
@@ -483,3 +490,45 @@ def reference_select(piv, cands):
         if found is None:
             return
         remaining = [h for pos, h in enumerate(remaining) if pos not in found]
+
+
+# ---------------------------------------------------------------------------
+# classification of rational generating functions
+
+
+def classify_rational_full(num: dict, den: dict):
+    """Classify num/den on one table, sized from the degrees of num and den
+    as given: rank bound dx*dy + dx + dy + deg(num)."""
+    chi = rational_character(num, den)
+    den_keys = [k for k, v in den.items() if v]
+    dx = max((i for i, _ in den_keys), default=0)
+    dy = max((j for _, j in den_keys), default=0)
+    r = dx * dy + dx + dy + max((i + j for (i, j), v in num.items() if v), default=0)
+    size = 2 * r + 4
+    chi.value(size, size)
+    rows = [[chi.value(g, w) for w in range(size + 1)] for g in range(size + 1)]
+    return classify_table(SequenceTable.from_rows(rows), r)
+
+
+# ---------------------------------------------------------------------------
+# invariant tables
+
+
+def invariant_rows(k, g_max: int, w_max: int):
+    """rows[g][w] = eps * window^w * handle^g * unit, one matrix-vector
+    product per cell."""
+    endos = structural_endos(k)
+    eps = k.closed.counit_matrix()
+    rows = []
+    gvec = k.closed.unit_matrix()
+    for g in range(g_max + 1):
+        if g:
+            gvec = endos.handle * gvec
+        vec = gvec
+        row = []
+        for w in range(w_max + 1):
+            if w:
+                vec = endos.window * vec
+            row.append((eps * vec)[0, 0])
+        rows.append(row)
+    return rows

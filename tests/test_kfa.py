@@ -26,6 +26,7 @@ from octqft.kfa import (
     scale_kfa,
     structural_endos,
 )
+from oracles import invariant_rows
 
 
 def test_semisimple_shapes_and_axioms():
@@ -363,3 +364,18 @@ def test_kfa_json_float_entry_raises_type_error():
     obj["zipper"][1][0] = 1.0
     with pytest.raises(TypeError):
         KFA.from_json(obj)
+
+
+def test_invariant_table_matches_per_cell_products():
+    # one dot product per cell against one matrix-vector product per cell,
+    # on seeded structures of every constructor
+    rng = random.Random(9)
+    values = [F(v) for v in (1, 2, -1, 3)] + [F(1, 2), F(-2, 3), F(1, 3)]
+    for _ in range(8):
+        k = make_semisimple_kfa(rng.randint(0, 3), rng.choice(values))
+        n = make_nonsemisimple_kfa(rng.randint(0, 2), rng.randint(1, 2), rng.choice(values),
+                                   rng.choice(values + [F(0)]), rng.choice(values + [F(0)]))
+        for kk in (k, n, kfa_sum(k, n), kfa_product(k, n), scale_kfa(kfa_sum(n, k), rng.choice(values))):
+            g_max, w_max = rng.randint(0, 7), rng.randint(0, 7)
+            table = invariant_table(kk, g_max, w_max)
+            assert [list(row) for row in table.values] == invariant_rows(kk, g_max, w_max)

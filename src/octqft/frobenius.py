@@ -79,8 +79,7 @@ class FrobeniusAlgebra:
     def pairing(self) -> Matrix:
         """Matrix of the form b(x, y) = counit(x * y)."""
         if self._pairing is None:
-            b = self.counit_matrix() * self.product_matrix()
-            self._pairing = Matrix(self.dim, self.dim, b.entries)
+            self._pairing = counit_form(self.product, self.counit)
         return self._pairing
 
     def copairing(self) -> Matrix:
@@ -143,6 +142,20 @@ class FrobeniusAlgebra:
         unit = Tensor((n,), rats(obj["unit"]))
         counit = Tensor((n,), rats(obj["counit"]))
         return cls(prod, unit, cop, counit)
+
+
+def counit_form(product: Tensor, counit: Tensor) -> Matrix:
+    """Matrix of the bilinear form b(x, y) = counit(x * y), indexed [x, y],
+    for a product tensor indexed [c, a, b]."""
+    n = counit.shape[0]
+    nn = n * n
+    out = [ZERO] * nn
+    e = counit.entries
+    for k, v in product.nonzeros():
+        c, ab = divmod(k, nn)
+        if e[c]:
+            out[ab] += e[c] * v
+    return Matrix(n, n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +242,34 @@ def _product_joins(product):
     return by_in1, by_in2
 
 
-def _associative_violation(product, by_in1, by_in2):
-    return _violation(
-        (((a, b, c, e), v1 * v2) for (d, a, b), v1 in product.iter_nonzeros()
-         for e, c, v2 in by_in1.get(d, ())),
-        (((a, b, c, e), v1 * v2) for (d, b, c), v1 in product.iter_nonzeros()
-         for e, a, v2 in by_in2.get(d, ())),
-        lambda a, b, c, e: f"(e_{a} e_{b}) e_{c} and e_{a} (e_{b} e_{c}) differ in the e_{e} component",
-    )
+def _associativity_difference(product):
+    """Least key (a, b, c, e) at which (e_a e_b) e_c and e_a (e_b e_c) differ
+    in their e_e component, or None.  The two sides are compared one first
+    factor a at a time, in increasing order, so the search stops at the
+    first block that differs and holds the keys of one block only."""
+    by_in1 = {}
+    by_out = {}
+    for (d, x, y), v in product.iter_nonzeros():
+        by_in1.setdefault(x, []).append((d, y, v))
+        by_out.setdefault(d, []).append((x, y, v))
+    for a in sorted(by_in1):
+        key = _first_difference(
+            (((a, b, c, e), v1 * v2) for d, b, v1 in by_in1[a]
+             for e, c, v2 in by_in1.get(d, ())),
+            (((a, b, c, e), v1 * v2) for e, d, v2 in by_in1[a]
+             for b, c, v1 in by_out.get(d, ())),
+        )
+        if key is not None:
+            return key
+    return None
+
+
+def _associative_violation(product):
+    key = _associativity_difference(product)
+    if key is None:
+        return None
+    a, b, c, e = key
+    return f"(e_{a} e_{b}) e_{c} and e_{a} (e_{b} e_{c}) differ in the e_{e} component"
 
 
 def _coassociative_violation(cmap):
@@ -307,7 +340,7 @@ def check_frobenius(fa: FrobeniusAlgebra) -> FrobeniusReport:
     flags = {}
     flags["unital"] = record("unital", _unital_violation(n, fa.product, fa.unit))
     flags["counital"] = record("counital", _counital_violation(n, fa.coproduct, fa.counit))
-    flags["associative"] = record("associative", _associative_violation(fa.product, by_in1, by_in2))
+    flags["associative"] = record("associative", _associative_violation(fa.product))
     flags["coassociative"] = record("coassociative", _coassociative_violation(cmap))
     flags["frobenius"] = record("frobenius", _frobenius_violation(fa.product, cmap, by_in1, by_in2))
     r = beta.rank()
@@ -412,13 +445,11 @@ def frobenius_from_form(product: Tensor, unit: Tensor, counit: Tensor) -> Froben
     violation = _unital_violation(n, product, unit)
     if violation is not None:
         raise AxiomError("unital: " + violation)
-    by_in1, by_in2 = _product_joins(product)
-    violation = _associative_violation(product, by_in1, by_in2)
+    violation = _associative_violation(product)
     if violation is not None:
         raise AxiomError("associative: " + violation)
 
-    # the coproduct is derived below; the form is the pairing of the algebra
-    beta = FrobeniusAlgebra(product, unit, Tensor.zeros((n, n, n)), counit).pairing()
+    beta = counit_form(product, counit)
     gamma = beta.inverse()
     if gamma is None:
         raise RankError("form counit(x * y) is degenerate", rank=beta.rank(), dim=n)

@@ -35,8 +35,14 @@ from functools import reduce
 from math import lcm
 from operator import mul
 
+from . import numkit
 from .numkit import Matrix, Rat, ZERO, ONE, rat, Poly, nullspace
-from .frobenius import ConsistencyError
+from .frobenius import (
+    ConsistencyError,
+    _associativity_difference,
+    _unital_violation,
+    counit_form,
+)
 from .character import CharacterForm
 from .cobordism import (
     Gen,
@@ -484,6 +490,12 @@ def build_idempotents(chi: CharacterForm) -> IdempotentSet:
             continue
         partner_lams = [l for (l, m) in pairs if m == mu and l != lam]
         acc = a_mu[mu]
+        if partner_lams:
+            # G′ can have a zero eigenspace inside the block (the traceless
+            # part of a matrix block), where the Lagrange factors alone leave
+            # −λ′/(λ−λ′); the factor G′²/λ² kills it, as t²/r² in _projector
+            g_squared = lc_scale(lc_compose(g_prime, g_prime), ONE / (lam * lam))
+            acc = lc_collapse(lc_compose(acc, g_squared))
         for lp in partner_lams:
             shift = lc_sub(g_prime, lc_scale(lc_identity("I"), lp))
             acc = lc_collapse(lc_compose(acc, lc_scale(shift, ONE / (lam - lp))))
@@ -891,14 +903,17 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
 
 @dataclass
 class QuotientAlgebra:
+    """End(object) modulo negligible morphisms on a Gram-pivot basis, as
+    structure tensors laid out like those of FrobeniusAlgebra."""
+
     object: str
     dim: int
     basis: list             # LinComb entries
     basis_indices: tuple    # positions inside the originating spanning list
     gram: Matrix            # invertible Gram matrix of the basis
-    mult_table: dict        # (i, j) -> tuple of coordinates of basis[i]∘basis[j]
+    product: numkit.Tensor  # [c, a, b]: coefficient of basis[c] in basis[a]∘basis[b]
     trace_vec: tuple        # categorical traces of the basis elements
-    unit_coords: tuple
+    unit: numkit.Tensor     # [a]: coordinates of the identity of object
 
 
 def _pivot_basis(ts, chi):
@@ -924,72 +939,38 @@ def _pivot_basis(ts, chi):
 def quotient_algebra(ts: TermSpace, chi) -> QuotientAlgebra:
     """Finite model of the endomorphism algebra in the quotient category.
 
-    Picks a Gram-pivot basis, expresses every product of basis elements in
-    coordinates by solving against the basis Gram matrix, and verifies that
-    the resulting structure constants are associative and unital; failures
-    raise IncompleteSpanningError since they mean products escaped the span.
+    Picks a Gram-pivot basis b_0 .. b_{n-1} with Gram matrix G.  Coordinates
+    of an endomorphism f are G⁻¹ applied to its pairings with the basis, so
+    the product tensor is G⁻¹ times the n × n² matrix of pair(b_a∘b_b, b_c),
+    and the unit is G⁻¹ times the categorical traces, pair(id, b_c).  The
+    tensors are then checked to be unital and associative by the Frobenius
+    axiom checks; a failure raises IncompleteSpanningError, since it means
+    that products escaped the span.  Associativity names the least failing
+    basis triple.
     """
     chosen, gb = _pivot_basis(ts, chi)
     dim = len(chosen)
     basis = [ts.spanning[i] for i in chosen]
-    if dim == 0:
-        return QuotientAlgebra(ts.object, 0, [], (), gb, {}, (), ())
     ginv = gb.inverse()
     if ginv is None:
         raise ConsistencyError("pivot Gram matrix is singular")
-
-    def coords_of(f):
-        rhs = [pair(f, b, chi) for b in basis]
-        out = []
-        for i in range(dim):
-            s = ZERO
-            for j in range(dim):
-                s += ginv[i, j] * rhs[j]
-            out.append(s)
-        return tuple(out)
-
-    mult = {}
-    for i in range(dim):
-        for j in range(dim):
-            mult[(i, j)] = coords_of(lc_compose(basis[i], basis[j]))
-
-    unit = coords_of(lc_identity(ts.object))
-    for j in range(dim):
-        left = [ZERO] * dim
-        right = [ZERO] * dim
-        for i in range(dim):
-            cij = mult[(i, j)]
-            cji = mult[(j, i)]
-            for l in range(dim):
-                left[l] += unit[i] * cij[l]
-                right[l] += unit[i] * cji[l]
-        expect = [ONE if l == j else ZERO for l in range(dim)]
-        if left != expect or right != expect:
-            raise IncompleteSpanningError(
-                "identity does not act as the unit on the structure constants; grow the spanning set"
-            )
-
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                lhs = [ZERO] * dim
-                rhs2 = [ZERO] * dim
-                for m in range(dim):
-                    cm = mult[(i, j)][m]
-                    if cm:
-                        for l in range(dim):
-                            lhs[l] += cm * mult[(m, k)][l]
-                    dm = mult[(j, k)][m]
-                    if dm:
-                        for l in range(dim):
-                            rhs2[l] += dm * mult[(i, m)][l]
-                if lhs != rhs2:
-                    raise IncompleteSpanningError(
-                        f"associativity fails on basis triple ({i},{j},{k}); grow the spanning set"
-                    )
-
     traces = tuple(categorical_trace(b, chi) for b in basis)
-    return QuotientAlgebra(ts.object, dim, basis, tuple(chosen), gb, mult, traces, unit)
+    composites = [lc_compose(f, g) for f in basis for g in basis]
+    pairings = Matrix(dim, dim * dim, [pair(fg, h, chi) for h in basis for fg in composites])
+    product = numkit.Tensor((dim, dim, dim), (ginv * pairings).entries)
+    unit = numkit.Tensor((dim,), (ginv * Matrix(dim, 1, list(traces))).entries)
+
+    if _unital_violation(dim, product, unit) is not None:
+        raise IncompleteSpanningError(
+            "identity does not act as the unit on the structure constants; grow the spanning set"
+        )
+    key = _associativity_difference(product)
+    if key is not None:
+        a, b, c, _ = key
+        raise IncompleteSpanningError(
+            f"associativity fails on basis triple ({a},{b},{c}); grow the spanning set"
+        )
+    return QuotientAlgebra(ts.object, dim, basis, tuple(chosen), gb, product, traces, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,21 +1012,6 @@ class Witness:
         }
 
 
-def _mult_vec(qa, u, v):
-    out = [ZERO] * qa.dim
-    for i in range(qa.dim):
-        if not u[i]:
-            continue
-        for j in range(qa.dim):
-            if not v[j]:
-                continue
-            c = u[i] * v[j]
-            for l, m in enumerate(qa.mult_table[(i, j)]):
-                if m:
-                    out[l] += c * m
-    return out
-
-
 _POWER_TERM_CAP = 1500
 
 # above this many enumerated classes the exact quotient construction (full
@@ -1068,23 +1034,13 @@ def _quotient_witness(ts, chi):
     with a trace-free radical has no witness at all at this spanning.
     """
     qa = quotient_algebra(ts, chi)
-    if qa.dim == 0:
+    n = qa.dim
+    if n == 0:
         return None
 
-    regtrace = [ZERO] * qa.dim
-    for l in range(qa.dim):
-        for m in range(qa.dim):
-            regtrace[l] += qa.mult_table[(l, m)][m]
-    tform = Matrix.zeros(qa.dim, qa.dim)
-    for i in range(qa.dim):
-        for j in range(qa.dim):
-            s = ZERO
-            for l, c in enumerate(qa.mult_table[(i, j)]):
-                if c:
-                    s += c * regtrace[l]
-            tform[i, j] = s
-
-    radical = nullspace(tform)
+    # regtrace[l] is the trace of left multiplication by basis[l]
+    regtrace = [sum((qa.product[(m, l, m)] for m in range(n)), ZERO) for l in range(n)]
+    radical = nullspace(counit_form(qa.product, numkit.Tensor((n,), regtrace)))
     witness_coords = None
     for v in radical:
         tr = ZERO
@@ -1097,12 +1053,14 @@ def _quotient_witness(ts, chi):
     if witness_coords is None:
         return None
 
-    power = list(witness_coords)
+    pmat = Matrix(n, n * n, qa.product.entries)
+    w = Matrix(n, 1, list(witness_coords))
+    power = w
     degree = 1
-    while any(power):
-        power = _mult_vec(qa, power, witness_coords)
+    while not power.is_zero():
+        power = pmat * power.kron(w)
         degree += 1
-        if degree > qa.dim + 2:
+        if degree > n + 2:
             raise ConsistencyError("radical element is not nilpotent in the quotient")
 
     element = LinComb([])

@@ -21,9 +21,11 @@ from octqft.cobordism import (
     summarize,
 )
 from octqft.kfa import character_of, kfa_sum, make_nonsemisimple_kfa, make_semisimple_kfa
-from octqft.numkit import Matrix
+from octqft.frobenius import frobenius_from_form
+from octqft.numkit import Matrix, Tensor
 from octqft.gram import (
     MOD_P1,
+    IncompleteSpanningError,
     LinComb,
     _SymPivot,
     _certified_keys,
@@ -454,6 +456,16 @@ def test_splitting_two_blocks():
     assert set(report.components) == {(2, 3), (4, 5)}
 
 
+@pytest.mark.parametrize("chi", [
+    character_of(kfa_sum(make_semisimple_kfa(1, 1), make_semisimple_kfa(2, 2))),
+    CharacterForm.make(exp_terms=[(2, 3, 1), (5, 3, 2)]),
+])
+def test_splitting_two_handle_eigenvalues_on_one_window_eigenvalue(chi):
+    # the a_pair projectors select λ with G′, whose zero eigenspace on the
+    # window block must be projected away too
+    assert verify_splitting(chi, 3, 3).passed
+
+
 def test_splitting_single_block_reproduces_character():
     chi = CharacterForm.make(exp_terms=[(1, 2, 1)])
     report = verify_splitting(chi, 3, 3)
@@ -549,7 +561,8 @@ def test_quotient_end_s_dim_two_with_cap_idempotent():
 def test_quotient_zero_character():
     qa = quotient_algebra(spanning_end("S", CHI_ZERO), CHI_ZERO)
     assert qa.dim == 0
-    assert qa.mult_table == {}
+    assert qa.product.shape == (0, 0, 0)
+    assert qa.unit.shape == (0,)
 
 
 def test_quotient_end_i_polynomial_regression():
@@ -562,10 +575,10 @@ def test_quotient_end_i_polynomial_regression():
 
 def test_quotient_unit_coordinates():
     qa = quotient_algebra(spanning_end("S", CHI2), CHI2)
-    unit = qa.unit_coords
+    unit = qa.unit
     for j in range(qa.dim):
         acting = [
-            sum(unit[i] * qa.mult_table[(i, j)][l] for i in range(qa.dim))
+            sum(unit[i] * qa.product[(l, i, j)] for i in range(qa.dim))
             for l in range(qa.dim)
         ]
         expect = [1 if l == j else 0 for l in range(qa.dim)]
@@ -580,6 +593,20 @@ def test_quotient_basis_indices_pinned():
              (poly, "S", (0, 9, 19, 36)), (poly, "I", (0, 10))]
     for chi, obj, expected in cases:
         assert quotient_algebra(spanning_end(obj, chi), chi).basis_indices == expected
+
+
+def _assert_frobenius_under_trace(qa):
+    # the structure layer, fed the quotient's tensors and the categorical
+    # trace as counit, must accept them and give back the Gram matrix
+    fa = frobenius_from_form(qa.product, qa.unit, Tensor((qa.dim,), list(qa.trace_vec)))
+    assert fa.pairing() == qa.gram
+
+
+@pytest.mark.parametrize("obj, chi", [
+    (obj, chi) for chi in (CHI2, CharacterForm.make(alpha_1=1, alpha_X=2, alpha_Y=3))
+    for obj in "SI"])
+def test_curated_quotient_is_frobenius_under_trace(obj, chi):
+    _assert_frobenius_under_trace(quotient_algebra(spanning_end(obj, chi), chi))
 
 
 # ---------------------------------------------------------------------------
@@ -714,3 +741,25 @@ def test_witness_budget_four(obj, gf, degree, trace):
 def test_witness_absent_for_good_character():
     # a good character has a semisimple quotient: no nilpotent carries trace
     assert nilpotent_trace_obstruction("I", CHI2, 4) is None
+
+
+@pytest.mark.parametrize("gf, budget, message", [
+    (_ONE_OVER_1_MINUS_XY, 4, "associativity fails on basis triple (0,0,1); grow the spanning set"),
+    (_ONE_OVER_1_MINUS_XY, 6, "associativity fails on basis triple (0,0,15); grow the spanning set"),
+    (_ONE_OVER_1_MINUS_Y_SQUARED, 2,
+     "identity does not act as the unit on the structure constants; grow the spanning set"),
+])
+def test_quotient_failure_messages_pinned(gf, budget, message):
+    # the enumerated classes of S are not closed under composition here,
+    # and the message names the first check that sees it
+    chi = rational_character(*gf)
+    with pytest.raises(IncompleteSpanningError) as err:
+        quotient_algebra(enumerate_end_terms("S", budget), chi)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("gf, dim", [(_ONE_OVER_1_MINUS_XY, 4), (_ONE_OVER_1_MINUS_Y_SQUARED, 7)])
+def test_enumerated_quotient_is_frobenius_under_trace(gf, dim):
+    qa = quotient_algebra(enumerate_end_terms("I", 6), rational_character(*gf))
+    assert qa.dim == dim
+    _assert_frobenius_under_trace(qa)

@@ -21,6 +21,7 @@ exact count of free boundary circles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .numkit import Matrix, ONE
@@ -406,15 +407,24 @@ def evaluate(t, k: KFA):
 # diagram summaries
 #
 # A summary keeps just the topological data needed to go on gluing an open
-# diagram.  Its boundary positions are numbered domain first, then
-# codomain; the two side endpoints T and B of position p are numbered 2p and
-# 2p + 1.  The summary records the component of each position, the Euler
-# characteristic and window count of each component that reaches the
-# boundary, how the free-boundary arcs pair up the side endpoints of the
-# interval positions, and the (genus, windows) types of the components that
-# are already closed.  Components are numbered by first appearance along the
-# positions, so diagrams that glue alike have equal summaries and a summary
-# is its own hash key.
+# diagram, as a shape and its labels.  Boundary positions are numbered
+# domain first, then codomain; the two side endpoints T and B of position p
+# are numbered 2p and 2p + 1.  The shape (Shape) is the domain and codomain
+# words, the component of each position and how the free-boundary arcs pair
+# up the side endpoints of the interval positions.  The labels are the
+# Euler characteristic and window count of each component that reaches the
+# boundary, and the (genus, windows) types of the components that are
+# already closed.  Components are numbered by first appearance along the
+# positions, so diagrams that glue alike have equal summaries.  Shapes are
+# interned to small ids, and a summary is the triple (shape id, boundary
+# labels, closed types), its own hash key.
+#
+# Which components two summaries glue into, and what the gluing adds to
+# their Euler characteristics and windows, depends on the two shapes alone.
+# The shape table builds that once per pair of shape ids, as a plan;
+# compose_summaries and summary_closure then only sum labels along the
+# plan.  The union-find and the walks along the arcs run while a plan is
+# built; the genus of every component that closes is checked on every call.
 #
 # summarize folds fixed leaf summaries, one per generator plus the bare
 # wires of identities and swaps, under compose_summaries and
@@ -446,13 +456,214 @@ GEN_ARCS = {
 WIRE_EULER = {"I": 1, "S": 0}
 
 
-class DiagramSummary(NamedTuple):
+class Shape(NamedTuple):
     dom: str            # domain word
     cod: str            # codomain word
     comp: tuple         # per boundary position: its component
-    comps: tuple        # per component: (euler, windows)
     match: tuple        # per side endpoint: its arc partner, -1 on circle positions
-    closed: tuple       # sorted (genus, windows) of the closed components
+
+    def ncomps(self):
+        return max(self.comp, default=-1) + 1
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _glue(a: Shape, b: Shape, pairs):
+    """Union-find over the components of a (numbered first) and of b, glued
+    at the (position of a, position of b, letter) pairs.  Returns the parent
+    array and the Euler correction per component: a glued interval wire
+    takes one from the Euler characteristic."""
+    ka = a.ncomps()
+    parent = list(range(ka + b.ncomps()))
+    euler = [0] * len(parent)
+    for p, q, letter in pairs:
+        x = a.comp[p]
+        parent[_find(parent, x)] = _find(parent, ka + b.comp[q])
+        if letter == "I":
+            euler[x] -= 1
+    return parent, euler
+
+
+class _ShapeTable:
+    """Interned shapes and the gluing plans between them, each plan built on
+    first use and kept in the row of its first shape.
+
+    A root (members, euler, windows) is one component of a gluing: members
+    index the boundary labels of the first summary followed by those of the
+    second, and euler and windows are what the gluing adds, minus one Euler
+    characteristic per glued interval wire and one window per cycle of
+    free-boundary arcs.  A closure plan is the tuple of roots of the trace
+    closure of (a then b).  That closure is also the one of (b then a), so
+    a pair of shapes has one closure plan, in the row of the smaller id at
+    the offset of the larger.  Nearly every pair of enumerated classes is
+    closed, so those rows are lists.  A composition plan is (result shape
+    id, the roots on the boundary in the order of the result's components,
+    the roots that close).  Equal plans and roots are stored once."""
+
+    def __init__(self):
+        self.shapes = []        # shape id -> Shape
+        self.ids = {}           # Shape -> shape id
+        self.closure = []       # per shape id i: closure plan with shape i + k at [k]
+        self.compose = []       # per shape id: {partner id: composition plan}
+        self.plans = {}         # every distinct plan and root
+
+    def intern(self, shape: Shape) -> int:
+        sid = self.ids.get(shape)
+        if sid is None:
+            sid = self.ids[shape] = len(self.shapes)
+            self.shapes.append(shape)
+            self.closure.append([])
+            self.compose.append({})
+        return sid
+
+    def closure_plan(self, i: int, j: int):
+        """The closure plan of shapes i <= j."""
+        row, k = self.closure[i], j - i
+        if k >= len(row):
+            row += [None] * (len(self.shapes) - i - len(row))
+        plan = row[k]
+        if plan is None:
+            plan = row[k] = self._keep(self._closure(i, j))
+        return plan
+
+    def compose_plan(self, i: int, j: int):
+        """The composition plan of shape i then shape j."""
+        plan = self.compose[i].get(j)
+        if plan is None:
+            plan = self.compose[i][j] = self._keep(self._composition(i, j))
+        return plan
+
+    def _keep(self, value):
+        return self.plans.setdefault(value, value)
+
+    def _roots(self, parent, euler, windows):
+        """root -> (members, euler, windows) of the glued components"""
+        members = {}
+        for x in range(len(parent)):
+            members.setdefault(_find(parent, x), []).append(x)
+        return {r: self._keep((tuple(xs), sum(euler[x] for x in xs), sum(windows[x] for x in xs)))
+                for r, xs in members.items()}
+
+    def _closure(self, i, j):
+        a, b = self.shapes[i], self.shapes[j]
+        if a.cod != b.dom or b.cod != a.dom:
+            raise ConsistencyError(
+                f"cannot close {a.dom!r} -> {a.cod!r} against {b.dom!r} -> {b.cod!r}")
+        n, m = len(a.dom), len(a.cod)
+        parent, euler = _glue(a, b, [(n + k, k, c) for k, c in enumerate(a.cod)]
+                              + [(k, m + k, c) for k, c in enumerate(a.dom)])
+
+        # an arc of a, the step across into b, an arc of b and the step back
+        # lead from one endpoint of a to the next on the same cycle: a's
+        # endpoint e < 2n meets b's e + 2m, a's e >= 2n meets b's e - 2n
+        windows = [0] * len(parent)
+        dn, dm = 2 * n, 2 * m
+        seen = bytearray(len(a.match))
+        for start, f in enumerate(a.match):
+            if f < 0 or seen[start]:
+                continue
+            windows[a.comp[start >> 1]] += 1
+            e = start
+            while not seen[e]:
+                f = a.match[e]
+                seen[e] = seen[f] = 1
+                g = b.match[f + dm if f < dn else f - dn]
+                e = g + dn if g < dm else g - dm
+        return tuple(self._roots(parent, euler, windows).values())
+
+    def _composition(self, i, j):
+        a, b = self.shapes[i], self.shapes[j]
+        if a.cod != b.dom:
+            raise TermTypeError(
+                f"cannot compose: codomain {a.cod or 'empty'!r} does not match domain {b.dom or 'empty'!r}")
+        na, m = len(a.dom), len(a.cod)
+        # a's codomain position na + k meets b's domain position k
+        parent, euler = _glue(a, b, [(na + k, k, c) for k, c in enumerate(a.cod)])
+        windows = [0] * len(parent)
+
+        # splice the arcs across the interface: a's endpoint off + e meets b's
+        # endpoint e; outer endpoints keep their number in a, b's codomain
+        # endpoints shift by off - 2m
+        off, bm = 2 * na, 2 * m
+        seen = bytearray(bm)        # interface endpoints already on a path
+        match = [-1] * (off + len(b.match) - bm)
+
+        def walk(e, in_a):
+            while True:
+                if in_a:
+                    e = a.match[e] - off
+                    if e < 0:
+                        return e + off
+                else:
+                    e = b.match[e]
+                    if e >= bm:
+                        return e - bm + off
+                seen[e] = 1
+                in_a = not in_a
+                e += off if in_a else 0
+
+        for start in range(off):
+            if a.match[start] >= 0 and match[start] < 0:
+                end = walk(start, True)
+                match[start], match[end] = end, start
+        for start in range(bm, len(b.match)):
+            here = start - bm + off
+            if b.match[start] >= 0 and match[here] < 0:
+                end = walk(start, False)
+                match[here], match[end] = end, here
+
+        # arc cycles trapped at the interface become windows
+        for start in range(bm):
+            if seen[start] or a.match[off + start] < 0:
+                continue
+            windows[a.comp[na + start // 2]] += 1
+            e = start
+            while not seen[e]:
+                f = a.match[off + e] - off
+                seen[e] = seen[f] = 1
+                e = b.match[f]
+
+        ka = a.ncomps()
+        raw = [_find(parent, c) for c in a.comp[:na]] + [_find(parent, ka + c) for c in b.comp[m:]]
+        order = {}
+        comp = tuple([order.setdefault(r, len(order)) for r in raw])
+        roots = self._roots(parent, euler, windows)
+        return (self.intern(Shape(a.dom, b.cod, comp, tuple(match))),
+                tuple([roots[r] for r in order]),
+                tuple([root for r, root in roots.items() if r not in order]))
+
+
+_SHAPES = _ShapeTable()
+
+
+class DiagramSummary(tuple):
+    """(shape id, comps, closed): the interned Shape of a summary and its
+    labels, comps giving (euler, windows) per boundary component and closed
+    the sorted (genus, windows) of the closed components.  Built from the
+    fields of the shape and the labels; the fields of the shape read
+    through the table."""
+
+    __slots__ = ()
+
+    def __new__(cls, dom, cod, comp, comps, match, closed):
+        return tuple.__new__(cls, (_SHAPES.intern(Shape(dom, cod, comp, match)), comps, closed))
+
+    shape = property(itemgetter(0))
+    comps = property(itemgetter(1))
+    closed = property(itemgetter(2))
+    dom = property(lambda s: _SHAPES.shapes[s[0]].dom)
+    cod = property(lambda s: _SHAPES.shapes[s[0]].cod)
+    comp = property(lambda s: _SHAPES.shapes[s[0]].comp)
+    match = property(lambda s: _SHAPES.shapes[s[0]].match)
+
+    def __repr__(self):
+        return (f"DiagramSummary(dom={self.dom!r}, cod={self.cod!r}, comp={self.comp}, "
+                f"comps={self.comps}, match={self.match}, closed={self.closed})")
 
 
 def _summary(dom, cod, raw, data, match, closed):
@@ -530,150 +741,66 @@ def tensor_summaries(a: DiagramSummary, b: DiagramSummary) -> DiagramSummary:
                     a.closed + b.closed)
 
 
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _glue(a, b, pairs):
-    """Union-find over the components of a (numbered first) and of b, glued
-    at the (position of a, position of b, letter) pairs.  Returns the parent
-    array and the Euler characteristic and window count per component; a
-    glued interval wire takes one from the Euler characteristic."""
-    ka = len(a.comps)
-    comps = a.comps + b.comps
-    parent = list(range(len(comps)))
-    euler = [e for e, _ in comps]
-    windows = [w for _, w in comps]
-    for p, q, letter in pairs:
-        x = a.comp[p]
-        parent[_find(parent, x)] = _find(parent, ka + b.comp[q])
-        if letter == "I":
-            euler[x] -= 1
-    return parent, euler, windows
-
-
-def _totals(parent, euler, windows):
-    """root -> (euler, windows) summed over its glued components."""
-    out = {}
-    for x in range(len(parent)):
-        r = _find(parent, x)
-        e, w = out.get(r, (0, 0))
-        out[r] = (e + euler[x], w + windows[x])
+def _root_labels(roots, labels):
+    """(euler, windows) per root: its offsets plus the labels of its
+    members."""
+    out = []
+    for members, e, w in roots:
+        for x in members:
+            ce, cw = labels[x]
+            e += ce
+            w += cw
+        out.append((e, w))
     return out
 
 
-def _finish_component(e, w, closed):
+def _closed_type(e, w):
+    """(genus, windows) of a closed component with Euler characteristic e
+    and w windows."""
     rem = 2 - e - w
     if rem < 0 or rem % 2:
         raise ConsistencyError(
             f"component with Euler characteristic {e} and {w} windows has no valid genus")
-    closed.append((rem // 2, w))
+    return rem // 2, w
 
 
 def compose_summaries(a: DiagramSummary, b: DiagramSummary) -> DiagramSummary:
     """Summary of the composite (a then b)."""
-    if a.cod != b.dom:
-        raise TermTypeError(
-            f"cannot compose: codomain {a.cod or 'empty'!r} does not match domain {b.dom or 'empty'!r}")
-    na, m = len(a.dom), len(a.cod)
-    # a's codomain position na + i meets b's domain position i
-    parent, euler, windows = _glue(a, b, [(na + i, i, c) for i, c in enumerate(a.cod)])
+    shape, boundary, interior = _SHAPES.compose_plan(a.shape, b.shape)
+    labels = a.comps + b.comps
+    closed = a.closed + b.closed
+    if interior:
+        closed += tuple([_closed_type(e, w) for e, w in _root_labels(interior, labels)])
+    return tuple.__new__(DiagramSummary, (shape, tuple(_root_labels(boundary, labels)),
+                                          tuple(sorted(closed))))
 
-    # splice the arcs across the interface: a's endpoint off + e meets b's
-    # endpoint e; outer endpoints keep their number in a, b's codomain
-    # endpoints shift by off - 2m
-    off, bm = 2 * na, 2 * m
-    seen = bytearray(bm)        # interface endpoints already on a path
-    match = [-1] * (off + len(b.match) - bm)
 
-    def walk(e, in_a):
-        while True:
-            if in_a:
-                e = a.match[e] - off
-                if e < 0:
-                    return e + off
-            else:
-                e = b.match[e]
-                if e >= bm:
-                    return e - bm + off
-            seen[e] = 1
-            in_a = not in_a
-            e += off if in_a else 0
-
-    for start in range(off):
-        if a.match[start] >= 0 and match[start] < 0:
-            end = walk(start, True)
-            match[start], match[end] = end, start
-    for start in range(bm, len(b.match)):
-        here = start - bm + off
-        if b.match[start] >= 0 and match[here] < 0:
-            end = walk(start, False)
-            match[here], match[end] = end, here
-
-    # arc cycles trapped at the interface become windows
-    for start in range(bm):
-        if seen[start] or a.match[off + start] < 0:
-            continue
-        windows[a.comp[na + start // 2]] += 1
-        e = start
-        while not seen[e]:
-            f = a.match[off + e] - off
-            seen[e] = seen[f] = 1
-            e = b.match[f]
-
-    ka = len(a.comps)
-    raw = [_find(parent, c) for c in a.comp[:na]] + [_find(parent, ka + c) for c in b.comp[m:]]
-    data = _totals(parent, euler, windows)
-    closed = list(a.closed + b.closed)
-    boundary = set(raw)
-    for r, (e, w) in data.items():
-        if r not in boundary:
-            _finish_component(e, w, closed)
-    return _summary(a.dom, b.cod, raw, data, match, closed)
+def closure_roots(a: DiagramSummary, b: DiagramSummary) -> list:
+    """(genus, windows) of each component that the trace closure of (a then
+    b) glues from the boundary components of a and b.  With a.closed and
+    b.closed they are the components of the closure."""
+    if a.shape > b.shape:       # the closure of (b then a), which is the same
+        a, b = b, a
+    labels = a.comps + b.comps
+    out = []
+    for members, e, w in _SHAPES.closure_plan(a.shape, b.shape):
+        for x in members:
+            ce, cw = labels[x]
+            e += ce
+            w += cw
+        out.append(_closed_type(e, w))
+    return out
 
 
 def summary_closure(a: DiagramSummary, b: DiagramSummary):
-    """(genus, windows) types of the trace closure of (a then b).
-
-    a.cod is glued to b.dom and b.cod to a.dom in one union-find pass over
-    the boundary components of both summaries; every cycle of free-boundary
-    arcs through the glued interfaces is a window.
-    """
-    if a.cod != b.dom or b.cod != a.dom:
-        raise ConsistencyError(
-            f"cannot close {a.dom!r} -> {a.cod!r} against {b.dom!r} -> {b.cod!r}")
-    n, m = len(a.dom), len(a.cod)
-    parent, euler, windows = _glue(a, b, [(n + i, i, c) for i, c in enumerate(a.cod)]
-                                   + [(j, m + j, c) for j, c in enumerate(a.dom)])
-
-    # an arc of a, the step across into b, an arc of b and the step back
-    # lead from one endpoint of a to the next on the same cycle: a's
-    # endpoint e < 2n meets b's e + 2m, a's e >= 2n meets b's e - 2n
-    dn, dm = 2 * n, 2 * m
-    seen = bytearray(len(a.match))
-    for start, f in enumerate(a.match):
-        if f < 0 or seen[start]:
-            continue
-        windows[a.comp[start >> 1]] += 1
-        e = start
-        while not seen[e]:
-            f = a.match[e]
-            seen[e] = seen[f] = 1
-            g = b.match[f + dm if f < dn else f - dn]
-            e = g + dn if g < dm else g - dm
-
-    closed = list(a.closed + b.closed)
-    for e, w in _totals(parent, euler, windows).values():
-        _finish_component(e, w, closed)
-    return tuple(sorted(closed))
+    """Sorted (genus, windows) types of the trace closure of (a then b):
+    a.cod glued to b.dom and b.cod to a.dom."""
+    return tuple(sorted(a.closed + b.closed + tuple(closure_roots(a, b))))
 
 
-# summaries are interned so that closure types can be cached under a pair of
-# small ids; equal summaries mean equal closure behaviour against every
-# partner
+# summaries are interned so that a linear combination, an enumerated class
+# or a pairing names one by a small id; equal summaries mean equal closure
+# behaviour against every partner
 _SUMMARIES = []
 _SUMMARY_IDS = {}
 

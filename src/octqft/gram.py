@@ -13,9 +13,9 @@ functions) live in the character module; the pairing reads one only
 through value(g, w).  Every term is summarized once (cobordism.summarize)
 and interned to a small summary id; a linear combination keeps the ids of
 its terms.  The closure types of a pair of ids come from gluing the two
-summaries into a closed surface in one pass (cobordism.summary_closure).
-They do not depend on the character, so they are cached under the pair of
-ids.
+summaries into a closed surface (cobordism.summary_closure): the labels of
+the two summaries are summed along a closure plan, which depends only on
+their boundary shapes and is built once per pair of shapes.
 
 The curated spanning sets of S and I (spanning_end) skip the diagrams: each
 entry is a handle-window power σ_{g,w} or a cap sandwich, recorded by its
@@ -55,6 +55,7 @@ from .cobordism import (
     parse,
     pretty,
     summarize,
+    closure_roots,
     compose_summaries,
     summary_closure,
     summary_id,
@@ -172,18 +173,11 @@ def lc_collapse(f: LinComb) -> LinComb:
 # ---------------------------------------------------------------------------
 # closure types
 
-_PAIR_TYPES = {}
-
 
 def closure_types(sid_first, sid_then):
     """(genus, windows) multiset of the trace closure of the term summarized
     as sid_first followed by the one summarized as sid_then."""
-    # the trace closure of (a then b) equals that of (b then a)
-    key = (sid_first, sid_then) if sid_first <= sid_then else (sid_then, sid_first)
-    out = _PAIR_TYPES.get(key)
-    if out is None:
-        out = _PAIR_TYPES[key] = summary_closure(_SUMMARIES[key[0]], _SUMMARIES[key[1]])
-    return out
+    return summary_closure(_SUMMARIES[sid_first], _SUMMARIES[sid_then])
 
 
 # ---------------------------------------------------------------------------
@@ -825,18 +819,25 @@ _ENUM_CACHE = {}
 _PROBE_MOD_MEMO = {}
 
 
-def _probe_val(h1, h2):
-    """Probe-character pairing of two enumeration handles (gens, text,
-    sid), mod MOD_P1."""
-    v = 1
-    for key in summary_closure(_SUMMARIES[h1[2]], _SUMMARIES[h2[2]]):
+def _probe_product(types, v=1) -> int:
+    """v times the probe character over (genus, windows) types, mod
+    MOD_P1."""
+    for key in types:
+        if not v:
+            break
         c = _PROBE_MOD_MEMO.get(key)
         if c is None:
             c = _PROBE_MOD_MEMO[key] = _mod_of(PROBE_CHARACTER.value(*key), MOD_P1)
         v = v * c % MOD_P1
-        if not v:
-            break
     return v
+
+
+def _probe_val(h1, h2):
+    """Probe-character pairing of two enumeration handles (gens, text, sid,
+    probe value of the closed components of the class), mod MOD_P1: the
+    two closed values times the components their trace closure glues."""
+    return _probe_product(closure_roots(_SUMMARIES[h1[2]], _SUMMARIES[h2[2]]),
+                          h1[3] * h2[3] % MOD_P1)
 
 
 def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
@@ -847,12 +848,12 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
     terms breed new candidates by composition within the budget.
 
     Candidates are deduplicated by topological summary before any rank
-    test and handed, as handles (generators, text, summary id), to the
-    symmetric pivot engine over Z/MOD_P1 under the probe character, which
-    fixes the acceptance order (_SymPivot.select).  A zero mod p can only
-    drop a candidate, and the probe-rank stopping rule makes the result a
-    lower-bound spanning set: complete whenever the probe sees the full
-    endomorphism space.
+    test and handed, as handles (generators, text, summary id, probe value
+    of the closed components), to the symmetric pivot engine over Z/MOD_P1
+    under the probe character, which fixes the acceptance order
+    (_SymPivot.select).  A zero mod p can only drop a candidate, and the
+    probe-rank stopping rule makes the result a lower-bound spanning set:
+    complete whenever the probe sees the full endomorphism space.
     """
     if not obj or any(c not in "IS" for c in obj):
         raise ValueError(f"object word must be nonempty over I/S, got {obj!r}")
@@ -869,11 +870,11 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
         # the first term found in a class stands for it
         if sid not in terms:
             terms[sid] = term
-            out.append((gens, pretty(term), sid))
+            out.append((gens, pretty(term), sid, _probe_product(_SUMMARIES[sid].closed)))
 
     def breed(h):
         # a composite's summary is glued from its two interned factors
-        gens, _, sid = h
+        gens, _, sid, _ = h
         accepted.append((gens, sid))
         term, s = terms[sid], _SUMMARIES[sid]
         out = []
@@ -892,7 +893,7 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
             offer(atoms, a, gens, summary_id(a))
     piv = _SymPivot(_probe_val, MOD_P1)
     piv.select(atoms, breed)
-    ts = TermSpace(obj, [LinComb.interned(terms[sid], sid) for _, _, sid in piv.keys])
+    ts = TermSpace(obj, [LinComb.interned(terms[sid], sid) for _, _, sid, _ in piv.keys])
     _ENUM_CACHE[key] = ts
     return ts
 
@@ -1093,8 +1094,8 @@ def _scan_witness(ts, chi):
     the family, all powers capped at _SCAN_POWER_CAP.  The check is
     term-level and needs no closed multiplication on the family, so it
     stays sound when the family is not multiplicatively closed.  Pairings
-    glue the summaries of the powers and classes directly and skip the
-    global caches on purpose.
+    glue the summaries of the powers and classes directly, along the
+    closure plans of their shapes, without interning the powers.
 
     Among the candidates the scan keeps the strongest certificate:
     maximal absolute trace first (the sharpest violation of vanishing

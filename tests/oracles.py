@@ -7,6 +7,11 @@
 - network_summary: the topological summary of an open term read off its
   wire graph, in the form of a canonical key; the oracle for
   cobordism.summarize, which folds leaf summaries instead.
+- closure_by_gluing, compose_by_gluing: the trace closure and the
+  composite of two diagram summaries by a fresh union-find and arc walk on
+  every call, from all six fields; the oracles for cobordism's
+  summary_closure and compose_summaries, which sum labels along a plan
+  built once per pair of shapes.
 - classify_closed_connected: the type of a closed connected term from its
   values under two reference structures whose invariants are 3^w and
   2^(2-2g).
@@ -33,7 +38,8 @@ from octqft.cobordism import (
     Id,
     Tensor,
     TermTypeError,
-    _finish_component,
+    DiagramSummary,
+    _closed_type,
     _fold,
     evaluate,
     typecheck,
@@ -382,7 +388,7 @@ def network_summary(term):
         if c in bcomps:
             comps[c] = (e, w)
         else:
-            _finish_component(e, w, closed)
+            closed.append(_closed_type(e, w))
     for letter in net.loops:
         closed.append((1, 0) if letter == "S" else (0, 2))
 
@@ -402,6 +408,127 @@ def summary_key(s):
     mk = tuple((positions[e // 2], "TB"[e % 2], positions[f // 2], "TB"[f % 2])
                for e, f in enumerate(s.match) if f >= 0)
     return (s.dom, s.cod, s.comp, s.comps, mk, s.closed)
+
+
+# ---------------------------------------------------------------------------
+# summaries glued call by call
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _glue(a, b, pairs):
+    """Union-find over the components of summaries a (numbered first) and
+    b, glued at the (position of a, position of b, letter) pairs, with the
+    Euler characteristic and window count per component; a glued interval
+    wire takes one from the Euler characteristic."""
+    ka = len(a.comps)
+    comps = a.comps + b.comps
+    parent = list(range(len(comps)))
+    euler = [e for e, _ in comps]
+    windows = [w for _, w in comps]
+    for p, q, letter in pairs:
+        x = a.comp[p]
+        parent[_find(parent, x)] = _find(parent, ka + b.comp[q])
+        if letter == "I":
+            euler[x] -= 1
+    return parent, euler, windows
+
+
+def _totals(parent, euler, windows):
+    """root -> (euler, windows) summed over its glued components."""
+    out = {}
+    for x in range(len(parent)):
+        r = _find(parent, x)
+        e, w = out.get(r, (0, 0))
+        out[r] = (e + euler[x], w + windows[x])
+    return out
+
+
+def compose_by_gluing(a, b):
+    """Summary of the composite (a then b)."""
+    if a.cod != b.dom:
+        raise TermTypeError(f"cannot compose {a.cod!r} with {b.dom!r}")
+    na, m = len(a.dom), len(a.cod)
+    parent, euler, windows = _glue(a, b, [(na + i, i, c) for i, c in enumerate(a.cod)])
+    off, bm = 2 * na, 2 * m
+    seen = bytearray(bm)
+    match = [-1] * (off + len(b.match) - bm)
+
+    def walk(e, in_a):
+        while True:
+            if in_a:
+                e = a.match[e] - off
+                if e < 0:
+                    return e + off
+            else:
+                e = b.match[e]
+                if e >= bm:
+                    return e - bm + off
+            seen[e] = 1
+            in_a = not in_a
+            e += off if in_a else 0
+
+    for start in range(off):
+        if a.match[start] >= 0 and match[start] < 0:
+            end = walk(start, True)
+            match[start], match[end] = end, start
+    for start in range(bm, len(b.match)):
+        here = start - bm + off
+        if b.match[start] >= 0 and match[here] < 0:
+            end = walk(start, False)
+            match[here], match[end] = end, here
+    for start in range(bm):
+        if seen[start] or a.match[off + start] < 0:
+            continue
+        windows[a.comp[na + start // 2]] += 1
+        e = start
+        while not seen[e]:
+            f = a.match[off + e] - off
+            seen[e] = seen[f] = 1
+            e = b.match[f]
+
+    ka = len(a.comps)
+    raw = [_find(parent, c) for c in a.comp[:na]] + [_find(parent, ka + c) for c in b.comp[m:]]
+    data = _totals(parent, euler, windows)
+    closed = list(a.closed + b.closed)
+    for r, (e, w) in data.items():
+        if r not in raw:
+            closed.append(_closed_type(e, w))
+    order = {}
+    comp = tuple([order.setdefault(r, len(order)) for r in raw])
+    return DiagramSummary(a.dom, b.cod, comp, tuple(data[r] for r in order),
+                          tuple(match), tuple(sorted(closed)))
+
+
+def closure_by_gluing(a, b):
+    """Sorted (genus, windows) types of the trace closure of (a then b)."""
+    if a.cod != b.dom or b.cod != a.dom:
+        raise ConsistencyError(
+            f"cannot close {a.dom!r} -> {a.cod!r} against {b.dom!r} -> {b.cod!r}")
+    n, m = len(a.dom), len(a.cod)
+    parent, euler, windows = _glue(a, b, [(n + i, i, c) for i, c in enumerate(a.cod)]
+                                   + [(j, m + j, c) for j, c in enumerate(a.dom)])
+    dn, dm = 2 * n, 2 * m
+    seen = bytearray(len(a.match))
+    for start, f in enumerate(a.match):
+        if f < 0 or seen[start]:
+            continue
+        windows[a.comp[start >> 1]] += 1
+        e = start
+        while not seen[e]:
+            f = a.match[e]
+            seen[e] = seen[f] = 1
+            g = b.match[f + dm if f < dn else f - dn]
+            e = g + dn if g < dm else g - dm
+    closed = list(a.closed + b.closed)
+    for e, w in _totals(parent, euler, windows).values():
+        closed.append(_closed_type(e, w))
+    return tuple(sorted(closed))
 
 
 # ---------------------------------------------------------------------------

@@ -440,6 +440,25 @@ def test_summarize_4000_generators():
     assert summary_closure(s, summarize(Id("S"))) == ((2001, 0),)
 
 
+def test_labels_with_no_genus_raise_on_every_call():
+    # the plans depend on the shapes alone, so the genus of each closing
+    # component is checked on every call, also once the plan is built
+    cylinder = summarize(Id("S"))
+    cup = summarize(Gen("uS"))
+    for euler, windows in [(5, 0), (1, 0), (0, 3)]:
+        # a closed component has Euler characteristic 2 - 2g - w: (5, 0)
+        # and (0, 3) overshoot 2, and (1, 0) leaves an odd 2 - 2g
+        tube = DiagramSummary("S", "S", (0, 0), ((euler, windows),), (-1,) * 4, ())
+        cap = DiagramSummary("S", "", (0,), ((euler - 1, windows),), (-1, -1), ())
+        for _ in range(2):
+            with pytest.raises(ConsistencyError, match="no valid genus"):
+                summary_closure(tube, cylinder)
+            with pytest.raises(ConsistencyError, match="no valid genus"):
+                compose_summaries(cup, cap)
+    assert summary_closure(cylinder, cylinder) == ((1, 0),)
+    assert compose_summaries(cup, summarize(Gen("eS"))).closed == ((0, 0),)
+
+
 def test_summary_closure_of_identity_words():
     def closure(text, word):
         return summary_closure(summarize(parse(text)), summarize(Id(word)))

@@ -19,6 +19,7 @@ from octqft.cobordism import (
     parse,
     pretty,
     summarize,
+    summary_closure,
 )
 from octqft.kfa import character_of, kfa_sum, make_nonsemisimple_kfa, make_semisimple_kfa
 from octqft.frobenius import frobenius_from_form
@@ -54,7 +55,14 @@ from octqft.gram import (
     spanning_end,
     verify_splitting,
 )
-from oracles import _analyze, network, network_summary, reference_select
+from oracles import (
+    _analyze,
+    closure_by_gluing,
+    compose_by_gluing,
+    network,
+    network_summary,
+    reference_select,
+)
 
 CHI2 = CharacterForm.make(exp_terms=[(1, 3, 2)])          # f = 2/((1-X)(1-3Y))
 CHI_ZERO = CharacterForm.make()
@@ -523,6 +531,43 @@ def test_enumeration_candidates_compose_summaries(obj, budget):
                 keys.append(network_summary(Compose(ta, tb)))
     assert len(glued) >= len(terms)
     assert len(set(glued)) == len(set(keys)) == len(set(zip(glued, keys)))
+
+
+# (object, budget) -> number of classes and of distinct boundary shapes
+# among their summaries; closure plans are built per pair of shapes
+_SHAPE_COUNTS = {
+    ("II", 6): (224, 62),
+    ("S", 6): (21, 2),
+    ("I", 6): (16, 3),
+    ("SI", 4): (28, 6),
+}
+
+
+@pytest.mark.parametrize("obj, budget", sorted(_SHAPE_COUNTS))
+def test_enumerated_classes_share_few_shapes(obj, budget):
+    summaries = [summarize(e.terms[0][1]) for e in enumerate_end_terms(obj, budget).spanning]
+    assert (len(summaries), len({s.shape for s in summaries})) == _SHAPE_COUNTS[obj, budget]
+
+
+@pytest.mark.parametrize("space", ["II@6", "S", "I"])
+def test_planned_gluing_matches_gluing_call_by_call(space):
+    # closure and composition sum labels along a plan built once per pair
+    # of shapes; the oracle glues the two summaries afresh on every call.
+    # Every ordered pair is closed, and every pair within the budget is
+    # composed (all pairs of the curated sets, which have no budget)
+    if space == "II@6":
+        terms = [e.terms[0][1] for e in enumerate_end_terms("II", 6).spanning]
+        gens = [_gen_count(t) for t in terms]
+        budget = 6
+    else:
+        terms = [e.terms[0][1] for e in spanning_end(space, CHI2).spanning]
+        gens, budget = [0] * len(terms), 0      # no budget: every pair
+    summaries = [summarize(t) for t in terms]
+    for ga, sa in zip(gens, summaries):
+        for gb, sb in zip(gens, summaries):
+            assert summary_closure(sa, sb) == closure_by_gluing(sa, sb)
+            if ga + gb <= budget:
+                assert compose_summaries(sa, sb) == compose_by_gluing(sa, sb)
 
 
 def test_enumerate_monotone_in_budget():

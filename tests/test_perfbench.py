@@ -17,16 +17,23 @@ def test_tracer_wraps_and_restores_layer_functions(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import child
 
-    originals = (gram.pair, gram.summary_id, gram.closure_types, cobordism.summary_closure)
+    def layer_functions():
+        return (gram.pair, gram.summary_id, gram.closure_types, cobordism.summary_closure,
+                cobordism.compose_summaries, gram.compose_summaries)
+
+    originals = layer_functions()
     tracer, _ = child.install_tracer()
     try:
         assert gram.pair is not originals[0]
         assert cobordism.summary_id is not originals[1]
+        # the compose_summaries counters read the wrapper under both names
+        assert cobordism.compose_summaries is not originals[4]
+        assert gram.compose_summaries is cobordism.compose_summaries
     finally:
         tracer.uninstall()
-    assert (gram.pair, gram.summary_id, gram.closure_types,
-            cobordism.summary_closure) == originals
+    assert layer_functions() == originals
     assert cobordism.summary_id is gram.summary_id
+    assert cobordism.compose_summaries is gram.compose_summaries
 
 
 @pytest.mark.parametrize("obj", ["S", "I"])

@@ -81,16 +81,22 @@ def _read_source(spec: str) -> str:
         return fh.read()
 
 
-def _load_json(spec: str):
-    return json.loads(_read_source(spec))
+def _read(reader, spec: str, what: str):
+    """reader applied to the JSON at spec.  Valid JSON of the wrong shape,
+    which a reader indexes or calls wrongly, is an input error."""
+    obj = json.loads(_read_source(spec))
+    try:
+        return reader(obj)
+    except (TypeError, AttributeError, IndexError) as e:
+        raise ValueError(f"{what} JSON has the wrong shape: {e}") from e
 
 
 def _load_kfa(spec: str) -> KFA:
-    return KFA.from_json(_load_json(spec))
+    return _read(KFA.from_json, spec, "structure")
 
 
 def _load_char_form(spec: str) -> CharacterForm:
-    return CharacterForm.from_json(_load_json(spec))
+    return _read(CharacterForm.from_json, spec, "character")
 
 
 def _load_character(spec: str):
@@ -143,7 +149,7 @@ def _cmd_classify(args):
         num, den = parse_rational_expr(args.rational)
         result = classify_rational(num, den)
     else:
-        table = SequenceTable.from_json(_load_json(args.table))
+        table = _read(SequenceTable.from_json, args.table, "value table")
         bound = args.rank_bound
         if bound is None:
             bound = min((table.g_max - 4) // 2, (table.w_max - 4) // 2)

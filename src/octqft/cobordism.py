@@ -421,10 +421,10 @@ def evaluate(t, k: KFA):
 #
 # Which components two summaries glue into, and what the gluing adds to
 # their Euler characteristics and windows, depends on the two shapes alone.
-# The shape table builds that once per pair of shape ids, as a plan;
-# compose_summaries and summary_closure then only sum labels along the
-# plan.  The union-find and the walks along the arcs run while a plan is
-# built; the genus of every component that closes is checked on every call.
+# The shape table builds that once per pair of shape ids, as a plan; the
+# gluing functions then only sum labels along it, in one loop (_sum_labels).
+# The union-find and the walks along the arcs run while a plan is built;
+# the genus of every component that closes is checked on every call.
 #
 # summarize folds fixed leaf summaries, one per generator plus the bare
 # wires of identities and swaps, under compose_summaries and
@@ -741,19 +741,6 @@ def tensor_summaries(a: DiagramSummary, b: DiagramSummary) -> DiagramSummary:
                     a.closed + b.closed)
 
 
-def _root_labels(roots, labels):
-    """(euler, windows) per root: its offsets plus the labels of its
-    members."""
-    out = []
-    for members, e, w in roots:
-        for x in members:
-            ce, cw = labels[x]
-            e += ce
-            w += cw
-        out.append((e, w))
-    return out
-
-
 def _closed_type(e, w):
     """(genus, windows) of a closed component with Euler characteristic e
     and w windows."""
@@ -764,15 +751,27 @@ def _closed_type(e, w):
     return rem // 2, w
 
 
+def _sum_labels(roots, labels, out: list, closed: bool) -> list:
+    """Append to out, per root of a plan, its offsets plus the labels of its
+    members: (euler, windows), or the (genus, windows) type when the root
+    closes.  The one loop that sums labels along a plan."""
+    for members, e, w in roots:
+        for x in members:
+            ce, cw = labels[x]
+            e += ce
+            w += cw
+        out.append(_closed_type(e, w) if closed else (e, w))
+    return out
+
+
 def compose_summaries(a: DiagramSummary, b: DiagramSummary) -> DiagramSummary:
     """Summary of the composite (a then b)."""
     shape, boundary, interior = _SHAPES.compose_plan(a.shape, b.shape)
     labels = a.comps + b.comps
-    closed = a.closed + b.closed
-    if interior:
-        closed += tuple([_closed_type(e, w) for e, w in _root_labels(interior, labels)])
-    return tuple.__new__(DiagramSummary, (shape, tuple(_root_labels(boundary, labels)),
-                                          tuple(sorted(closed))))
+    closed = _sum_labels(interior, labels, list(a.closed + b.closed), True)
+    closed.sort()
+    return tuple.__new__(DiagramSummary, (shape, tuple(_sum_labels(boundary, labels, [], False)),
+                                          tuple(closed)))
 
 
 def closure_roots(a: DiagramSummary, b: DiagramSummary) -> list:
@@ -781,21 +780,43 @@ def closure_roots(a: DiagramSummary, b: DiagramSummary) -> list:
     b.closed they are the components of the closure."""
     if a.shape > b.shape:       # the closure of (b then a), which is the same
         a, b = b, a
-    labels = a.comps + b.comps
-    out = []
-    for members, e, w in _SHAPES.closure_plan(a.shape, b.shape):
-        for x in members:
-            ce, cw = labels[x]
-            e += ce
-            w += cw
-        out.append(_closed_type(e, w))
-    return out
+    return _sum_labels(_SHAPES.closure_plan(a.shape, b.shape), a.comps + b.comps, [], True)
 
 
 def summary_closure(a: DiagramSummary, b: DiagramSummary):
     """Sorted (genus, windows) types of the trace closure of (a then b):
     a.cod glued to b.dom and b.cod to a.dom."""
     return tuple(sorted(a.closed + b.closed + tuple(closure_roots(a, b))))
+
+
+def closure_row(a: DiagramSummary, summaries) -> list:
+    """summary_closure(a, b) for each b of summaries.  The closure plan is
+    read once per shape of b, with the labels of a summed into it
+    (_row_plan), so that each b adds only its own labels."""
+    plans = {}              # shape of b -> its row plan
+    out = []
+    shape, comps, closed = a
+    for b_shape, b_comps, b_closed in summaries:
+        plan = plans.get(b_shape)
+        if plan is None:
+            plan = plans[b_shape] = _row_plan(shape, comps, b_shape)
+        types = _sum_labels(plan, b_comps, [*closed, *b_closed], True)
+        types.sort()
+        out.append(tuple(types))
+    return out
+
+
+def _row_plan(shape, comps, b_shape) -> list:
+    """The closure plan of shapes shape and b_shape with the labels comps of
+    the first summed in: per root, the members that index the labels of the
+    second, and its offsets plus the labels of the first."""
+    first = shape <= b_shape
+    kb = _SHAPES.shapes[b_shape].ncomps()
+    zeros = ((0, 0),) * kb
+    labels, lo = (comps + zeros, len(comps)) if first else (zeros + comps, 0)
+    plan = _SHAPES.closure_plan(*sorted((shape, b_shape)))
+    return [(tuple([x - lo for x in members if lo <= x < lo + kb]), e, w)
+            for (members, _, _), (e, w) in zip(plan, _sum_labels(plan, labels, [], False))]
 
 
 # summaries are interned so that a linear combination, an enumerated class

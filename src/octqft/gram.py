@@ -17,14 +17,12 @@ summaries into a closed surface (cobordism.summary_closure): the labels of
 the two summaries are summed along a closure plan, which depends only on
 their boundary shapes and is built once per pair of shapes.
 
-The curated spanning sets of S and I (spanning_end) skip the diagrams: each
-entry is a handle-window power σ_{g,w} or a cap sandwich, recorded by its
-exponents, and the closure types of two entries are sums of exponents
-(_curated_types).  Their Gram matrix is read off a table of χ values, one
-per closure-types tuple; the diagram pairing stays the only path for
-enumerated spaces and the oracle the formulas are tested against.  Ranks
-and quotient bases are picked by symmetric pivoting mod a prime and
-certified exactly over Z (_certified_keys).
+Every entry of a term space is one term with its interned summary id; the
+curated entries of S and I (spanning_end) get theirs composed from the
+summaries of their blocks.  A Gram matrix is filled a row at a time from
+cobordism.closure_row, with one χ product per distinct closure-types
+tuple; ranks and quotient bases are picked by symmetric pivoting mod a
+prime and certified exactly over Z (_certified_keys).
 """
 from __future__ import annotations
 
@@ -56,6 +54,7 @@ from .cobordism import (
     pretty,
     summarize,
     closure_roots,
+    closure_row,
     compose_summaries,
     summary_closure,
     summary_id,
@@ -224,94 +223,65 @@ def categorical_trace(f, chi) -> Rat:
 @dataclass
 class TermSpace:
     object: str
-    spanning: list          # LinComb entries, all endomorphisms of object
+    spanning: list          # LinComb.interned entries: one endomorphism term of object each
     g_bound: int = None
     w_bound: int = None
-    # per entry of a curated space: ("id",), ("sig", g, w) or
-    # ("cap", x, y, z, t), the exponents of its constructor; None otherwise
-    exponents: list = None
 
 
 def spanning_end(obj: str, chi: CharacterForm) -> TermSpace:
     """The curated spanning set of the endomorphism space of S or I.
 
-    Exponents are truncated at the number of distinct handle (resp. window)
-    eigenvalues plus two, which is sound because the handle and hole
-    endomorphisms satisfy the minimal polynomials t^2 Π(t - root).  The set
-    of I misses the powers of the hole, so a rank computed on it is only a
-    lower bound for the dimension of End(I).
+    Handle and window powers are truncated at the number of distinct
+    handle (resp. window) eigenvalues plus two, which is sound because the
+    handle and hole endomorphisms satisfy the minimal polynomials
+    t^2 Π(t - root).  The set of I misses the powers of the hole, so a rank
+    computed on it is only a lower bound for the dimension of End(I).
+
+    The summary of each entry is composed from those of its blocks: σ_{g,w}
+    from σ_{g,w−1} and a window (σ_{g,0} from σ_{g−1,0} and a handle), a
+    cap sandwich as σ ; cap ; σ, and the ι sandwiches of I as zs ; · ; z.
     """
     if not isinstance(chi, CharacterForm):
         raise TypeError("curated spanning sets need a character in closed form")
+    if obj not in ("S", "I"):
+        raise ValueError(f"curated spanning sets exist for 'S' and 'I', not {obj!r}")
     gb = len({t[0] for t in chi.exp_terms}) + 2
     wb = len({t[1] for t in chi.exp_terms}) + 2
+
+    def chain(*summaries):
+        return reduce(compose_summaries, summaries)
+
+    handle, window, cap = (summarize(_chain(names))
+                           for names in (["dS", "mS"], ["z", "zs"], ["eS", "uS"]))
+    grid = [(g, w) for g in range(gb + 1) for w in range(wb + 1)]
+    sig = {(0, 0): summarize(Id("S"))}
+    for g, w in grid[1:]:
+        sig[g, w] = chain(sig[g, w - 1], window) if w else chain(sig[g - 1, 0], handle)
+    caps = [((x, y, z, t), chain(sig[z, t], cap, sig[x, y])) for x, y in grid for z, t in grid]
     if obj == "S":
-        exponents = []
-        sig, cap = sigma_endo, cap_sandwich_endo
-    elif obj == "I":
-        exponents = [("id",)]
-        sig, cap = iota_sigma_endo, iota_cap_sandwich_endo
+        entries = ([(sigma_endo(*e), s) for e, s in sig.items()]
+                   + [(cap_sandwich_endo(*e), s) for e, s in caps])
     else:
-        raise ValueError(f"curated spanning sets exist for 'S' and 'I', not {obj!r}")
-    exponents += [("sig", g, w) for g in range(gb + 1) for w in range(wb + 1)]
-    exponents += [("cap", x, y, z, t)
-                  for x in range(gb + 1) for y in range(wb + 1)
-                  for z in range(gb + 1) for t in range(wb + 1)]
-    constructors = {"id": lambda: Id("I"), "sig": sig, "cap": cap}
-    spanning = [lc(constructors[e[0]](*e[1:])) for e in exponents]
-    return TermSpace(obj, spanning, gb, wb, exponents)
-
-
-def _curated_types(obj, a, b):
-    """Closure types of the pairing of two curated entries of S or I, given
-    by their exponent tuples a and b: the multiset closure_types returns for
-    their summaries, as sums of exponents.  In End(I) the zipper sandwiches
-    add two windows to the one component of a σ·σ or σ·cap pairing and one
-    to each of the two components of a cap·cap pairing."""
-    if a[0] > b[0]:             # kinds in the order "cap" < "id" < "sig"
-        a, b = b, a
-    s = 1 if obj == "I" else 0
-    kinds = (a[0], b[0])
-    if kinds == ("sig", "sig"):
-        return ((a[1] + b[1] + 1, a[2] + b[2] + 2 * s),)
-    if kinds == ("id", "id"):
-        return ((0, 2),)
-    if kinds == ("id", "sig"):
-        return ((b[1] + 1, b[2] + 1),)
-    x, y, z, t = a[1:]
-    if kinds == ("cap", "sig"):
-        return ((x + z + b[1], y + t + b[2] + 2 * s),)
-    if kinds == ("cap", "id"):
-        return ((x + z, y + t + 1),)
-    p, q, r, u = b[1:]
-    return tuple(sorted(((x + r, y + u + s), (z + p, t + q + s))))
+        cozipper, zipper = summarize(Gen("zs")), summarize(Gen("z"))
+        entries = ([(Id("I"), summarize(Id("I")))]
+                   + [(iota_sigma_endo(*e), chain(cozipper, s, zipper)) for e, s in sig.items()]
+                   + [(iota_cap_sandwich_endo(*e), chain(cozipper, s, zipper)) for e, s in caps])
+    return TermSpace(obj, [LinComb.interned(t, intern_summary(s)) for t, s in entries], gb, wb)
 
 
 def _gram_rows(ts: TermSpace, chi):
-    """The full symmetric Gram matrix of ts under chi, as a list of rows.
-
-    A curated space reads each entry off the closure types of its exponent
-    tuples, with one χ product per distinct closure-types tuple; any other
-    space pairs its entries as diagrams."""
-    n = len(ts.spanning)
-    ex = ts.exponents
-    if ex is None:
-        def entry(i, j):
-            return pair(ts.spanning[i], ts.spanning[j], chi)
-    else:
-        values = {}
-
-        def entry(i, j):
-            types = _curated_types(ts.object, ex[i], ex[j])
+    """The full symmetric Gram matrix of ts under chi, as a list of rows,
+    with one χ product per distinct closure-types tuple."""
+    summaries = [_SUMMARIES[e.summary_ids()[0][1]] for e in ts.spanning]
+    n = len(summaries)
+    values = {}
+    rows = [[None] * n for _ in range(n)]
+    for i, (s, row) in enumerate(zip(summaries, rows)):
+        for j, types in enumerate(closure_row(s, summaries[i:]), i):
             v = values.get(types)
             if v is None:
                 v = values[types] = _types_value(chi, types)
-            return v
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        row = rows[i]
-        for j in range(i, n):
-            row[j] = rows[j][i] = entry(i, j)
+            row[j] = rows[j][i] = v
     return rows
 
 
@@ -542,6 +512,8 @@ def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingRep
     (λ, μ) component of σ_{g,w} evaluates to α_{λ,μ} λ^g μ^w, and the
     residual 1 − Σ e_λ affords exactly the polynomial part.  The report
     carries the idempotents it verified."""
+    if g_max < 0 or w_max < 0:
+        raise ValueError("bounds must be >= 0")
     idem = build_idempotents(chi)
     coeff = {(l, m): c for l, m, c in chi.exp_terms}
     components = {}

@@ -15,6 +15,10 @@
 - classify_closed_connected: the type of a closed connected term from its
   values under two reference structures whose invariants are 3^w and
   2^(2-2g).
+- curated_exponents, _curated_types: the entries of the curated spanning
+  sets of S and I as exponent tuples, and the closure types of a pair of
+  them as sums of exponents; the oracle for the curated Gram, which
+  gram._gram_rows closes along the plans of the entries' summaries.
 - reference_select: the symmetric pivot's acceptance order as a plain
   list loop, without the heap and breeding of gram._SymPivot.select.
 - classify_rational_full: classification of a rational generating function
@@ -591,6 +595,45 @@ def chi_value(t: CobTerm, chi: CharacterForm):
     for g, w in surface_types(t):
         total *= eval_character(chi, g, w)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the curated spanning sets as exponent tuples
+
+
+def curated_exponents(obj, gb, wb):
+    """Per entry of gram.spanning_end(obj, ·) with bounds gb and wb, in its
+    order: ("id",), ("sig", g, w) or ("cap", x, y, z, t), the exponents of
+    its constructor."""
+    grid = [(g, w) for g in range(gb + 1) for w in range(wb + 1)]
+    head = [("id",)] if obj == "I" else []
+    return (head + [("sig", g, w) for g, w in grid]
+            + [("cap", x, y, z, t) for x, y in grid for z, t in grid])
+
+
+def _curated_types(obj, a, b):
+    """Closure types of the pairing of two curated entries of S or I, given
+    by their exponent tuples a and b: the multiset closure_types returns for
+    their summaries, as sums of exponents.  In End(I) the zipper sandwiches
+    add two windows to the one component of a σ·σ or σ·cap pairing and one
+    to each of the two components of a cap·cap pairing."""
+    if a[0] > b[0]:             # kinds in the order "cap" < "id" < "sig"
+        a, b = b, a
+    s = 1 if obj == "I" else 0
+    kinds = (a[0], b[0])
+    if kinds == ("sig", "sig"):
+        return ((a[1] + b[1] + 1, a[2] + b[2] + 2 * s),)
+    if kinds == ("id", "id"):
+        return ((0, 2),)
+    if kinds == ("id", "sig"):
+        return ((b[1] + 1, b[2] + 1),)
+    x, y, z, t = a[1:]
+    if kinds == ("cap", "sig"):
+        return ((x + z + b[1], y + t + b[2] + 2 * s),)
+    if kinds == ("cap", "id"):
+        return ((x + z, y + t + 1),)
+    p, q, r, u = b[1:]
+    return tuple(sorted(((x + r, y + u + s), (z + p, t + q + s))))
 
 
 # ---------------------------------------------------------------------------

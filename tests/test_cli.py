@@ -245,6 +245,37 @@ def test_malformed_rational_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--table", '{"values":[]}'],
+    ["classify", "--table", '{"values":5}'],
+    ["classify", "--table", "[]"],
+    ["invariants", "--kfa", "[]"],
+    ["check-kfa", "--kfa", '{"open":1,"closed":2,"zipper":3,"cozipper":4}'],
+    ["gram", "--object", "S", "--char", '{"poly":[1]}'],
+    ["gram", "--object", "S", "--char", "[]"],
+], ids=["table-empty", "table-number", "table-list", "invariants-list", "kfa-numbers",
+        "char-poly-list", "char-list"])
+def test_json_of_the_wrong_shape_exits_two(capsys, argv):
+    # valid JSON that the reader cannot use is an input error, not a
+    # failed verification and not a traceback
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("octqft: ")
+
+
+@pytest.mark.parametrize("bound", ["--gmax", "--wmax"])
+def test_idempotents_rejects_negative_bounds(capsys, bound):
+    # a negative bound checks no cell, so it must not report a pass
+    code = main(["idempotents", "--char", "{}", bound, "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "octqft: bounds must be >= 0\n"
+
+
 def test_reused_parser_leaks_no_state(capsys, kfa_path, tmp_path):
     # the parser is built once per process; each command run after others
     # must behave as when it runs alone in a fresh process

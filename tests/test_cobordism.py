@@ -9,6 +9,9 @@ from octqft.kfa import (
     make_nonsemisimple_kfa,
     make_closed_only,
     kfa_sum,
+    kfa_product,
+    scale_kfa,
+    check_kfa,
     invariant_table,
     KFA,
 )
@@ -264,6 +267,9 @@ def test_relations_hold_on_valid_structures():
         make_nonsemisimple_kfa(1, 1, 1, 0, 0),
         make_nonsemisimple_kfa(2, 1, 2, Fraction(1, 2), 1),
         kfa_sum(make_semisimple_kfa(2, 1), make_nonsemisimple_kfa(1, 1, 1, 0, 0)),
+        kfa_product(make_semisimple_kfa(2, 1), make_nonsemisimple_kfa(1, 1, 1, 2, 5)),
+        scale_kfa(make_nonsemisimple_kfa(1, 2, 1, 2, 3), Fraction(1, 2)),
+        scale_kfa(make_semisimple_kfa(2, 1), -1),
         make_closed_only(make_A(2, 1, 0)),
     ]
     for k in zoo:
@@ -272,13 +278,22 @@ def test_relations_hold_on_valid_structures():
         assert not bad, f"violated: {bad}"
 
 
+def _failed_relations(k):
+    return {name for name, ok in check_relations(k).items() if not ok}
+
+
 def test_relations_detect_broken_zipper():
     k = make_semisimple_kfa(2, 1)
     broken = KFA(k.open, k.closed, k.zipper.scale(rat(2)), k.cozipper)
-    rel = check_relations(broken)
-    assert rel["zipper_unit"] is False
-    assert rel["closed_assoc"] is True
-    assert rel["open_frobenius"] is True
+    assert _failed_relations(broken) == {"zipper_unit", "zipper_multiplicative", "duality", "cardy"}
+    assert check_kfa(broken).first_violation.startswith("zipper_unital")
+
+
+def test_relations_detect_scaled_cozipper():
+    k = make_semisimple_kfa(2, 1)
+    broken = KFA(k.open, k.closed, k.zipper, k.cozipper.scale(rat(3)))
+    assert _failed_relations(broken) == {"duality", "cardy"}
+    assert check_kfa(broken).first_violation.startswith("duality")
 
 
 def test_evaluate_is_monoidal():

@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from octqft.character import CharacterForm, TableCharacter, eval_character, rational_character
 from octqft.cobordism import (
+    _SUMMARIES,
     Compose,
     Id,
     TermTypeError,
+    closure_row,
     compose_summaries,
     evaluate,
     parse,
@@ -57,8 +59,10 @@ from octqft.gram import (
 )
 from oracles import (
     _analyze,
+    _curated_types,
     closure_by_gluing,
     compose_by_gluing,
+    curated_exponents,
     network,
     network_summary,
     reference_select,
@@ -306,16 +310,33 @@ def _memo(chi):
 @pytest.mark.parametrize("chi", [CHI2, CHI_POLY3, CHI_POLY_FRACTIONS],
                          ids=["chi2", "poly3", "poly_fractions"])
 def test_curated_gram_matches_diagram_pairing(obj, chi):
-    # the exponent formulas against the diagram pairing, entry for entry,
-    # and the certified rank against elimination over Q
+    # the Gram, closed along the plans of the entries' summaries, against
+    # the exponent formulas of the oracle, entry for entry, and the
+    # certified rank against elimination over Q
     ts = spanning_end(obj, chi)
     m, r = gram_rank(ts, chi)
-    spanning = ts.spanning
+    exponents = curated_exponents(obj, ts.g_bound, ts.w_bound)
+    assert len(exponents) == len(ts.spanning)
     memo = _memo(chi)
-    for i, f in enumerate(spanning):
-        for j in range(i, len(spanning)):
-            assert m[i, j] == m[j, i] == pair(f, spanning[j], memo)
+    for i, a in enumerate(exponents):
+        for j in range(i, len(exponents)):
+            expected = Fraction(1)
+            for g, w in _curated_types(obj, a, exponents[j]):
+                expected *= memo.value(g, w)
+            assert m[i, j] == m[j, i] == expected
     assert r == m.rank()
+
+
+@pytest.mark.parametrize("obj", ["S", "I"])
+@pytest.mark.parametrize("chi", [CHI2, CHI_POLY3, CHI_TWO_GEOMETRIC],
+                         ids=["chi2", "poly3", "two_terms"])
+def test_curated_summaries_compose_from_blocks(obj, chi):
+    # spanning_end composes the summary of each entry from the summaries of
+    # its blocks; folding the entry's term must give the same summary
+    for e in spanning_end(obj, chi).spanning:
+        [(_, term)] = e.terms
+        [(_, sid)] = e.summary_ids()
+        assert _SUMMARIES[sid] == summarize(term)
 
 
 @pytest.mark.parametrize("obj, chi, rank", [
@@ -553,8 +574,9 @@ def test_enumerated_classes_share_few_shapes(obj, budget):
 def test_planned_gluing_matches_gluing_call_by_call(space):
     # closure and composition sum labels along a plan built once per pair
     # of shapes; the oracle glues the two summaries afresh on every call.
-    # Every ordered pair is closed, and every pair within the budget is
-    # composed (all pairs of the curated sets, which have no budget)
+    # Every ordered pair is closed, one at a time and a row at a time as the
+    # Gram fill does, and every pair within the budget is composed (all
+    # pairs of the curated sets, which have no budget)
     if space == "II@6":
         terms = [e.terms[0][1] for e in enumerate_end_terms("II", 6).spanning]
         gens = [_gen_count(t) for t in terms]
@@ -564,8 +586,8 @@ def test_planned_gluing_matches_gluing_call_by_call(space):
         gens, budget = [0] * len(terms), 0      # no budget: every pair
     summaries = [summarize(t) for t in terms]
     for ga, sa in zip(gens, summaries):
-        for gb, sb in zip(gens, summaries):
-            assert summary_closure(sa, sb) == closure_by_gluing(sa, sb)
+        for gb, sb, types in zip(gens, summaries, closure_row(sa, summaries)):
+            assert summary_closure(sa, sb) == types == closure_by_gluing(sa, sb)
             if ga + gb <= budget:
                 assert compose_summaries(sa, sb) == compose_by_gluing(sa, sb)
 

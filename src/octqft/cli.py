@@ -83,10 +83,13 @@ def _read_source(spec: str) -> str:
 
 def _read(reader, spec: str, what: str):
     """reader applied to the JSON at spec.  Valid JSON of the wrong shape,
-    which a reader indexes or calls wrongly, is an input error."""
+    which a reader indexes or calls wrongly or which lacks a key the reader
+    needs, is an input error."""
     obj = json.loads(_read_source(spec))
     try:
         return reader(obj)
+    except KeyError as e:
+        raise ValueError(f"{what} JSON has the wrong shape: missing key {e}") from e
     except (TypeError, AttributeError, IndexError) as e:
         raise ValueError(f"{what} JSON has the wrong shape: {e}") from e
 

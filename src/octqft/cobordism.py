@@ -79,14 +79,21 @@ CobTerm = object  # Gen | Id | Swap | Compose | Tensor
 
 @dataclass
 class LinComb:
-    """Formal rational combination of terms with one common type."""
+    """Formal rational combination of terms with one common type.
+
+    sids holds the interned summary id of each term.  Terms given without
+    them are summarized here, once; gram's lc_* operations pass their
+    operands' ids through.  The signature is read off the summaries' shapes,
+    and an ill-typed term raises TermTypeError from summarize."""
 
     terms: list
+    sids: list = field(default=None, repr=False, compare=False)
     _signature: tuple = field(default=None, init=False, repr=False, compare=False)
-    _sids: list = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sigs = {typecheck(t) for _, t in self.terms}
+        if self.sids is None:
+            self.sids = [summary_id(t) for _, t in self.terms]
+        sigs = {_SHAPES.shapes[_SUMMARIES[sid].shape][:2] for sid in self.sids}  # (dom, cod)
         if len(sigs) > 1:
             raise TermTypeError(f"mixed types in linear combination: {sorted(sigs)}")
         if sigs:
@@ -95,19 +102,9 @@ class LinComb:
     def signature(self):
         return self._signature
 
-    @classmethod
-    def interned(cls, term, sid):
-        """The combination 1·term, for a term whose interned summary id is
-        already known."""
-        e = cls([(ONE, term)])
-        e._sids = [(ONE, sid)]
-        return e
-
     def summary_ids(self):
-        """(coefficient, interned summary id) per term, computed on first use."""
-        if self._sids is None:
-            self._sids = [(c, summary_id(t)) for c, t in self.terms]
-        return self._sids
+        """(coefficient, interned summary id) per term."""
+        return [(c, sid) for (c, _), sid in zip(self.terms, self.sids)]
 
 
 GEN_SIGNATURES = {
@@ -789,12 +786,12 @@ def summary_closure(a: DiagramSummary, b: DiagramSummary):
     return tuple(sorted(a.closed + b.closed + tuple(closure_roots(a, b))))
 
 
-def closure_row(a: DiagramSummary, summaries) -> list:
-    """summary_closure(a, b) for each b of summaries.  The closure plan is
-    read once per shape of b, with the labels of a summed into it
-    (_row_plan), so that each b adds only its own labels."""
+def closure_row(a: DiagramSummary, summaries):
+    """Yield summary_closure(a, b) for each b of summaries, one at a time, so
+    that a caller may stop early.  The closure plan is read once per shape
+    of b, with the labels of a summed into it (_row_plan), so that each b
+    adds only its own labels."""
     plans = {}              # shape of b -> its row plan
-    out = []
     shape, comps, closed = a
     for b_shape, b_comps, b_closed in summaries:
         plan = plans.get(b_shape)
@@ -802,8 +799,7 @@ def closure_row(a: DiagramSummary, summaries) -> list:
             plan = plans[b_shape] = _row_plan(shape, comps, b_shape)
         types = _sum_labels(plan, b_comps, [*closed, *b_closed], True)
         types.sort()
-        out.append(tuple(types))
-    return out
+        yield tuple(types)
 
 
 def _row_plan(shape, comps, b_shape) -> list:

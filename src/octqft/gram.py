@@ -10,26 +10,24 @@ onto its inputs, split the resulting closed diagram into connected
 components, and multiply the character values of their (genus, windows)
 types.  Characters (closed forms, value tables, rational generating
 functions) live in the character module; the pairing reads one only
-through value(g, w).  Every term is summarized once (cobordism.summarize)
-and interned to a small summary id; a linear combination keeps the ids of
-its terms.  The closure types of a pair of ids come from gluing the two
-summaries into a closed surface (cobordism.summary_closure): the labels of
-the two summaries are summed along a closure plan, which depends only on
-their boundary shapes and is built once per pair of shapes.
-
-Every entry of a term space is one term with its interned summary id; the
-curated entries of S and I (spanning_end) get theirs composed from the
-summaries of their blocks.  A Gram matrix is filled a row at a time from
-cobordism.closure_row, with one χ product per distinct closure-types
-tuple; ranks and quotient bases are picked by symmetric pivoting mod a
-prime and certified exactly over Z (_certified_keys).
+through value(g, w).  A linear combination carries the interned summary
+id of each term from the moment it is built (cobordism.LinComb), and the
+lc_* operations pass the ids through, gluing a composite's from its
+factors'.  Every pairing is a row of _pairing_row: the terms of one side,
+each run through one cobordism.closure_row over the summaries of the
+other side, with one χ product per distinct closure-types tuple.  The
+Gram matrix, pair, is_negligible, the quotient algebra, the splitting
+check and the witness scan all read such rows.  Ranks and quotient bases
+are picked by symmetric pivoting mod a prime and certified exactly over
+Z (_certified_keys).
 """
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import lcm
 from operator import mul
 
@@ -56,11 +54,11 @@ from .cobordism import (
     closure_roots,
     closure_row,
     compose_summaries,
-    summary_closure,
     summary_id,
     intern_summary,
     _SUMMARIES,
     _fold,
+    _leaf_summary,
 )
 
 
@@ -69,15 +67,19 @@ class IncompleteSpanningError(RuntimeError):
     enumeration budget behind it) is too small."""
 
 
-def _types_value(chi, types) -> Rat:
-    """Product of the values of chi over (genus, windows) types: the value
-    of a closed diagram with one component of each type."""
-    v = ONE
-    for g, w in types:
-        v *= chi.value(g, w)
-        if not v:
-            break
-    return v
+def _chi_products(chi):
+    """The function from closure types to the product of the values of chi
+    over them, the value of a closed diagram with one component of each
+    (genus, windows) type; it multiplies each product out once."""
+    @cache
+    def value(types):
+        v = ONE
+        for g, w in types:
+            v *= chi.value(g, w)
+            if not v:
+                break
+        return v
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +130,25 @@ def lc_identity(obj: str) -> LinComb:
     return LinComb([(ONE, Id(obj))])
 
 
-def lc_add(f: LinComb, g: LinComb) -> LinComb:
+def _merged(keyed) -> LinComb:
+    """The combination of (key, coefficient, term, summary id) entries, the
+    coefficients of equal keys summed and zero sums dropped."""
     acc = {}
-    for c, t in list(f.terms) + list(g.terms):
-        acc[t] = acc.get(t, ZERO) + c
-    return LinComb([(c, t) for t, c in acc.items() if c])
+    for key, c, t, sid in keyed:
+        acc[key] = (acc[key][0] + c, *acc[key][1:]) if key in acc else (c, t, sid)
+    kept = [e for e in acc.values() if e[0]]
+    return LinComb([(c, t) for c, t, _ in kept], [sid for _, _, sid in kept])
+
+
+def lc_add(f: LinComb, g: LinComb) -> LinComb:
+    return _merged((t, c, t, sid) for h in (f, g) for (c, t), sid in zip(h.terms, h.sids))
 
 
 def lc_scale(f: LinComb, c) -> LinComb:
     c = rat(c)
     if not c:
         return LinComb([])
-    return LinComb([(c * cf, t) for cf, t in f.terms])
+    return LinComb([(c * cf, t) for cf, t in f.terms], f.sids)
 
 
 def lc_sub(f: LinComb, g: LinComb) -> LinComb:
@@ -147,73 +156,86 @@ def lc_sub(f: LinComb, g: LinComb) -> LinComb:
 
 
 def lc_compose(f: LinComb, g: LinComb) -> LinComb:
-    """f ∘ g: apply g first."""
-    return LinComb([(cf * cg, Compose(tg, tf)) for cf, tf in f.terms for cg, tg in g.terms])
+    """f ∘ g: apply g first.  The summary of each composite term is glued
+    from those of its factors."""
+    return LinComb([(cf * cg, Compose(tg, tf)) for cf, tf in f.terms for cg, tg in g.terms],
+                   [intern_summary(compose_summaries(_SUMMARIES[sg], _SUMMARIES[sf]))
+                    for sf in f.sids for sg in g.sids])
 
 
 def _as_lincomb(f):
-    if isinstance(f, LinComb):
-        return f
-    return LinComb([(ONE, f)])
+    return f if isinstance(f, LinComb) else lc(f)
 
 
 def lc_collapse(f: LinComb) -> LinComb:
     """Merge terms with equal diagram summaries: they pair identically
     against every partner, so collapsing them changes no pairing."""
-    groups = {}
-    for (c, t), (_, sid) in zip(f.terms, f.summary_ids()):
-        if sid in groups:
-            groups[sid][0] += c
-        else:
-            groups[sid] = [c, t]
-    return LinComb([(c, t) for c, t in groups.values() if c])
-
-
-# ---------------------------------------------------------------------------
-# closure types
-
-
-def closure_types(sid_first, sid_then):
-    """(genus, windows) multiset of the trace closure of the term summarized
-    as sid_first followed by the one summarized as sid_then."""
-    return summary_closure(_SUMMARIES[sid_first], _SUMMARIES[sid_then])
+    return _merged((sid, c, t, sid) for (c, t), sid in zip(f.terms, f.sids))
 
 
 # ---------------------------------------------------------------------------
 # the pairing
 
 
+def closure_types(sid_first, sid_then):
+    """(genus, windows) multiset of the trace closure of the term summarized
+    as sid_first followed by the one summarized as sid_then."""
+    return next(closure_row(_SUMMARIES[sid_first], (_SUMMARIES[sid_then],)))
+
+
+def _pairing_row(terms, partners, value):
+    """Per partner summary b, lazily so that a caller may stop early: the
+    sum of c·χ(closure of (s then b)) over the (coefficient, summary) terms
+    (c, s), with χ products read from value (_chi_products).  Each term
+    runs one closure_row over the partners."""
+    if not terms:
+        return repeat(ZERO, len(partners))
+    rows = [map(value, closure_row(s, partners)) for _, s in terms]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return rows[0]
+    coeffs = [c for c, _ in terms]
+    return (sum(map(mul, coeffs, col), ZERO) for col in zip(*rows))
+
+
+def _terms(f: LinComb):
+    """The (coefficient, summary) terms of f."""
+    return [(c, _SUMMARIES[sid]) for c, sid in f.summary_ids()]
+
+
+def _summaries(entries):
+    """The summaries of one-term combinations, such as term-space entries."""
+    return [_SUMMARIES[e.sids[0]] for e in entries]
+
+
+def _check_endomorphisms(sf, sg):
+    if sf[0] != sf[1] or sg[0] != sg[1]:
+        raise TermTypeError(f"pairing needs endomorphisms, got {sf} and {sg}")
+    if sf != sg:
+        raise TermTypeError(f"pairing across different objects: {sf[0]!r} vs {sg[0]!r}")
+
+
 def pair(f, g, chi) -> Rat:
     """Character value of the trace closure of f ∘ g, extended bilinearly.
 
     f and g must be endomorphisms (or linear combinations of endomorphism
-    terms) of one common object word.
+    terms) of one common object word.  The closure of (a then b) is that of
+    (b then a), so the side with fewer terms runs the rows.
     """
     f = _as_lincomb(f)
     g = _as_lincomb(g)
     if not f.terms or not g.terms:
         return ZERO
-    sf = f.signature()
-    sg = g.signature()
-    if sf[0] != sf[1] or sg[0] != sg[1]:
-        raise TermTypeError(f"pairing needs endomorphisms, got {sf} and {sg}")
-    if sf != sg:
-        raise TermTypeError(f"pairing across different objects: {sf[0]!r} vs {sg[0]!r}")
-    total = ZERO
-    g_ids = g.summary_ids()
-    for cf, sid_f in f.summary_ids():
-        for cg, sid_g in g_ids:
-            total += cf * cg * _types_value(chi, closure_types(sid_g, sid_f))
-    return total
+    _check_endomorphisms(f.signature(), g.signature())
+    if len(f.terms) > len(g.terms):
+        f, g = g, f
+    row = _pairing_row(_terms(f), [s for _, s in _terms(g)], _chi_products(chi))
+    return sum(map(mul, (c for c, _ in g.terms), row), ZERO)
 
 
 def categorical_trace(f, chi) -> Rat:
     """Character value of the trace closure of f itself."""
     f = _as_lincomb(f)
-    if not f.terms:
-        return ZERO
-    obj = f.signature()[0]
-    return pair(f, lc_identity(obj), chi)
+    return pair(f, lc_identity(f.signature()[0]), chi) if f.terms else ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +245,7 @@ def categorical_trace(f, chi) -> Rat:
 @dataclass
 class TermSpace:
     object: str
-    spanning: list          # LinComb.interned entries: one endomorphism term of object each
+    spanning: list          # LinCombs of one endomorphism term each, with its summary id
     g_bound: int = None
     w_bound: int = None
 
@@ -266,21 +288,18 @@ def spanning_end(obj: str, chi: CharacterForm) -> TermSpace:
         entries = ([(Id("I"), summarize(Id("I")))]
                    + [(iota_sigma_endo(*e), chain(cozipper, s, zipper)) for e, s in sig.items()]
                    + [(iota_cap_sandwich_endo(*e), chain(cozipper, s, zipper)) for e, s in caps])
-    return TermSpace(obj, [LinComb.interned(t, intern_summary(s)) for t, s in entries], gb, wb)
+    return TermSpace(obj, [LinComb([(ONE, t)], [intern_summary(s)]) for t, s in entries], gb, wb)
 
 
 def _gram_rows(ts: TermSpace, chi):
     """The full symmetric Gram matrix of ts under chi, as a list of rows,
     with one χ product per distinct closure-types tuple."""
-    summaries = [_SUMMARIES[e.summary_ids()[0][1]] for e in ts.spanning]
+    summaries = _summaries(ts.spanning)
     n = len(summaries)
-    values = {}
+    value = _chi_products(chi)
     rows = [[None] * n for _ in range(n)]
     for i, (s, row) in enumerate(zip(summaries, rows)):
-        for j, types in enumerate(closure_row(s, summaries[i:]), i):
-            v = values.get(types)
-            if v is None:
-                v = values[types] = _types_value(chi, types)
+        for j, v in enumerate(_pairing_row([(ONE, s)], summaries[i:], value), i):
             row[j] = rows[j][i] = v
     return rows
 
@@ -298,12 +317,13 @@ def gram_rank(ts: TermSpace, chi):
 
 def is_negligible(f, ts: TermSpace, chi) -> bool:
     """True when f pairs to zero with every element of the spanning set;
-    with a complete spanning set this is exact radical membership."""
+    with a complete spanning set this is exact radical membership.  The
+    pairings are one _pairing_row of f's terms against the spanning set,
+    read until the first nonzero value."""
     f = lc_collapse(_as_lincomb(f))
-    for s in ts.spanning:
-        if pair(f, s, chi):
-            return False
-    return True
+    if f.terms:
+        _check_endomorphisms(f.signature(), (ts.object, ts.object))
+    return not any(_pairing_row(_terms(f), _summaries(ts.spanning), _chi_products(chi)))
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +522,6 @@ class SplittingReport:
         return self.residual_ok and all(self.components.values())
 
 
-def _closed_value(endo: LinComb, g: int, w: int, chi) -> Rat:
-    """χ(ε_S ∘ endo ∘ σ_{g,w} ∘ u_S) for an S-endomorphism LinComb."""
-    return pair(endo, lc(cap_sandwich_endo(g, w, 0, 0)), chi)
-
-
 def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingReport:
     """Check that each idempotent block affords its one-term character: the
     (λ, μ) component of σ_{g,w} evaluates to α_{λ,μ} λ^g μ^w, and the
@@ -515,24 +530,21 @@ def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingRep
     if g_max < 0 or w_max < 0:
         raise ValueError("bounds must be >= 0")
     idem = build_idempotents(chi)
+    cells = [(g, w) for g in range(g_max + 1) for w in range(w_max + 1)]
+    caps = _summaries([lc(cap_sandwich_endo(g, w, 0, 0)) for g, w in cells])
+    value = _chi_products(chi)
+
+    def closed_values(endo):
+        # χ(ε_S ∘ endo ∘ σ_{g,w} ∘ u_S) per cell: one row of endo against the caps
+        return list(_pairing_row(_terms(endo), caps, value))
+
     coeff = {(l, m): c for l, m, c in chi.exp_terms}
     components = {}
     for (lam, mu), e in idem.e_pair.items():
-        ok = True
-        for g in range(g_max + 1):
-            for w in range(w_max + 1):
-                expected = coeff[(lam, mu)] * lam ** g * (mu ** w if w else ONE)
-                if _closed_value(e, g, w, chi) != expected:
-                    ok = False
-        components[(lam, mu)] = ok
-    residual = lc_identity("S")
-    for e in idem.e_lambda.values():
-        residual = lc_sub(residual, e)
-    residual_ok = True
-    for g in range(g_max + 1):
-        for w in range(w_max + 1):
-            if _closed_value(residual, g, w, chi) != chi.poly_value(g, w):
-                residual_ok = False
+        expected = [coeff[lam, mu] * lam ** g * (mu ** w if w else ONE) for g, w in cells]
+        components[(lam, mu)] = closed_values(e) == expected
+    residual = reduce(lc_sub, idem.e_lambda.values(), lc_identity("S"))
+    residual_ok = closed_values(residual) == [chi.poly_value(g, w) for g, w in cells]
     return SplittingReport(g_max, w_max, components, residual_ok, idem)
 
 
@@ -865,7 +877,7 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
             offer(atoms, a, gens, summary_id(a))
     piv = _SymPivot(_probe_val, MOD_P1)
     piv.select(atoms, breed)
-    ts = TermSpace(obj, [LinComb.interned(terms[sid], sid) for _, _, sid, _ in piv.keys])
+    ts = TermSpace(obj, [LinComb([(ONE, terms[sid])], [sid]) for _, _, sid, _ in piv.keys])
     _ENUM_CACHE[key] = ts
     return ts
 
@@ -916,6 +928,8 @@ def quotient_algebra(ts: TermSpace, chi) -> QuotientAlgebra:
     of an endomorphism f are G⁻¹ applied to its pairings with the basis, so
     the product tensor is G⁻¹ times the n × n² matrix of pair(b_a∘b_b, b_c),
     and the unit is G⁻¹ times the categorical traces, pair(id, b_c).  The
+    traces are one _pairing_row of the identity against the basis, and the
+    pairings one row per composite, glued from the summaries of b_b and b_a.  The
     tensors are then checked to be unital and associative by the Frobenius
     axiom checks; a failure raises IncompleteSpanningError, since it means
     that products escaped the span.  Associativity names the least failing
@@ -927,9 +941,12 @@ def quotient_algebra(ts: TermSpace, chi) -> QuotientAlgebra:
     ginv = gb.inverse()
     if ginv is None:
         raise ConsistencyError("pivot Gram matrix is singular")
-    traces = tuple(categorical_trace(b, chi) for b in basis)
-    composites = [lc_compose(f, g) for f in basis for g in basis]
-    pairings = Matrix(dim, dim * dim, [pair(fg, h, chi) for h in basis for fg in composites])
+    summaries = _summaries(basis)
+    value = _chi_products(chi)
+    traces = tuple(_pairing_row([(ONE, _leaf_summary(Id(ts.object)))], summaries, value))
+    columns = [list(_pairing_row([(ONE, compose_summaries(sb, sa))], summaries, value))
+               for sa in summaries for sb in summaries]
+    pairings = Matrix(dim, dim * dim, [v for row in zip(*columns) for v in row])
     product = numkit.Tensor((dim, dim, dim), (ginv * pairings).entries)
     unit = numkit.Tensor((dim,), (ginv * Matrix(dim, 1, list(traces))).entries)
 
@@ -1036,10 +1053,8 @@ def _quotient_witness(ts, chi):
         if degree > n + 2:
             raise ConsistencyError("radical element is not nilpotent in the quotient")
 
-    element = LinComb([])
-    for i, c in enumerate(witness_coords):
-        if c:
-            element = lc_add(element, lc_scale(qa.basis[i], c))
+    element = _merged((i, c, b.terms[0][1], b.sids[0])
+                      for i, (c, b) in enumerate(zip(witness_coords, qa.basis)))
 
     nnz = len(element.terms)
     if nnz ** degree <= _POWER_TERM_CAP:
@@ -1065,9 +1080,10 @@ def _scan_witness(ts, chi):
     categorical trace wins when some power of it is again fully perp to
     the family, all powers capped at _SCAN_POWER_CAP.  The check is
     term-level and needs no closed multiplication on the family, so it
-    stays sound when the family is not multiplicatively closed.  Pairings
-    glue the summaries of the powers and classes directly, along the
-    closure plans of their shapes, without interning the powers.
+    stays sound when the family is not multiplicatively closed.  The
+    pairings of a power are _pairing_row rows of its summary, glued from the
+    class's, against the classes and against the identity; the powers are
+    not interned.
 
     Among the candidates the scan keeps the strongest certificate:
     maximal absolute trace first (the sharpest violation of vanishing
@@ -1076,53 +1092,38 @@ def _scan_witness(ts, chi):
     is deterministic for a fixed enumeration.
     """
     terms = [e.terms[0][1] for e in ts.spanning]
-    summaries = [_SUMMARIES[e.summary_ids()[0][1]] for e in ts.spanning]
-    id_summary = summarize(Id(ts.object))
+    summaries = _summaries(ts.spanning)
+    identity = [_leaf_summary(Id(ts.object))]
+    value = _chi_products(chi)
 
-    def pair_value(sa, sb):
-        return _types_value(chi, summary_closure(sa, sb))
+    def row(s, partners):
+        return _pairing_row([(ONE, s)], partners, value)
 
     best = None
     best_key = None
     for idx, s in enumerate(summaries):
-        tr1 = pair_value(s, id_summary)
+        tr1 = next(row(s, identity))
         if not tr1:
             continue
         powers = [s]
         for _ in range(_SCAN_POWER_CAP - 1):
             powers.append(compose_summaries(powers[-1], s))
-        perp_memo = {}
+        @cache
+        def is_perp(j, powers=powers):
+            return not any(row(powers[j - 1], summaries))
 
-        def is_perp(j, powers=powers, perp_memo=perp_memo):
-            if j not in perp_memo:
-                perp_memo[j] = all(not pair_value(powers[j - 1], sb)
-                                   for sb in summaries)
-            return perp_memo[j]
-
-        first_perp = None
-        for j in range(2, _SCAN_POWER_CAP + 1):
-            if is_perp(j):
-                first_perp = j
-                break
+        first_perp = next((j for j in range(2, _SCAN_POWER_CAP + 1) if is_perp(j)), None)
         if first_perp is None:
             continue
         for j in range(1, first_perp):
             # powers below first_perp are known not perp: the base pairs
             # with the identity class and the search above found a nonzero
             # pairing for the rest
-            tr = tr1 if j == 1 else pair_value(powers[j - 1], id_summary)
+            tr = tr1 if j == 1 else next(row(powers[j - 1], identity))
             if not tr:
                 continue
-            degree = None
-            for m in range(2, _SCAN_POWER_CAP + 1):
-                jm = j * m
-                if jm < first_perp:
-                    continue
-                if jm > _SCAN_POWER_CAP:
-                    break
-                if is_perp(jm):
-                    degree = m
-                    break
+            degree = next((m for m in range(2, _SCAN_POWER_CAP // j + 1)
+                           if j * m >= first_perp and is_perp(j * m)), None)
             if degree is None:
                 continue
             key = (-abs(tr), -degree, _gen_count(terms[idx]), idx, j)
@@ -1133,9 +1134,7 @@ def _scan_witness(ts, chi):
         return None
     idx, power, degree, trace = best
     coords = tuple(ONE if i == idx else ZERO for i in range(len(terms)))
-    element = terms[idx]
-    for _ in range(power - 1):
-        element = Compose(element, terms[idx])
+    element = reduce(Compose, [terms[idx]] * power)
     return Witness(ts.object, coords, lc(element), degree, trace, "terms", power)
 
 

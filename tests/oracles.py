@@ -19,6 +19,10 @@
   sets of S and I as exponent tuples, and the closure types of a pair of
   them as sums of exponents; the oracle for the curated Gram, which
   gram._gram_rows closes along the plans of the entries' summaries.
+- pair_by_pairs: the pairing of two linear combinations as a double loop
+  over their terms, one summary_closure per pair of terms summarized from
+  their trees; the oracle for gram.pair, is_negligible and the quotient
+  algebra, which read rows of gram._pairing_row.
 - reference_select: the symmetric pivot's acceptance order as a plain
   list loop, without the heap and breeding of gram._SymPivot.select.
 - classify_rational_full: classification of a rational generating function
@@ -46,6 +50,8 @@ from octqft.cobordism import (
     _closed_type,
     _fold,
     evaluate,
+    summarize,
+    summary_closure,
     typecheck,
 )
 from octqft.frobenius import ConsistencyError
@@ -634,6 +640,24 @@ def _curated_types(obj, a, b):
         return ((x + z, y + t + 1),)
     p, q, r, u = b[1:]
     return tuple(sorted(((x + r, y + u + s), (z + p, t + q + s))))
+
+
+# ---------------------------------------------------------------------------
+# the pairing
+
+
+def pair_by_pairs(f, g, chi):
+    """Character value of the trace closure of f ∘ g, extended bilinearly:
+    for every term of f and every term of g, the product of chi over the
+    closure types of their two summaries."""
+    total = 0
+    for cf, tf in f.terms:
+        for cg, tg in g.terms:
+            value = ONE
+            for genus, windows in summary_closure(summarize(tg), summarize(tf)):
+                value *= chi.value(genus, windows)
+            total += cf * cg * value
+    return total
 
 
 # ---------------------------------------------------------------------------

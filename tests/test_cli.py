@@ -266,6 +266,23 @@ def test_json_of_the_wrong_shape_exits_two(capsys, argv):
     assert line.startswith("octqft: ")
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["eval", "--term", "uS ; eS", "--kfa", "{}"],
+     "octqft: structure JSON has the wrong shape: missing key 'open'"),
+    (["gram", "--object", "S", "--char", '{"exp":[{"lambda":"2"}]}'],
+     "octqft: character JSON has the wrong shape: missing key 'mu'"),
+    (["classify", "--table", '{"vals":[]}'],
+     "octqft: value table JSON has the wrong shape: missing key 'values'"),
+], ids=["kfa", "char", "table"])
+def test_json_missing_key_names_its_input(capsys, argv, line):
+    # a bare KeyError message would print only the key, not which input lacks it
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
 @pytest.mark.parametrize("bound", ["--gmax", "--wmax"])
 def test_idempotents_rejects_negative_bounds(capsys, bound):
     # a negative bound checks no cell, so it must not report a pass

@@ -1,0 +1,39 @@
+"""The CLI promises byte-identical reports: the exit code and the sha256 of
+stdout of the witness and idempotents commands are pinned here, so a
+change of the pairing engine that alters one byte fails."""
+
+import hashlib
+import json
+
+import pytest
+
+from octqft.cli import main
+
+
+def _char(exp, **poly):
+    return json.dumps({"poly": poly,
+                       "exp": [{"lambda": str(l), "mu": str(m), "coeff": str(c)}
+                               for l, m, c in exp]})
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (["witness", "--object", "II", "--char", "1/(1-X*Y)", "--budget", "6"], 1,
+     "c3ebdb2909728223101920529f52496ff7eab4bbade41ec9d9612da9dc20df3c"),
+    (["witness", "--object", "S", "--char", "1/(1-X*Y)", "--budget", "6"], 1,
+     "284d7c3b4da4f98f422e50b5bfe2be068d8e6f331afdf520ce7b7b4e8ddfea27"),
+    (["witness", "--object", "I", "--char", "1/(1-X*Y)", "--budget", "6"], 1,
+     "e007dda939bfce93370149c5a3790bdb712497400212703841f4f7e910bb9bfc"),
+    (["witness", "--object", "I", "--char", "1/((1-Y)*(1-Y))", "--budget", "6"], 1,
+     "0d4a00f4929cbb168933aa9e27c792cbcedc6743f891a9dde7a5d7d1bb182794"),
+    (["idempotents", "--char", _char([(1, 3, 2)])], 0,
+     "e3356a6d83a007d9a5e0f4e30b82285fccf2fefe02971011ccffbed01c02b6e4"),
+    (["idempotents", "--char", _char([(2, 3, 1), (4, 5, 1)])], 0,
+     "67b9fe1b0159bd05a718939caa3ab1faeab02eaa0921aacb9a8275c45cf1d480"),
+    (["idempotents", "--char", _char([(2, 3, 1), (4, 3, 1)], Y="1")], 0,
+     "51a2f7d4afeb7bf7b3a567b63bd168d4146f2a7fc0bccfda5700384a8b404841"),
+], ids=["witness-II-xy", "witness-S-xy", "witness-I-xy", "witness-I-y2",
+        "idempotents-chi1", "idempotents-two-blocks", "idempotents-one-window-root"])
+def test_cli_report_bytes_pinned(argv, code, digest, capsys):
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

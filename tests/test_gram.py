@@ -25,7 +25,7 @@ from octqft.cobordism import (
 )
 from octqft.kfa import character_of, kfa_sum, make_nonsemisimple_kfa, make_semisimple_kfa
 from octqft.frobenius import frobenius_from_form
-from octqft.numkit import Matrix, Tensor
+from octqft.numkit import Matrix, Tensor, nullspace
 from octqft.gram import (
     MOD_P1,
     IncompleteSpanningError,
@@ -33,17 +33,20 @@ from octqft.gram import (
     _SymPivot,
     _certified_keys,
     _gen_count,
+    _pivot_basis,
     build_idempotents,
     cap_sandwich_endo,
     categorical_trace,
     enumerate_end_terms,
     gram_rank,
+    handle_idempotent,
     hole_endo,
     hole_idempotent,
     iota_cap_sandwich_endo,
     iota_sigma_endo,
     is_negligible,
     lc,
+    lc_add,
     lc_collapse,
     lc_compose,
     lc_identity,
@@ -65,6 +68,7 @@ from oracles import (
     curated_exponents,
     network,
     network_summary,
+    pair_by_pairs,
     reference_select,
 )
 
@@ -131,10 +135,24 @@ def test_pair_bilinear():
 
 
 def test_pair_type_errors():
-    with pytest.raises(TermTypeError):
-        pair(lc_identity("S"), lc_identity("I"), CHI2)
-    with pytest.raises(TermTypeError):
-        pair(lc(parse("z")), lc(parse("z")), CHI2)
+    # the signatures of pairings and combinations read the summaries' shapes;
+    # the messages must stay those of the typechecking fold
+    cases = [
+        (lambda: pair(lc_identity("S"), lc_identity("I"), CHI2),
+         "pairing across different objects: 'S' vs 'I'"),
+        (lambda: pair(lc(parse("z")), lc(parse("z")), CHI2),
+         "pairing needs endomorphisms, got ('S', 'I') and ('S', 'I')"),
+        (lambda: pair(lc_identity("S"), lc(parse("zs")), CHI2),
+         "pairing needs endomorphisms, got ('S', 'S') and ('I', 'S')"),
+        (lambda: LinComb([(Fraction(1), Id("S")), (Fraction(1), Id("I"))]),
+         "mixed types in linear combination: [('I', 'I'), ('S', 'S')]"),
+        (lambda: lc(parse("z ; z")),
+         "cannot compose: codomain 'I' does not match domain 'S'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(TermTypeError) as err:
+            call()
+        assert str(err.value) == message
 
 
 _S_ENDOS = [
@@ -600,17 +618,28 @@ def test_enumerate_monotone_in_budget():
 
 def test_enumerated_entries_keep_their_summary_ids(monkeypatch):
     # only the atoms are summarized from their terms: each class keeps the
-    # id the enumeration interned, so pairing the entries summarizes nothing
+    # id the enumeration interned, so pairing the entries summarizes nothing.
+    # The quotient and a negligibility test glue the summaries of their
+    # composites from those of the factors: no fold, no typecheck
     from octqft import cobordism, gram
 
-    calls = []
-    real = cobordism.summarize
-    monkeypatch.setattr(cobordism, "summarize", lambda t: calls.append(t) or real(t))
+    calls, typechecks = [], []
+    for mod in (cobordism, gram):
+        monkeypatch.setattr(mod, "summarize",
+                            lambda t, real=cobordism.summarize: calls.append(t) or real(t))
+    real_typecheck = cobordism.typecheck
+    monkeypatch.setattr(cobordism, "typecheck",
+                        lambda t: typechecks.append(t) or real_typecheck(t))
     monkeypatch.setattr(gram, "_ENUM_CACHE", {})
     ts = enumerate_end_terms("I", 6)
-    assert len(calls) == sum(_gen_count(a) <= 6 for a in gram._atom_terms("I"))
+    atoms = sum(_gen_count(a) <= 6 for a in gram._atom_terms("I"))
+    assert len(calls) == atoms
     gram._gram_rows(ts, CHI2)
-    assert len(calls) == sum(_gen_count(a) <= 6 for a in gram._atom_terms("I"))
+    assert quotient_algebra(ts, CHI2).dim == 3
+    a, b = ts.spanning[1], ts.spanning[2]
+    assert is_negligible(lc_sub(lc_compose(a, b), lc_compose(b, a)), ts, CHI2)
+    assert len(calls) == atoms
+    assert typechecks == []
 
 
 # ---------------------------------------------------------------------------
@@ -830,3 +859,72 @@ def test_enumerated_quotient_is_frobenius_under_trace(gf, dim):
     qa = quotient_algebra(enumerate_end_terms("I", 6), rational_character(*gf))
     assert qa.dim == dim
     _assert_frobenius_under_trace(qa)
+
+
+# ---------------------------------------------------------------------------
+# the pairing rows against the pair-by-pair oracle
+
+
+@pytest.mark.parametrize("space", ["S", "I", "II@4"])
+def test_pairing_rows_match_the_pair_by_pair_oracle(space, monkeypatch):
+    # pair, categorical_trace, is_negligible and the quotient's tensors read
+    # rows of gram._pairing_row; the oracle pairs term by term, with every
+    # term summarized from its tree.  The combinations mix coefficients,
+    # composites and repeated terms
+    from octqft import gram
+
+    if space == "II@4":
+        chi = rational_character(*_ONE_OVER_1_MINUS_XY)
+        ts = enumerate_end_terms("II", 4)
+        [v] = nullspace(gram_rank(ts, chi)[0])[:1]
+        negligible = [LinComb([(c, e.terms[0][1]) for c, e in zip(v, ts.spanning) if c])]
+    else:
+        chi = CHI_TWO_GEOMETRIC
+        ts = spanning_end(space, chi)
+        e = handle_idempotent(chi, 2) if space == "S" else hole_idempotent(chi, 3)
+        negligible = [lc_sub(lc_compose(e, e), e)]
+    spanning, one = ts.spanning, lc_identity(ts.object)
+    rng = random.Random(59)
+
+    def combination():
+        f = LinComb([])
+        for _ in range(rng.randint(1, 3)):
+            e = rng.choice(spanning)
+            if rng.random() < 0.5:
+                e = lc_compose(e, rng.choice(spanning))
+            f = lc_add(f, lc_scale(e, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))))
+        return f
+
+    for _ in range(30):
+        f, g = combination(), combination()
+        assert pair(f, g, chi) == pair_by_pairs(f, g, chi)
+        assert categorical_trace(f, chi) == pair_by_pairs(f, one, chi)
+    candidates = negligible + [one, combination()]
+    verdicts = [is_negligible(f, ts, chi) for f in candidates]
+    assert verdicts == [all(not pair_by_pairs(f, s, chi) for s in spanning) for f in candidates]
+    assert verdicts[:2] == [True, False]
+
+    # the quotient of II@4 fails associativity; its tensors are read where
+    # the unit check receives them.  Coordinates are G⁻¹ times the pairings
+    # with the basis
+    seen = {}
+    real = gram._unital_violation
+    monkeypatch.setattr(gram, "_unital_violation",
+                        lambda n, product, unit: seen.update(product=product, unit=unit)
+                        or real(n, product, unit))
+    try:
+        qa = quotient_algebra(ts, chi)
+    except IncompleteSpanningError:
+        assert space == "II@4"
+        qa = None
+    chosen, gb = (qa.basis_indices, qa.gram) if qa else _pivot_basis(ts, chi)
+    basis, ginv, n = [spanning[i] for i in chosen], gb.inverse(), len(chosen)
+    traces = [pair_by_pairs(b, one, chi) for b in basis]
+    assert seen["unit"].entries == (ginv * Matrix(n, 1, traces)).entries
+    if qa is not None:
+        assert qa.trace_vec == tuple(traces)
+    products = [(a, b) for a in range(n) for b in range(n)]
+    for a, b in rng.sample(products, min(len(products), 40)):
+        column = [pair_by_pairs(lc_compose(basis[a], basis[b]), h, chi) for h in basis]
+        expected = (ginv * Matrix(n, 1, column)).entries
+        assert [seen["product"][(c, a, b)] for c in range(n)] == expected

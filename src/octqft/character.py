@@ -146,9 +146,8 @@ class TableCharacter:
     CharacterForm; values are computed on demand and cached.
     """
 
-    def __init__(self, fn, label=""):
+    def __init__(self, fn):
         self.fn = fn
-        self.label = label
         self._cache = {}
 
     def value(self, g, w):
@@ -375,7 +374,7 @@ def classify_table(table: SequenceTable, rank_bound: int):
 # rational generating functions
 
 
-def rational_character(num: dict, den: dict, label="") -> TableCharacter:
+def rational_character(num: dict, den: dict) -> TableCharacter:
     """Character whose generating function is num/den, with num and den
     bivariate polynomials as {(x_deg, y_deg): coeff} dicts.
 
@@ -407,7 +406,7 @@ def rational_character(num: dict, den: dict, label="") -> TableCharacter:
                 row.append(s / d00)
         return rows[g][w]
 
-    return TableCharacter(coeff, label)
+    return TableCharacter(coeff)
 
 
 def _form_fraction(form: CharacterForm):

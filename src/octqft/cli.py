@@ -108,7 +108,7 @@ def _load_character(spec: str):
     if spec == "-" or spec.lstrip().startswith("{") or os.path.exists(spec):
         return _load_char_form(spec)
     num, den = parse_rational_expr(spec)
-    return rational_character(num, den, label=spec)
+    return rational_character(num, den)
 
 
 def _emit(payload, out_path):
@@ -157,7 +157,8 @@ def _cmd_classify(args):
         if bound is None:
             bound = min((table.g_max - 4) // 2, (table.w_max - 4) // 2)
             if bound < 0:
-                raise ExprError("table too small for any rank bound", 0)
+                raise ValueError(f"table too small for any rank bound: g_max {table.g_max} and "
+                                 f"w_max {table.w_max}, both must be at least 4")
         result = classify_table(table, bound)
     _emit(result.to_json(), args.output)
     return 0 if isinstance(result, Good) else 1

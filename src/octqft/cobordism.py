@@ -11,12 +11,15 @@ atom := GEN | "id:" WORD | "sw:" LETTER "," LETTER | "(" term ")".
 ";" composes in diagram order (left factor applied first) and "*" binds
 tighter.  Whitespace is insignificant.
 
-Besides parsing, typechecking and evaluation against a concrete structure,
+Besides parsing, printing and evaluation against a concrete structure,
 the module summarizes terms combinatorially.  The summary of a term (see
 DiagramSummary) is a fold over fixed summaries of its generators, identities
 and swaps; gluing two summaries into a closed surface gives the (genus,
 windows) type of every connected component, from an Euler count plus an
-exact count of free boundary circles.
+exact count of free boundary circles.  The summary is the one identity of a
+term outside printing and evaluation: typecheck reads its domain and
+codomain off the summary's shape, and the fold that builds it rejects an
+ill-typed composite.
 """
 from __future__ import annotations
 
@@ -83,8 +86,9 @@ class LinComb:
 
     sids holds the interned summary id of each term.  Terms given without
     them are summarized here, once; gram's lc_* operations pass their
-    operands' ids through.  The signature is read off the summaries' shapes,
-    and an ill-typed term raises TermTypeError from summarize."""
+    operands' ids through and keep one term per id.  The signature is read
+    off the summaries' shapes, and an ill-typed term raises TermTypeError
+    from summarize."""
 
     terms: list
     sids: list = field(default=None, repr=False, compare=False)
@@ -269,7 +273,7 @@ def _join_text(node, a, b):
 
 
 # ---------------------------------------------------------------------------
-# typechecking and evaluation
+# folds and evaluation
 
 
 _JOIN = object()            # stack marker: the node below it has both operands folded
@@ -300,28 +304,12 @@ def _fold(t: CobTerm, leaf, join):
     return done[0]
 
 
-def _leaf_signature(node):
-    if isinstance(node, Gen):
-        return GEN_SIGNATURES[node.name]
-    if isinstance(node, Id):
-        return (node.word, node.word)
-    return (node.left + node.right, node.right + node.left)
-
-
-def _join_signature(node, a, b):
-    (d1, c1), (d2, c2) = a, b
-    if isinstance(node, Tensor):
-        return (d1 + d2, c1 + c2)
-    if c1 != d2:
-        raise TermTypeError(
-            f"cannot compose: codomain {c1 or 'empty'!r} does not match domain {d2 or 'empty'!r}"
-        )
-    return (d1, c2)
-
-
 def typecheck(t: CobTerm):
-    """Return (domain, codomain) as words over I/S; raise TermTypeError."""
-    return _fold(t, _leaf_signature, _join_signature)
+    """Return (domain, codomain) as words over I/S, read off the shape of
+    the summary of t; an ill-typed composite raises TermTypeError from
+    summarize."""
+    s = summarize(t)
+    return s.dom, s.cod
 
 
 def word_dim(word: str, k: KFA) -> int:
@@ -381,23 +369,21 @@ def evaluate(t, k: KFA):
     """Linear map induced by substituting the structure tensors of k.
 
     Returns a Matrix indexed [codomain x domain]; a term typed empty ->
-    empty returns the scalar instead.  Accepts a single term or a LinComb.
+    empty returns the scalar instead.  Accepts a LinComb or a single term,
+    which is read as the one-term LinComb; either way the type is that of
+    the summaries (LinComb.signature).
     """
-    if isinstance(t, LinComb):
-        if not t.terms:
-            raise ValueError("empty linear combination has no intrinsic type")
-        dom, cod = t.signature()
-        acc = Matrix.zeros(word_dim(cod, k), word_dim(dom, k))
-        for coeff, term in t.terms:
-            acc = acc + _eval_matrix(term, k).scale(coeff)
-        if dom == "" and cod == "":
-            return acc[0, 0]
-        return acc
-    dom, cod = typecheck(t)
-    m = _eval_matrix(t, k)
+    if not isinstance(t, LinComb):
+        t = LinComb([(ONE, t)])
+    if not t.terms:
+        raise ValueError("empty linear combination has no intrinsic type")
+    dom, cod = t.signature()
+    acc = Matrix.zeros(word_dim(cod, k), word_dim(dom, k))
+    for coeff, term in t.terms:
+        acc = acc + _eval_matrix(term, k).scale(coeff)
     if dom == "" and cod == "":
-        return m[0, 0]
-    return m
+        return acc[0, 0]
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ types.  Characters (closed forms, value tables, rational generating
 functions) live in the character module; the pairing reads one only
 through value(g, w).  A linear combination carries the interned summary
 id of each term from the moment it is built (cobordism.LinComb), and the
-lc_* operations pass the ids through, gluing a composite's from its
-factors'.  Every pairing is a row of _pairing_row: the terms of one side,
-each run through one cobordism.closure_row over the summaries of the
-other side, with one χ product per distinct closure-types tuple.  The
-Gram matrix, pair, is_negligible, the quotient algebra, the splitting
+summary id is the term's identity: lc_add, lc_sub and lc_compose keep one
+term per id (_merged), gluing a composite's id from its factors'.  Terms
+with equal summaries pair alike against every partner, so merging them
+changes no pairing.  Every pairing is a row of _pairing_row: the terms of
+one side, each run through one cobordism.closure_row over the summaries
+of the other side, with one χ product per distinct closure-types tuple.
+The Gram matrix, pair, is_negligible, the quotient algebra, the splitting
 check and the witness scan all read such rows.  Ranks and quotient bases
 are picked by symmetric pivoting mod a prime and certified exactly over
 Z (_certified_keys).
@@ -130,18 +132,25 @@ def lc_identity(obj: str) -> LinComb:
     return LinComb([(ONE, Id(obj))])
 
 
-def _merged(keyed) -> LinComb:
-    """The combination of (key, coefficient, term, summary id) entries, the
-    coefficients of equal keys summed and zero sums dropped."""
+def _merged(entries) -> LinComb:
+    """The combination of (coefficient, term, summary id) entries with one
+    term per summary id: the first term seen with that id, carrying the sum
+    of their coefficients; zero sums are dropped.  Only the ids are hashed,
+    never a term tree."""
     acc = {}
-    for key, c, t, sid in keyed:
-        acc[key] = (acc[key][0] + c, *acc[key][1:]) if key in acc else (c, t, sid)
-    kept = [e for e in acc.values() if e[0]]
-    return LinComb([(c, t) for c, t, _ in kept], [sid for _, _, sid in kept])
+    for c, t, sid in entries:
+        acc.setdefault(sid, [ZERO, t])[0] += c
+    kept = [(sid, c, t) for sid, (c, t) in acc.items() if c]
+    return LinComb([(c, t) for _, c, t in kept], [sid for sid, _, _ in kept])
+
+
+def _entries(f: LinComb):
+    """The (coefficient, term, summary id) entries of f."""
+    return ((c, t, sid) for (c, t), sid in zip(f.terms, f.sids))
 
 
 def lc_add(f: LinComb, g: LinComb) -> LinComb:
-    return _merged((t, c, t, sid) for h in (f, g) for (c, t), sid in zip(h.terms, h.sids))
+    return _merged((*_entries(f), *_entries(g)))
 
 
 def lc_scale(f: LinComb, c) -> LinComb:
@@ -157,20 +166,14 @@ def lc_sub(f: LinComb, g: LinComb) -> LinComb:
 
 def lc_compose(f: LinComb, g: LinComb) -> LinComb:
     """f ∘ g: apply g first.  The summary of each composite term is glued
-    from those of its factors."""
-    return LinComb([(cf * cg, Compose(tg, tf)) for cf, tf in f.terms for cg, tg in g.terms],
-                   [intern_summary(compose_summaries(_SUMMARIES[sg], _SUMMARIES[sf]))
-                    for sf in f.sids for sg in g.sids])
+    from those of its factors, and composites with equal summaries merge."""
+    return _merged((cf * cg, Compose(tg, tf),
+                    intern_summary(compose_summaries(_SUMMARIES[sg], _SUMMARIES[sf])))
+                   for cf, tf, sf in _entries(f) for cg, tg, sg in _entries(g))
 
 
 def _as_lincomb(f):
     return f if isinstance(f, LinComb) else lc(f)
-
-
-def lc_collapse(f: LinComb) -> LinComb:
-    """Merge terms with equal diagram summaries: they pair identically
-    against every partner, so collapsing them changes no pairing."""
-    return _merged((sid, c, t, sid) for (c, t), sid in zip(f.terms, f.sids))
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +322,9 @@ def is_negligible(f, ts: TermSpace, chi) -> bool:
     """True when f pairs to zero with every element of the spanning set;
     with a complete spanning set this is exact radical membership.  The
     pairings are one _pairing_row of f's terms against the spanning set,
-    read until the first nonzero value."""
-    f = lc_collapse(_as_lincomb(f))
+    read until the first nonzero value; f runs one row per term as given,
+    and the lc_* operations that build it keep one term per summary."""
+    f = _as_lincomb(f)
     if f.terms:
         _check_endomorphisms(f.signature(), (ts.object, ts.object))
     return not any(_pairing_row(_terms(f), _summaries(ts.spanning), _chi_products(chi)))
@@ -456,7 +460,7 @@ def build_idempotents(chi: CharacterForm) -> IdempotentSet:
         acc = e_lambda[lam]
         for mp in partner_mus:
             w_shift = lc_sub(lc(sigma_endo(0, 1)), lc_scale(lc_identity("S"), mp))
-            acc = lc_collapse(lc_compose(acc, lc_scale(w_shift, ONE / (mu - mp))))
+            acc = lc_compose(acc, lc_scale(w_shift, ONE / (mu - mp)))
         e_pair[(lam, mu)] = acc
 
     nonzero_mus = sorted({p[1] for p in pairs if p[1]})
@@ -466,7 +470,6 @@ def build_idempotents(chi: CharacterForm) -> IdempotentSet:
     g_prime = LinComb([])
     for mu in nonzero_mus:
         g_prime = lc_add(g_prime, lc_scale(lc_compose(a_mu[mu], lc_compose(iota_g, a_mu[mu])), ONE / mu))
-    g_prime = lc_collapse(g_prime)
 
     a_pair = {}
     for lam, mu in pairs:
@@ -479,10 +482,10 @@ def build_idempotents(chi: CharacterForm) -> IdempotentSet:
             # part of a matrix block), where the Lagrange factors alone leave
             # −λ′/(λ−λ′); the factor G′²/λ² kills it, as t²/r² in _projector
             g_squared = lc_scale(lc_compose(g_prime, g_prime), ONE / (lam * lam))
-            acc = lc_collapse(lc_compose(acc, g_squared))
+            acc = lc_compose(acc, g_squared)
         for lp in partner_lams:
             shift = lc_sub(g_prime, lc_scale(lc_identity("I"), lp))
-            acc = lc_collapse(lc_compose(acc, lc_scale(shift, ONE / (lam - lp))))
+            acc = lc_compose(acc, lc_scale(shift, ONE / (lam - lp)))
         a_pair[(lam, mu)] = acc
 
     result = IdempotentSet(e_lambda, e_pair, a_mu, a_pair, g_prime)
@@ -1053,14 +1056,13 @@ def _quotient_witness(ts, chi):
         if degree > n + 2:
             raise ConsistencyError("radical element is not nilpotent in the quotient")
 
-    element = _merged((i, c, b.terms[0][1], b.sids[0])
-                      for i, (c, b) in enumerate(zip(witness_coords, qa.basis)))
+    element = _merged((c, b.terms[0][1], b.sids[0]) for c, b in zip(witness_coords, qa.basis))
 
     nnz = len(element.terms)
     if nnz ** degree <= _POWER_TERM_CAP:
         f_power = element
         for _ in range(degree - 1):
-            f_power = lc_collapse(lc_compose(f_power, element))
+            f_power = lc_compose(f_power, element)
         if not is_negligible(f_power, ts, chi):
             raise ConsistencyError("witness power is not negligible at the term level")
         method = "terms"

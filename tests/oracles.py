@@ -1,5 +1,9 @@
 """Independent implementations that the tests check the program against.
 
+- fold_signature: the (domain, codomain) of a term as a fold of generator
+  signatures over the tree; the oracle for cobordism.typecheck, which reads
+  the shape of the term's summary.  The wire-graph oracles type their
+  terms with it, so they do not rest on the summary engine.
 - The wire graph of a term (network, _analyze): generator instances are
   nodes, identity and swap wires are contracted into shared ports, and the
   (genus, windows) type of every component of a closed term comes from an
@@ -52,11 +56,39 @@ from octqft.cobordism import (
     evaluate,
     summarize,
     summary_closure,
-    typecheck,
 )
 from octqft.frobenius import ConsistencyError
 from octqft.kfa import make_semisimple_kfa, structural_endos
 from octqft.numkit import ONE, rat
+
+
+# ---------------------------------------------------------------------------
+# signatures
+
+
+def _leaf_signature(node):
+    if isinstance(node, Gen):
+        return GEN_SIGNATURES[node.name]
+    if isinstance(node, Id):
+        return (node.word, node.word)
+    return (node.left + node.right, node.right + node.left)
+
+
+def _join_signature(node, a, b):
+    (d1, c1), (d2, c2) = a, b
+    if isinstance(node, Tensor):
+        return (d1 + d2, c1 + c2)
+    if c1 != d2:
+        raise TermTypeError(
+            f"cannot compose: codomain {c1 or 'empty'!r} does not match domain {d2 or 'empty'!r}"
+        )
+    return (d1, c2)
+
+
+def fold_signature(t: CobTerm):
+    """(domain, codomain) of t as words over I/S, folded from the signatures
+    of its leaves; raises TermTypeError on an ill-typed composite."""
+    return _fold(t, _leaf_signature, _join_signature)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +275,7 @@ def _analyze(net: _Net):
 
 
 def _closed_net(t: CobTerm) -> _Net:
-    dom, cod = typecheck(t)
+    dom, cod = fold_signature(t)
     if dom or cod:
         raise TermTypeError(f"term must be closed, has type {dom or 'empty'!r} -> {cod or 'empty'!r}")
     return network(t)
@@ -293,7 +325,7 @@ def network_summary(term):
     (position, side, partner position, partner side) in position order, the
     sorted closed types).  Positions are ("d", i) and ("c", i); sides are
     "T" and "B"."""
-    dom_w, cod_w = typecheck(term)
+    dom_w, cod_w = fold_signature(term)
     net = network(term)
     wires = net.wires()
 

@@ -283,6 +283,18 @@ def test_json_missing_key_names_its_input(capsys, argv, line):
     assert captured.err == line + "\n"
 
 
+def test_classify_table_too_small_names_its_bounds(capsys):
+    # a 4 x 5 table supports no rank bound; the error names the table's
+    # sizes, not an offset into an expression
+    table = json.dumps({"values": [[str(2 ** w) for w in range(5)] for g in range(4)]})
+    code = main(["classify", "--table", table])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("octqft: table too small for any rank bound: g_max 3 and w_max 4, "
+                            "both must be at least 4\n")
+
+
 @pytest.mark.parametrize("bound", ["--gmax", "--wmax"])
 def test_idempotents_rejects_negative_bounds(capsys, bound):
     # a negative bound checks no cell, so it must not report a pass

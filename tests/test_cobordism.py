@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,7 @@ from oracles import (
     surface_types,
     classify_closed_connected,
     chi_value,
+    fold_signature,
     network,
     network_summary,
     summary_key,
@@ -432,20 +434,53 @@ def _random_layer(rng, word):
             return layer
 
 
-def test_summaries_in_bijection_with_the_oracle():
-    import random
-
-    rng = random.Random(61)
-    summaries, keys = [], []
+def _layered_terms(rng, per_word):
+    """Random well-typed terms: an identity followed by one to four random
+    layers, per_word of them on each of eight words."""
     for word in ["I", "S", "II", "IS", "SI", "SS", "III", "ISI"]:
-        for _ in range(150):
+        for _ in range(per_word):
             t = Id(word)
             for _ in range(rng.randint(1, 4)):
-                t = Compose(t, _random_layer(rng, typecheck(t)[1]))
-            summaries.append(summarize(t))
-            keys.append(network_summary(t))
+                t = Compose(t, _random_layer(rng, fold_signature(t)[1]))
+            yield t
+
+
+def test_summaries_in_bijection_with_the_oracle():
+    summaries, keys = [], []
+    for t in _layered_terms(random.Random(61), 150):
+        summaries.append(summarize(t))
+        keys.append(network_summary(t))
     assert _same_partition(summaries, keys)
     assert len(set(keys)) < len(keys)
+
+
+def _type_error(typing, t):
+    with pytest.raises(TermTypeError) as err:
+        typing(t)
+    return str(err.value)
+
+
+def test_typecheck_matches_the_fold_oracle():
+    # typecheck reads the shape of the summary; the oracle folds the
+    # signatures of the leaves.  Ill-typed composites fail at the same
+    # join of the same walk, with the same text
+    sides = [parse(side) for pairs in RELATION_FAMILIES.values()
+             for pair in pairs for side in pair]
+    terms = list(_layered_terms(random.Random(61), 150))
+    for t in sides + terms:
+        assert typecheck(t) == fold_signature(t)
+
+    ill = [parse("uS ; eI"), parse("eS ; eS"), parse("uS ; (z * id:S) ; mI")]
+    rng = random.Random(5)
+    for t in terms[::10]:
+        cod = fold_signature(t)[1]
+        word = rng.choice([w for w in _PIECES if w and w != cod])
+        wrong = Compose(t, _random_layer(rng, word))
+        ill += [wrong, Tensor(Id("S"), wrong), Compose(Tensor(wrong, t), Id(cod))]
+    texts = {_type_error(fold_signature, t) for t in ill}
+    assert "cannot compose: codomain 'empty' does not match domain 'S'" in texts
+    for t in ill:
+        assert _type_error(typecheck, t) == _type_error(fold_signature, t)
 
 
 def test_summarize_4000_generators():

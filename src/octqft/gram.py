@@ -20,8 +20,8 @@ one side, each run through one cobordism.closure_row over the summaries
 of the other side, with one χ product per distinct closure-types tuple.
 The Gram matrix, pair, is_negligible, the quotient algebra, the splitting
 check and the witness scan all read such rows.  Ranks and quotient bases
-are picked by symmetric pivoting mod a prime and certified exactly over
-Z (_certified_keys).
+are picked by symmetric pivoting mod a prime on packed big-int columns
+(_SymPivot) and certified exactly over Z (_certified_keys).
 """
 from __future__ import annotations
 
@@ -572,6 +572,19 @@ def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingRep
 # nonzero determinant mod p is nonzero over Q, so modular pivoting never
 # overstates a rank; a zero mod p can only shrink the selection.
 #
+# Extending w is forward substitution through the block-lower factor of the
+# keys: w[i] = <h, key i> - sum_j z_ij w[j], z_ij the coordinate of key i
+# along u_j.  Over Z/p column j is one packed int (Kronecker substitution),
+# z_ij in slot i - j - 1 (0 for j's 2x2 partner).  A handle packs its
+# pairings with the new keys alike, adds each old key's column, shifted,
+# times p - w[j], and reads the new keys off from the low slot up, adding
+# each one's column times p - w[i]: one big-int multiply-add in C per key.
+# p - v in place of -v keeps every slot nonnegative, so no borrow crosses
+# slots.  A slot starts below p and gains less than p^2 per key, so with k
+# keys it stays below (k + 1) p^2 < 2^(2 bitlen(p) + 24): it never carries
+# while k < 2^24.  Over Q the entries are Fractions that no slot width
+# bounds, so each key keeps its coordinates as a list.
+#
 # A full Gram matrix is ranked by selecting mod MOD_P1 and certifying the
 # selection exactly (_certified_keys): with K the selected keys and B the
 # block A[K, K] of the integer-scaled Gram A, A has rank |K| over Q exactly
@@ -590,15 +603,20 @@ def _mod_of(fr, p) -> int:
 class _SymPivot:
     """Incremental maximal invertible Gram block under pairfn, over Q when
     p = 0 and over Z/p for a prime p; keys holds the accepted handles in
-    acceptance order."""
+    acceptance order.  The coordinates of the keys are packed big-int
+    columns over Z/p and lists over Q."""
 
     def __init__(self, pairfn, p=0):
         self.pairfn = pairfn
         self.p = p
         self.keys = []
-        self._kz = []       # per key: its coordinates along the earlier blocks
-        self._dinv = {}     # first key index of a block -> inverse block Gram
+        self._zrows = []    # per key: its row of its block's inverse Gram, block start
         self._h = {}        # handle -> [w, z, diagonal residual]
+        if p:
+            self._slot = 8 * -(-(2 * p.bit_length() + 24) // 8)  # whole bytes fitting (k + 1) p^2, k < 2^24
+            self._cols = []     # per key j: z_ij of each later key i in slot i - j - 1
+        else:
+            self._kz = []       # per key: its coordinates along the earlier blocks
 
     def _red(self, x):
         return x % self.p if self.p else x
@@ -612,23 +630,49 @@ class _SymPivot:
             rec = self._h[h] = [[], [], self._red(self.pairfn(h, h))]
         w, z, r = rec
         keys = self.keys
-        while len(w) < len(keys):
-            start = len(w)
-            dinv = self._dinv[start]
-            for i in range(start, start + len(dinv)):
-                w.append(self._red(self.pairfn(keys[i], h) - sum(map(mul, self._kz[i], w))))
-            wb = w[start:]
-            for row in dinv:
-                z.append(self._red(sum(map(mul, row, wb))))
-            r = self._red(r - sum(map(mul, z[start:], wb)))
-        rec[2] = r
+        start = len(w)
+        if start == len(keys):
+            return rec
+        if self.p:
+            self._forward_mod(h, w)
+        else:
+            for i in range(start, len(keys)):
+                w.append(self.pairfn(keys[i], h) - sum(map(mul, self._kz[i], w)))
+        red = self._red
+        new = [red(sum(map(mul, row, w[b:b + len(row)]))) for row, b in self._zrows[start:]]
+        z += new
+        rec[2] = red(r - sum(map(mul, new, w[start:])))
         return rec
+
+    def _forward_mod(self, h, w):
+        """Extend w over the new keys through the packed columns."""
+        p, s, cols, keys, start = self.p, self._slot, self._cols, self.keys, len(w)
+        acc = int.from_bytes(b"".join((self.pairfn(keys[i], h) % p).to_bytes(s >> 3, "little")
+                                      for i in range(start, len(keys))), "little")
+        for j, v in enumerate(w):
+            if v:
+                acc += (p - v) * (cols[j] >> (start - j - 1) * s)
+        mask = (1 << s) - 1
+        for i in range(start, len(keys)):
+            v = (acc & mask) % p
+            w.append(v)
+            acc >>= s
+            if v:
+                acc += (p - v) * cols[i]
 
     def _push(self, handles, dinv):
         """Accept handles as one block whose Gram inverse is dinv."""
-        self._dinv[len(self.keys)] = dinv
-        for h in handles:
-            self._kz.append(self._h.pop(h)[1])
+        start = len(self.keys)
+        for h, row in zip(handles, dinv):
+            z = self._h.pop(h)[1]
+            if self.p:
+                i, cols = len(self.keys), self._cols
+                for j, zj in enumerate(z):
+                    cols[j] |= zj << (i - j - 1) * self._slot
+                cols.append(0)
+            else:
+                self._kz.append(z)
+            self._zrows.append((row, start))
             self.keys.append(h)
 
     def accept_single(self, h) -> bool:

@@ -29,6 +29,9 @@
   algebra, which read rows of gram._pairing_row.
 - reference_select: the symmetric pivot's acceptance order as a plain
   list loop, without the heap and breeding of gram._SymPivot.select.
+- ListPivot: the symmetric pivot with its forward substitution over Z/p
+  as one reduced dot product per key over lists of coordinates; the oracle
+  for the packed big-int columns of gram._SymPivot.
 - classify_rational_full: classification of a rational generating function
   on the table sized from its unsimplified degrees alone, without the
   small certified first try of character.classify_rational.
@@ -36,6 +39,8 @@
   per cell, without the dot products of kfa.invariant_table.
 """
 from __future__ import annotations
+
+from operator import mul
 
 from octqft.character import (
     CharacterForm, SequenceTable, classify_table, eval_character, rational_character,
@@ -58,6 +63,7 @@ from octqft.cobordism import (
     summary_closure,
 )
 from octqft.frobenius import ConsistencyError
+from octqft.gram import _SymPivot
 from octqft.kfa import make_semisimple_kfa, structural_endos
 from octqft.numkit import ONE, rat
 
@@ -716,6 +722,40 @@ def reference_select(piv, cands):
         if found is None:
             return
         remaining = [h for pos, h in enumerate(remaining) if pos not in found]
+
+
+class ListPivot(_SymPivot):
+    """_SymPivot with every key's coordinates kept as a list over Z/p as
+    over Q: w is extended by one dot product per key, reduced mod p."""
+
+    def __init__(self, pairfn, p=0):
+        super().__init__(pairfn, p)
+        self._dinv = {}     # first key index of a block -> inverse block Gram
+        self._kz = []       # per key: its coordinates along the earlier blocks
+
+    def _coords(self, h):
+        rec = self._h.get(h)
+        if rec is None:
+            rec = self._h[h] = [[], [], self._red(self.pairfn(h, h))]
+        w, z, r = rec
+        keys = self.keys
+        while len(w) < len(keys):
+            start = len(w)
+            dinv = self._dinv[start]
+            for i in range(start, start + len(dinv)):
+                w.append(self._red(self.pairfn(keys[i], h) - sum(map(mul, self._kz[i], w))))
+            wb = w[start:]
+            for row in dinv:
+                z.append(self._red(sum(map(mul, row, wb))))
+            r = self._red(r - sum(map(mul, z[start:], wb)))
+        rec[2] = r
+        return rec
+
+    def _push(self, handles, dinv):
+        self._dinv[len(self.keys)] = dinv
+        for h in handles:
+            self._kz.append(self._h.pop(h)[1])
+            self.keys.append(h)
 
 
 # ---------------------------------------------------------------------------

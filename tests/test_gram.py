@@ -33,6 +33,7 @@ from octqft.gram import (
     _SymPivot,
     _certified_keys,
     _gen_count,
+    _gram_rows,
     _pivot_basis,
     build_idempotents,
     cap_sandwich_endo,
@@ -60,6 +61,7 @@ from octqft.gram import (
     verify_splitting,
 )
 from oracles import (
+    ListPivot,
     _analyze,
     _curated_types,
     closure_by_gluing,
@@ -741,13 +743,14 @@ def test_modular_pivot_accepts_pair_after_singles_stall():
         assert piv.keys == [0, 1, 2]
 
 
-def _random_symmetric(rng, n):
+def _random_symmetric(rng, n, planes=None, singles=None):
     """n x n symmetric integer Gram matrix B H B^T of random rank, H mixing
-    signed 1x1 blocks with hyperbolic planes.  In half the cases every row
-    of B meets each plane in one coordinate only and misses the 1x1 blocks,
-    so the diagonal is zero and only 2x2 steps can make progress."""
-    planes = rng.randint(0, 3)
-    singles = rng.randint(0, 2)
+    signed 1x1 blocks with hyperbolic planes (by default 0-3 planes and 0-2
+    blocks).  In half the cases every row of B meets each plane in one
+    coordinate only and misses the 1x1 blocks, so the diagonal is zero and
+    only 2x2 steps can make progress."""
+    planes = rng.randint(0, 3) if planes is None else planes
+    singles = rng.randint(0, 2) if singles is None else singles
     zero_diag = rng.random() < 0.5
     rows = []
     for _ in range(n):
@@ -830,6 +833,81 @@ def test_first_pair_needs_invertible_schur_block():
         for p in (0, MOD_P1):
             piv = _SymPivot(lambda a, b: g[a][b], p)
             assert piv.first_pair([0, 1]) == expected
+
+
+def _deficient_gram(rng, p, rank, extra):
+    """Symmetric Gram mod p of rank handles with a random residue Gram plus
+    extra handles that are sparse combinations of them, in shuffled order:
+    rank `rank`, with `extra` handles rejected."""
+    a = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            a[i][j] = a[j][i] = rng.randrange(p)
+    combos = [{i: 1} for i in range(rank)]
+    combos += [{rng.randrange(rank): rng.randrange(1, p) for _ in range(3)} for _ in range(extra)]
+    rng.shuffle(combos)
+    return [[sum(c * d * a[k][m] for k, c in u.items() for m, d in v.items()) % p
+             for v in combos] for u in combos]
+
+
+@pytest.mark.parametrize("p", [MOD_P1, 10007], ids=["p61", "p10007"])
+def test_packed_pivot_matches_list_oracle(p):
+    # the packed columns against one reduced dot product per key: the same
+    # keys and, for every handle left over, the same w, z and residual.
+    # Under MOD_P1 a rank-200 Gram fills 200 slots of every column, so a
+    # slot too narrow for the accumulated products carries into its
+    # neighbour and changes which of the 40 dependent handles are rejected.
+    # Zero diagonals force 2x2 steps, and handles bred by accepted ones
+    # leave the stalled handles to be extended lazily across several new keys
+    rng = random.Random(p)
+    cases = [(_deficient_gram(rng, p, 200, 40), 240)] if p == MOD_P1 else []
+    for n in (12, 30, 30, 60, 60):
+        g = _random_symmetric(rng, n, rng.randint(2, 12), rng.randint(0, 6))
+        g = [[v % p for v in row] for row in g]
+        cases += [(g, n), (g, n // 3)]
+    seen = []
+    for g, start in cases:
+        n = len(g)
+        parents = {}
+        for c in range(start, n):
+            parents.setdefault(rng.randrange(c), []).append(c)
+        pivots = [cls(lambda a, b, g=g: g[a][b], p) for cls in (_SymPivot, ListPivot)]
+        for piv in pivots:
+            piv.select(range(start), lambda h, parents=parents: parents.get(h, ()))
+        packed, oracle = pivots
+        assert packed.keys == oracle.keys
+        assert packed._h == oracle._h
+        pairs = any(len(row) == 2 for row, _ in packed._zrows)
+        seen.append((len(packed.keys), len(packed._h), pairs and start < n,
+                     not any(g[i][i] for i in range(n))))
+    if p == MOD_P1:
+        assert seen[0][:2] == (200, 40)
+    # some cases take 2x2 steps on a bred selection with handles left over,
+    # some have a zero diagonal
+    assert any(left and bred_pairs for _, left, bred_pairs, _ in seen)
+    assert any(zero for *_, zero in seen)
+
+
+def test_packed_pivot_matches_list_oracle_on_real_inputs(monkeypatch):
+    # the enumerations and the certified curated selections pick the same
+    # keys, in the same order, with the list oracle as the pivot.  The
+    # oracle's selections are taken as they come (no certificate): an
+    # uncertified packed selection would be redone over Q and differ
+    from octqft import gram
+
+    rows = [_gram_rows(spanning_end(obj, chi), chi)
+            for obj in "SI" for chi in (CHI2, CHI_TWO_GEOMETRIC)]
+
+    def picks(pivot):
+        monkeypatch.setattr(gram, "_SymPivot", pivot)
+        out = []
+        for obj, budget in (("S", 6), ("I", 6), ("SI", 6), ("II", 4)):
+            monkeypatch.setattr(gram, "_ENUM_CACHE", {})
+            out.append([e.summary_ids() for e in enumerate_end_terms(obj, budget).spanning])
+        return out + [_certified_keys(r) for r in rows]
+    packed = picks(_SymPivot)
+    monkeypatch.setattr(gram, "_schur_vanishes", lambda a, keys: True)
+    assert picks(ListPivot) == packed
 
 
 # ---------------------------------------------------------------------------

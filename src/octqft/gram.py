@@ -18,10 +18,15 @@ with equal summaries pair alike against every partner, so merging them
 changes no pairing.  Every pairing is a row of _pairing_row: the terms of
 one side, each run through one cobordism.closure_row over the summaries
 of the other side, with one χ product per distinct closure-types tuple.
-The Gram matrix, pair, is_negligible, the quotient algebra, the splitting
-check and the witness scan all read such rows.  Ranks and quotient bases
-are picked by symmetric pivoting mod a prime on packed big-int columns
-(_SymPivot) and certified exactly over Z (_certified_keys).
+Pair, is_negligible, the quotient algebra, the splitting check and the
+witness scan all read such rows.  A full Gram matrix reads the same
+closure rows as a small code per distinct closure-types tuple
+(_gram_rows), so χ, the Fraction value and the integer-scaled value are
+computed once per code.
+Ranks and quotient bases are picked by symmetric pivoting mod a prime on
+packed big-int columns (_SymPivot) and certified exactly over Z
+(_certified_keys): the certificate runs each time single acceptance
+stalls and ends the selection once it holds.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import lcm
-from operator import mul
+from operator import getitem, mul, sub
 
 from . import numkit
 from .numkit import Matrix, Rat, ZERO, ONE, rat, Poly, nullspace
@@ -294,17 +299,36 @@ def spanning_end(obj: str, chi: CharacterForm) -> TermSpace:
     return TermSpace(obj, [LinComb([(ONE, t)], [intern_summary(s)]) for t, s in entries], gb, wb)
 
 
+class _Codes(dict):
+    """Small integer codes of hashable keys, local to one caller: a key
+    missing from the dict gets the next code, so a hit is one C-level
+    lookup through __getitem__."""
+
+    def __missing__(self, key):
+        code = self[key] = len(self)
+        return code
+
+
 def _gram_rows(ts: TermSpace, chi):
-    """The full symmetric Gram matrix of ts under chi, as a list of rows,
-    with one χ product per distinct closure-types tuple."""
+    """The full symmetric Gram matrix of ts under chi as rows of codes, one
+    code per distinct closure-types tuple, and the χ value of each code: the
+    entry (i, j) is values[rows[i][j]]."""
     summaries = _summaries(ts.spanning)
-    n = len(summaries)
-    value = _chi_products(chi)
-    rows = [[None] * n for _ in range(n)]
-    for i, (s, row) in enumerate(zip(summaries, rows)):
-        for j, v in enumerate(_pairing_row([(ONE, s)], summaries[i:], value), i):
-            row[j] = rows[j][i] = v
-    return rows
+    codes = _Codes()
+    upper = [list(map(codes.__getitem__, closure_row(s, summaries[i:])))
+             for i, s in enumerate(summaries)]
+    # row i left of the diagonal is column i of the rows above: upper[k][i - k]
+    rows = [list(map(getitem, upper, range(i, 0, -1))) + up for i, up in enumerate(upper)]
+    return rows, list(map(_chi_products(chi), codes))
+
+
+def _integer_gram(rows, values):
+    """The coded Gram (rows, values) scaled by the lcm of the denominators
+    of its values to integer rows: one multiply per distinct value, then a
+    list lookup per entry."""
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    return [list(map(ints.__getitem__, row)) for row in rows]
 
 
 def gram_rank(ts: TermSpace, chi):
@@ -313,9 +337,10 @@ def gram_rank(ts: TermSpace, chi):
     dimension of the endomorphism space in the quotient category; on the
     curated set of I (spanning_end), which misses hole powers, it is a
     lower bound."""
-    rows = _gram_rows(ts, chi)
+    rows, values = _gram_rows(ts, chi)
     n = len(rows)
-    return Matrix(n, n, [v for row in rows for v in row]), len(_certified_keys(rows))
+    entries = [values[c] for row in rows for c in row]
+    return Matrix(n, n, entries), len(_certified_keys(_integer_gram(rows, values)))
 
 
 def is_negligible(f, ts: TermSpace, chi) -> bool:
@@ -588,9 +613,13 @@ def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingRep
 # A full Gram matrix is ranked by selecting mod MOD_P1 and certifying the
 # selection exactly (_certified_keys): with K the selected keys and B the
 # block A[K, K] of the integer-scaled Gram A, A has rank |K| over Q exactly
-# when A = A[:, K] B^-1 A[K, :], checked in integers.  Only when a value
-# nonzero over Q vanished mod p does the check fail, and the selection is
-# then redone over Q.
+# when A = A[:, K] B^-1 A[K, :], checked in integers (_schur_vanishes).  The
+# check runs each time single acceptance stalls, and the selection stops
+# as soon as it holds: B is invertible mod p and the rank mod p is at most
+# the rank over Q, so the rank mod p is |K| too and no 2x2 step could have
+# extended the block.  A pair is sought mod p only while the check fails.
+# Only when a value nonzero over Q vanished mod p does it fail with no pair
+# left, and the selection is then redone over Q.
 
 MOD_P1 = (1 << 61) - 1
 
@@ -683,7 +712,7 @@ class _SymPivot:
         self._push([h], [[self._inv(r)]])
         return True
 
-    def select(self, cands, breed=None):
+    def select(self, cands, breed=None, proven=None):
         """Run the acceptance order over the sortable handles cands.
 
         Handles leave a heap in sorted order and are tried as singles.
@@ -693,7 +722,13 @@ class _SymPivot:
         retried as singles, pass after pass, until a pass accepts none or
         breeding refills the heap; then the first pair of the sorted
         stalled handles with an invertible 2x2 Schur complement is
-        accepted.  This repeats until no pair extends the block."""
+        accepted.  This repeats until no pair extends the block, and then
+        select returns False.
+
+        proven(keys), when given, is asked each time singles stall, before
+        any pair is sought; when it holds, select returns True at once.  It
+        must hold only when no pair can extend the block, so that the keys
+        are those of the whole selection."""
         heap = list(cands)
         heapq.heapify(heap)
         stalled = []
@@ -722,10 +757,12 @@ class _SymPivot:
                 stalled = still
             if heap:
                 continue
+            if proven is not None and proven(self.keys):
+                return True
             stalled.sort()
             found = self.first_pair(stalled)
             if found is None:
-                return
+                return False
             for pos in found:
                 push_bred(stalled[pos])
             stalled = [h for pos, h in enumerate(stalled) if pos not in found]
@@ -755,8 +792,10 @@ def _schur_vanishes(a, keys) -> bool:
     symmetric integer matrix a is zero, so that rank a = len(keys) over Q.
 
     With D the common denominator of B^-1, B = a[keys, keys], the integer
-    rows c_i = D a[i, keys] B^-1 must give D a[i][j] = c_i . a[j, keys] for
-    every i <= j, all in Python ints."""
+    rows c_i = D a[i, keys] B^-1 must give D a[i][j] = c_i . a[keys, j] for
+    every i <= j, all in Python ints.  Row i is checked as one lazy chain of
+    C-level map passes over a[i][i:] and the key rows, a pass per nonzero
+    coordinate of c_i, stopping at the first entry that differs."""
     if keys:
         binv = Matrix.from_rows([[a[i][j] for j in keys] for i in keys]).inverse()
         if binv is None:
@@ -766,30 +805,34 @@ def _schur_vanishes(a, keys) -> bool:
         dinv = [[int(v * d) for v in row] for row in binv.to_rows()]
     else:
         d, dinv = 1, []
-    side = [[row[k] for k in keys] for row in a]
-    coef = [[sum(map(mul, s, col)) for col in dinv] for s in side]
-    for i, (row, c) in enumerate(zip(a, coef)):
-        for j in range(i, len(a)):
-            if d * row[j] != sum(map(mul, c, side[j])):
-                return False
+    key_rows = [a[k] for k in keys]
+    for i, row in enumerate(a):
+        side = [row[k] for k in keys]
+        diff = map(mul, repeat(d), row[i:])
+        for col, key_row in zip(dinv, key_rows):
+            c = sum(map(mul, side, col))
+            if c:
+                diff = map(sub, diff, map(mul, repeat(c), key_row[i:]))
+        if any(diff):
+            return False
     return True
 
 
-def _certified_keys(rows) -> list:
-    """Keys of a maximal invertible block of the symmetric rational Gram
-    rows, in acceptance order; their number is the rank over Q.
+def _certified_keys(a) -> list:
+    """Keys of a maximal invertible block of the symmetric integer Gram a,
+    in acceptance order; their number is the rank over Q.
 
-    The rows are scaled by the lcm of their denominators to integers and the
-    keys picked by _SymPivot mod MOD_P1, then certified exactly
-    (_schur_vanishes).  When the certificate fails, because some value
-    nonzero over Q vanished mod p, the keys are picked again over Q."""
-    scale = lcm(*{v.denominator for row in rows for v in row})
-    a = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    The keys are picked by _SymPivot mod MOD_P1, and each time singles
+    stall the exact certificate (_schur_vanishes) is run on the keys so
+    far; the selection stops once it holds, and seeks a 2x2 step mod p only
+    while it fails.  The keys are those of the whole modular selection.
+    When no pair extends a block that the certificate rejects, because some
+    value nonzero over Q vanished mod p, the keys are picked again over Q."""
     piv = _SymPivot(lambda i, j: a[i][j], MOD_P1)
+    if piv.select(range(len(a)), proven=lambda keys: _schur_vanishes(a, keys)):
+        return piv.keys
+    piv = _SymPivot(lambda i, j: a[i][j])
     piv.select(range(len(a)))
-    if not _schur_vanishes(a, piv.keys):
-        piv = _SymPivot(lambda i, j: a[i][j])
-        piv.select(range(len(a)))
     return piv.keys
 
 
@@ -953,19 +996,19 @@ def _pivot_basis(ts, chi):
     the full Gram matrix because the pairing is symmetric.  Returns the
     chosen positions in increasing order and their Gram matrix.
 
-    The positions are those _certified_keys picks from the full Gram rows:
-    the symmetric pivot engine's acceptance order over the spanning
+    The positions are those _certified_keys picks from the integer-scaled
+    Gram: the symmetric pivot engine's acceptance order over the spanning
     positions (_SymPivot.select: singles in index order until they stall,
-    then the first pair with an invertible 2x2 Schur complement, then
-    singles again), run over Z/MOD_P1, or over Q when the certificate
-    fails.  Witness coordinates are indexed by these positions, so the
-    order is part of the contract.
+    then, unless the exact certificate already holds, the first pair with
+    an invertible 2x2 Schur complement, then singles again), run over
+    Z/MOD_P1, or over Q when the certificate fails.  Witness coordinates
+    are indexed by these positions, so the order is part of the contract.
+    The block is read off the coded Gram rows, a list lookup per entry.
     """
-    rows = _gram_rows(ts, chi)
-    chosen = sorted(_certified_keys(rows))
-    if not chosen:
-        return [], Matrix.zeros(0, 0)
-    return chosen, Matrix.from_rows([[rows[i][j] for j in chosen] for i in chosen])
+    rows, values = _gram_rows(ts, chi)
+    chosen = sorted(_certified_keys(_integer_gram(rows, values)))
+    return chosen, Matrix(len(chosen), len(chosen),
+                          [values[rows[i][j]] for i in chosen for j in chosen])
 
 
 def quotient_algebra(ts: TermSpace, chi) -> QuotientAlgebra:

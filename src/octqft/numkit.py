@@ -188,8 +188,10 @@ class Matrix:
         return cls(rows, cols, rats(cells()))
 
     def to_json(self):
+        # str of a Fraction prints what rat_to_str prints
         n = self.cols
-        return [[rat_to_str(self.entries[i * n + j]) for j in range(n)] for i in range(self.rows)]
+        flat = list(map(str, self.entries))
+        return [flat[i * n:i * n + n] for i in range(self.rows)]
 
     @classmethod
     def from_json(cls, obj, rows=None, cols=None):

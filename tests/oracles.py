@@ -29,6 +29,12 @@
   algebra, which read rows of gram._pairing_row.
 - reference_select: the symmetric pivot's acceptance order as a plain
   list loop, without the heap and breeding of gram._SymPivot.select.
+- certified_keys_after_select, with scaled_gram and
+  schur_vanishes_by_entries: the Gram rank as the whole modular selection,
+  a final pair scan included, then the exact certificate with one dot
+  product per entry, after a rescale of every entry; the oracle for
+  gram._certified_keys, which certifies at each stall and stops once the
+  certificate holds, on a Gram scaled once per distinct value.
 - ListPivot: the symmetric pivot with its forward substitution over Z/p
   as one reduced dot product per key over lists of coordinates; the oracle
   for the packed big-int columns of gram._SymPivot.
@@ -40,6 +46,7 @@
 """
 from __future__ import annotations
 
+from math import lcm
 from operator import mul
 
 from octqft.character import (
@@ -63,9 +70,9 @@ from octqft.cobordism import (
     summary_closure,
 )
 from octqft.frobenius import ConsistencyError
-from octqft.gram import _SymPivot
+from octqft.gram import MOD_P1, _SymPivot
 from octqft.kfa import make_semisimple_kfa, structural_endos
-from octqft.numkit import ONE, rat
+from octqft.numkit import ONE, Matrix, rat
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +763,48 @@ class ListPivot(_SymPivot):
         for h in handles:
             self._kz.append(self._h.pop(h)[1])
             self.keys.append(h)
+
+
+def scaled_gram(rows):
+    """The symmetric rational Gram rows scaled to integers by the lcm of
+    every entry's denominator, entry by entry."""
+    scale = lcm(*{v.denominator for row in rows for v in row})
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+
+
+def schur_vanishes_by_entries(a, keys) -> bool:
+    """The exact certificate as one dot product per entry: with D the common
+    denominator of B^-1, B = a[keys, keys], D a[i][j] = c_i . a[j, keys]
+    for every i <= j, where c_i = D a[i, keys] B^-1."""
+    if keys:
+        binv = Matrix.from_rows([[a[i][j] for j in keys] for i in keys]).inverse()
+        if binv is None:
+            return False
+        d = lcm(*(v.denominator for v in binv.entries))
+        dinv = [[int(v * d) for v in row] for row in binv.to_rows()]
+    else:
+        d, dinv = 1, []
+    side = [[row[k] for k in keys] for row in a]
+    coef = [[sum(map(mul, s, col)) for col in dinv] for s in side]
+    for i, (row, c) in enumerate(zip(a, coef)):
+        for j in range(i, len(a)):
+            if d * row[j] != sum(map(mul, c, side[j])):
+                return False
+    return True
+
+
+def certified_keys_after_select(rows) -> list:
+    """Keys of a maximal invertible block of the symmetric rational Gram
+    rows: the whole modular selection first, with a pair sought at every
+    stall until none extends the block, and the certificate after it; the
+    keys are picked again over Q when it fails."""
+    a = scaled_gram(rows)
+    piv = _SymPivot(lambda i, j: a[i][j], MOD_P1)
+    piv.select(range(len(a)))
+    if not schur_vanishes_by_entries(a, piv.keys):
+        piv = _SymPivot(lambda i, j: a[i][j])
+        piv.select(range(len(a)))
+    return piv.keys
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The CLI promises byte-identical reports: the exit code, the sha256 of
-stdout and the whole of stderr of the witness, idempotents and eval
-commands are pinned here, so a change of the pairing, typing or evaluation
-engine that alters one byte fails."""
+stdout and the whole of stderr of the witness, idempotents, gram and eval
+commands are pinned here, so a change of the pairing, rank, typing or
+evaluation engine that alters one byte fails."""
 
 import hashlib
 import json
@@ -19,6 +19,7 @@ def _char(exp, **poly):
 
 
 KFA21 = json.dumps(make_semisimple_kfa(2, 1).to_json())
+CHI1 = '{"exp":[{"lambda":"1","mu":"3","coeff":"2"}]}'
 
 
 @pytest.mark.parametrize("argv, code, digest, err", [
@@ -38,6 +39,12 @@ KFA21 = json.dumps(make_semisimple_kfa(2, 1).to_json())
      "51a2f7d4afeb7bf7b3a567b63bd168d4146f2a7fc0bccfda5700384a8b404841", ""),
     (["witness", "--object", "SI", "--char", "1/(1-X*Y)", "--budget", "4"], 1,
      "dc2c1fe0b581171fd43a261875dd6baa3051c4d4a3a4bdd8f0ba7e55612c949c", ""),
+    (["gram", "--object", "S", "--char", CHI1], 0,
+     "650fba55b8af495110145403848d1d4900aea83c65552d618caa0433317fd404", ""),
+    (["gram", "--object", "I", "--char", CHI1], 0,
+     "95d60368758a257fe23fbb62811d98bbc339dcdd2f9f37eecdd85ba34451802b", ""),
+    (["gram", "--object", "S", "--char", _char([(2, 3, 1), (4, 5, 1)]), "--no-matrix"], 0,
+     "1ae264ec5cf4ea9badbb5f08efaf005774f1b21dab9212e82ea54fe017c051f2", ""),
     (["eval", "--term", "uS ; dS ; mS ; z ; zs ; eS", "--kfa", KFA21], 0,
      "31c3ffb47faa9d2a058d6ec92d0cf295fa0f2dc1ec52890b51d538d6d30f0815", ""),
     (["eval", "--term", "(z * id:I) ; mI ; dI", "--kfa", KFA21], 0,
@@ -47,7 +54,8 @@ KFA21 = json.dumps(make_semisimple_kfa(2, 1).to_json())
      "octqft: cannot compose: codomain 'I' does not match domain 'SS'\n"),
 ], ids=["witness-II-xy", "witness-S-xy", "witness-I-xy", "witness-I-y2",
         "idempotents-chi1", "idempotents-two-blocks", "idempotents-one-window-root",
-        "witness-SI-xy", "eval-closed-surface", "eval-open-matrix", "eval-ill-typed"])
+        "witness-SI-xy", "gram-S-chi1", "gram-I-chi1", "gram-S-two-blocks-rank",
+        "eval-closed-surface", "eval-open-matrix", "eval-ill-typed"])
 def test_cli_report_bytes_pinned(argv, code, digest, err, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()

@@ -4,6 +4,7 @@ nilpotent-trace witnesses."""
 import hashlib
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
@@ -34,7 +35,9 @@ from octqft.gram import (
     _certified_keys,
     _gen_count,
     _gram_rows,
+    _integer_gram,
     _pivot_basis,
+    _schur_vanishes,
     build_idempotents,
     cap_sandwich_endo,
     categorical_trace,
@@ -64,6 +67,7 @@ from oracles import (
     ListPivot,
     _analyze,
     _curated_types,
+    certified_keys_after_select,
     closure_by_gluing,
     compose_by_gluing,
     curated_exponents,
@@ -71,6 +75,8 @@ from oracles import (
     network_summary,
     pair_by_pairs,
     reference_select,
+    scaled_gram,
+    schur_vanishes_by_entries,
 )
 
 CHI2 = CharacterForm.make(exp_terms=[(1, 3, 2)])          # f = 2/((1-X)(1-3Y))
@@ -409,12 +415,23 @@ def test_gram_rank_falls_back_over_q_when_certificate_fails():
     assert quotient_algebra(ts, chi).dim == 5
 
 
+_RANK_LOST_MOD_P = ([[0, MOD_P1], [MOD_P1, 0]], [[1, 1], [1, 1 + MOD_P1]],
+                    [[1, 1, 0], [1, 1, MOD_P1], [0, MOD_P1, 0]])
+
+
+@cache
+def _curated_gram(obj, chi):
+    """The coded Gram rows and values of the curated set of obj under chi,
+    shared by the tests that only read them."""
+    return _gram_rows(spanning_end(obj, chi), chi)
+
+
 def test_certified_keys_recover_rank_lost_mod_p():
     # each Gram has a smaller rank mod MOD_P1 than over Q; in the first and
     # the last the residual that survives over Q is off the diagonal
     p = MOD_P1
-    for g in ([[0, p], [p, 0]], [[1, 1], [1, 1 + p]], [[1, 1, 0], [1, 1, p], [0, p, 0]]):
-        keys = _certified_keys([[Fraction(v) for v in row] for row in g])
+    for g in _RANK_LOST_MOD_P:
+        keys = _certified_keys(g)
         assert len(keys) == len(g) == Matrix.from_rows(g).rank()
 
 
@@ -895,8 +912,8 @@ def test_packed_pivot_matches_list_oracle_on_real_inputs(monkeypatch):
     # uncertified packed selection would be redone over Q and differ
     from octqft import gram
 
-    rows = [_gram_rows(spanning_end(obj, chi), chi)
-            for obj in "SI" for chi in (CHI2, CHI_TWO_GEOMETRIC)]
+    grams = [_integer_gram(*_curated_gram(obj, chi))
+             for obj in "SI" for chi in (CHI2, CHI_TWO_GEOMETRIC)]
 
     def picks(pivot):
         monkeypatch.setattr(gram, "_SymPivot", pivot)
@@ -904,10 +921,64 @@ def test_packed_pivot_matches_list_oracle_on_real_inputs(monkeypatch):
         for obj, budget in (("S", 6), ("I", 6), ("SI", 6), ("II", 4)):
             monkeypatch.setattr(gram, "_ENUM_CACHE", {})
             out.append([e.summary_ids() for e in enumerate_end_terms(obj, budget).spanning])
-        return out + [_certified_keys(r) for r in rows]
+        return out + [_certified_keys(a) for a in grams]
     packed = picks(_SymPivot)
-    monkeypatch.setattr(gram, "_schur_vanishes", lambda a, keys: True)
+    # a stub that always held would end each selection at its first stall.
+    # This one holds once the keys reach the rank the packed run certified,
+    # so the list oracle runs every earlier stall, 2x2 steps included, and
+    # each curated selection must end at the stub, not fall through to Q
+    ranks = {id(a): len(keys) for a, keys in zip(grams, packed[4:])}
+    stops = []
+
+    def at_rank(a, keys):
+        if len(keys) < ranks[id(a)]:
+            return False
+        stops.append(id(a))
+        return True
+    monkeypatch.setattr(gram, "_schur_vanishes", at_rank)
     assert picks(ListPivot) == packed
+    assert sorted(stops) == sorted(ranks)
+
+
+def test_certified_keys_match_the_whole_selection_oracle():
+    # certifying at each stall and stopping once the certificate holds picks
+    # the keys of the whole modular selection followed by the certificate,
+    # in the same order, the fallback over Q included
+    rng = random.Random(20231217)
+    seeded = [_random_symmetric(rng, rng.randint(1, 12)) for _ in range(40)]
+    assert any(not any(g[i][i] for i in range(len(g))) and any(map(any, g)) for g in seeded)
+    lifted = [[[MOD_P1 * v for v in row] for row in g] for g in seeded[:12]]
+    assert any(any(map(any, g)) for g in lifted)
+    for g in seeded + lifted + [[[0] * 6 for _ in range(6)], *_RANK_LOST_MOD_P]:
+        keys = _certified_keys(g)
+        assert keys == certified_keys_after_select([[Fraction(v) for v in row] for row in g])
+        # the map passes decide as the entry-by-entry certificate, on the
+        # rank and one short of it
+        for k in {len(keys), max(len(keys) - 1, 0)}:
+            assert _schur_vanishes(g, keys[:k]) == schur_vanishes_by_entries(g, keys[:k])
+    for obj, chi in product("SI", (CHI2, CHI_TWO_GEOMETRIC, CHI_POLY3)):
+        rows, values = _curated_gram(obj, chi)
+        fractions = [[values[c] for c in row] for row in rows]
+        a = _integer_gram(rows, values)
+        assert a == scaled_gram(fractions)
+        assert _certified_keys(a) == certified_keys_after_select(fractions)
+
+
+def test_chi1_s_rank_is_proved_by_one_certificate(monkeypatch):
+    # on the curated S rows under χ₁ the first stall is certified at once:
+    # no pair is sought mod p and the exact check runs once
+    from octqft import gram
+
+    pairs, certificates = [], []
+    first_pair, schur_vanishes = _SymPivot.first_pair, gram._schur_vanishes
+    monkeypatch.setattr(_SymPivot, "first_pair",
+                        lambda self, cands: pairs.append(cands) or first_pair(self, cands))
+    monkeypatch.setattr(gram, "_schur_vanishes",
+                        lambda a, keys: certificates.append(list(keys)) or schur_vanishes(a, keys))
+    keys = _certified_keys(_integer_gram(*_curated_gram("S", CHI2)))
+    assert len(keys) == 2
+    assert pairs == []
+    assert certificates == [keys]
 
 
 # ---------------------------------------------------------------------------

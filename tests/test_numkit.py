@@ -16,6 +16,19 @@ def test_rat_roundtrip():
     assert rat_to_str(F(-1, 3)) == "-1/3"
 
 
+def test_matrix_to_json_renders_each_entry_as_rat_to_str():
+    values = [F(0), F(-3), F(7), F(-1, 3), F(22, 7), F(4, 2), F(-12345678901234567890, 11)]
+    for rows, cols in ((1, 7), (7, 1), (2, 3), (3, 2)):
+        m = Matrix(rows, cols, values[:rows * cols])
+        out = m.to_json()
+        assert [len(r) for r in out] == [cols] * rows
+        assert [v for r in out for v in r] == [rat_to_str(v) for v in m.entries]
+        assert Matrix.from_json(out) == m
+    # empty shapes: no row, or rows with no entry
+    assert Matrix.zeros(0, 3).to_json() == []
+    assert Matrix.zeros(3, 0).to_json() == [[], [], []]
+
+
 def test_tensor_indexing():
     t = Tensor.zeros([2, 3, 2])
     t[1, 2, 0] = F(5)

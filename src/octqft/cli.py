@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .numkit import Matrix, rat, rat_to_str
 from .frobenius import ConsistencyError
@@ -42,7 +43,7 @@ from .character import (
 from .cobordism import TermTypeError, evaluate, parse
 from .gram import (
     IncompleteSpanningError,
-    gram_rank,
+    _coded_gram_rank,
     nilpotent_trace_obstruction,
     spanning_end,
     verify_splitting,
@@ -111,8 +112,47 @@ def _load_character(spec: str):
     return rational_character(num, den)
 
 
+def _encode(x, indent="\n"):
+    """The text of json.dumps(x, sort_keys=True, indent=2), with indent the
+    line break and indentation of the level of x.  A list of strings is one
+    join over encode_basestring_ascii; a value json cannot encode raises
+    TypeError, as json does."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    inner = indent + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        try:
+            body = ("," + inner).join(map(encode_basestring_ascii, x))
+        except TypeError:   # not all strings
+            body = ("," + inner).join([_encode(v, inner) for v in x])
+        return "[" + inner + body + indent + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        body = ("," + inner).join([f"{_encode_key(k)}: {_encode(v, inner)}"
+                                   for k, v in sorted(x.items())])
+        return "{" + inner + body + indent + "}"
+    if x is None or isinstance(x, (int, float)):
+        return json.dumps(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _encode_key(k):
+    """A dict key as json writes it: a string, or the JSON text of a
+    number, bool or None as a string."""
+    if not isinstance(k, str):
+        if not (k is None or isinstance(k, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        k = json.dumps(k)
+    return encode_basestring_ascii(k)
+
+
 def _emit(payload, out_path):
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    """Print the report, or write it to out_path, as
+    json.dumps(payload, sort_keys=True, indent=2) and a newline (_encode)."""
+    text = _encode(payload)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -175,12 +215,16 @@ def _cmd_eval(args):
 
 def _cmd_gram(args):
     chi = _load_char_form(args.char)
-    space = spanning_end(args.object, chi)
-    matrix, rank = gram_rank(space, chi)
+    rows, values, rank = _coded_gram_rank(spanning_end(args.object, chi), chi)
+    gram = None
+    if not args.no_matrix:
+        # each distinct value rendered once; an entry is a list lookup
+        text = list(map(rat_to_str, values))
+        gram = [list(map(text.__getitem__, row)) for row in rows]
     payload = {
         "object": args.object,
         "rank": rank,
-        "gram": None if args.no_matrix else matrix.to_json(),
+        "gram": gram,
         "witness": None,
     }
     _emit(payload, args.output)

@@ -23,6 +23,7 @@ ill-typed composite.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -776,7 +777,9 @@ def closure_row(a: DiagramSummary, summaries):
     """Yield summary_closure(a, b) for each b of summaries, one at a time, so
     that a caller may stop early.  The closure plan is read once per shape
     of b, with the labels of a summed into it (_row_plan), so that each b
-    adds only its own labels."""
+    adds only its own labels.  This is the lazy engine of the pairing rows
+    (gram._pairing_row); a full Gram matrix is filled per pair of shapes
+    from the split plans (_split_plan) instead."""
     plans = {}              # shape of b -> its row plan
     shape, comps, closed = a
     for b_shape, b_comps, b_closed in summaries:
@@ -788,17 +791,28 @@ def closure_row(a: DiagramSummary, summaries):
         yield tuple(types)
 
 
+def _split_plan(a_shape, b_shape) -> list:
+    """The closure plan of shapes a_shape and b_shape with the members of
+    each root split by side: per root, the members that index the labels of
+    a summary of shape a_shape, those that index the labels of one of shape
+    b_shape, and its offsets (euler, windows)."""
+    first = a_shape <= b_shape
+    k = _SHAPES.shapes[min(a_shape, b_shape)].ncomps()
+    split = []
+    for members, e, w in _SHAPES.closure_plan(*sorted((a_shape, b_shape))):
+        i = bisect_left(members, k)         # members ascend (_ShapeTable._roots)
+        lo, hi = members[:i], tuple([x - k for x in members[i:]])
+        split.append((lo, hi, e, w) if first else (hi, lo, e, w))
+    return split
+
+
 def _row_plan(shape, comps, b_shape) -> list:
     """The closure plan of shapes shape and b_shape with the labels comps of
     the first summed in: per root, the members that index the labels of the
     second, and its offsets plus the labels of the first."""
-    first = shape <= b_shape
-    kb = _SHAPES.shapes[b_shape].ncomps()
-    zeros = ((0, 0),) * kb
-    labels, lo = (comps + zeros, len(comps)) if first else (zeros + comps, 0)
-    plan = _SHAPES.closure_plan(*sorted((shape, b_shape)))
-    return [(tuple([x - lo for x in members if lo <= x < lo + kb]), e, w)
-            for (members, _, _), (e, w) in zip(plan, _sum_labels(plan, labels, [], False))]
+    split = _split_plan(shape, b_shape)
+    sums = _sum_labels([(am, e, w) for am, _, e, w in split], comps, [], False)
+    return [(bm, e, w) for (_, bm, _, _), (e, w) in zip(split, sums)]
 
 
 # summaries are interned so that a linear combination, an enumerated class

@@ -15,14 +15,17 @@ id of each term from the moment it is built (cobordism.LinComb), and the
 summary id is the term's identity: lc_add, lc_sub and lc_compose keep one
 term per id (_merged), gluing a composite's id from its factors'.  Terms
 with equal summaries pair alike against every partner, so merging them
-changes no pairing.  Every pairing is a row of _pairing_row: the terms of
-one side, each run through one cobordism.closure_row over the summaries
-of the other side, with one χ product per distinct closure-types tuple.
-Pair, is_negligible, the quotient algebra, the splitting check and the
-witness scan all read such rows.  A full Gram matrix reads the same
-closure rows as a small code per distinct closure-types tuple
-(_gram_rows), so χ, the Fraction value and the integer-scaled value are
-computed once per code.
+changes no pairing.  Every pairing of given terms is a row of
+_pairing_row: the terms of one side, each run through one
+cobordism.closure_row over the summaries of the other side, with one χ
+product per distinct closure-types tuple.  Pair, is_negligible, the
+quotient algebra, the splitting check and the witness scan all read such
+rows.  A full Gram matrix is filled a block per pair of shape groups of
+its spanning set instead (_gram_rows): each root of the closure plan of
+the two shapes reads its closed type from a small table of label sums, so
+a row of a block is a few C-level passes, and the entries are coded by
+value.  χ is multiplied out once per closure-types tuple, and the integer
+scaling and the CLI's rendering run once per distinct value.
 Ranks and quotient bases are picked by symmetric pivoting mod a prime on
 packed big-int columns (_SymPivot) and certified exactly over Z
 (_certified_keys): the certificate runs each time single acceptance
@@ -31,12 +34,12 @@ stalls and ends the selection once it holds.
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
+from itertools import chain, repeat
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import lcm
-from operator import getitem, mul, sub
+from operator import mul, sub
 
 from . import numkit
 from .numkit import Matrix, Rat, ZERO, ONE, rat, Poly, nullspace
@@ -64,8 +67,11 @@ from .cobordism import (
     summary_id,
     intern_summary,
     _SUMMARIES,
+    _closed_type,
     _fold,
     _leaf_summary,
+    _split_plan,
+    _sum_labels,
 )
 
 
@@ -80,11 +86,11 @@ def _chi_products(chi):
     (genus, windows) type; it multiplies each product out once."""
     @cache
     def value(types):
-        v = ONE
-        for g, w in types:
-            v *= chi.value(g, w)
+        v = chi.value(*types[0]) if types else ONE
+        for g, w in types[1:]:
             if not v:
                 break
+            v *= chi.value(g, w)
         return v
     return value
 
@@ -301,25 +307,83 @@ def spanning_end(obj: str, chi: CharacterForm) -> TermSpace:
 
 class _Codes(dict):
     """Small integer codes of hashable keys, local to one caller: a key
-    missing from the dict gets the next code, so a hit is one C-level
-    lookup through __getitem__."""
+    missing from the dict gets the code derive(key), or the next code when
+    there is no derive, and keeps it, so a hit is one C-level lookup through
+    __getitem__."""
+
+    def __init__(self, derive=None):
+        self.derive = derive
 
     def __missing__(self, key):
-        code = self[key] = len(self)
+        code = self[key] = self.derive(key) if self.derive else len(self)
         return code
 
 
 def _gram_rows(ts: TermSpace, chi):
     """The full symmetric Gram matrix of ts under chi as rows of codes, one
-    code per distinct closure-types tuple, and the χ value of each code: the
-    entry (i, j) is values[rows[i][j]]."""
+    code per distinct value, and the values: the entry (i, j) is
+    values[rows[i][j]].
+
+    The spanning summaries are grouped by shape, and the matrix is filled a
+    block per pair of groups, the block below the diagonal as the transpose
+    of the one above.  In a block each root of the closure plan
+    (_split_plan) sums the labels of its members on either side; its
+    closed type is read from one small table per pair of distinct sums,
+    plus the root's offsets, expanded along the columns.  The key of an
+    entry is (closed types of the row summary, of the column summary, the
+    type of each root), so a row is one zip of C-level passes.  Each
+    distinct key is read once: its types sorted into the closure-types
+    tuple, whose χ product comes from _chi_products and whose value names
+    the code."""
     summaries = _summaries(ts.spanning)
-    codes = _Codes()
-    upper = [list(map(codes.__getitem__, closure_row(s, summaries[i:])))
-             for i, s in enumerate(summaries)]
-    # row i left of the diagonal is column i of the rows above: upper[k][i - k]
-    rows = [list(map(getitem, upper, range(i, 0, -1))) + up for i, up in enumerate(upper)]
-    return rows, list(map(_chi_products(chi), codes))
+    groups = {}
+    for i, s in enumerate(summaries):
+        groups.setdefault(s.shape, []).append(i)
+    order = [i for pos in groups.values() for i in pos]
+    members = [[summaries[i] for i in pos] for pos in groups.values()]
+    value = _chi_products(chi)
+    by_value = _Codes()
+    by_types = _Codes(lambda types: by_value[value(types)])
+    codes = _Codes(lambda key: by_types[tuple(sorted(key[0] + key[1] + key[2:]))])
+    sums = {}
+
+    def side(x, ms):
+        # per summary of group x, the code of its label sum over ms, and the
+        # distinct sums in code order
+        got = sums.get((x, ms))
+        if got is None:
+            ids = _Codes()
+            got = sums[x, ms] = ([ids[_sum_labels(((ms, 0, 0),), s.comps, [], False)[0]]
+                                  for s in members[x]], list(ids))
+        return got
+
+    def block(x, y):
+        ga, gb = members[x], members[y]
+        cols = []           # per root: per summary of ga, its row of closed types
+        for am, bm, e, w in _split_plan(ga[0].shape, gb[0].shape):
+            a_ids, a_sums = side(x, am)
+            b_ids, b_sums = side(y, bm)
+            table = [list(map([_closed_type(e + ea + eb, w + wa + wb)
+                               for eb, wb in b_sums].__getitem__, b_ids)) for ea, wa in a_sums]
+            cols.append(list(map(table.__getitem__, a_ids)))
+        closed_b = [s.closed for s in gb]
+        # closed diagrams, endomorphisms of the empty word, glue no roots
+        return [list(map(codes.__getitem__, zip(repeat(s.closed), closed_b, *types)))
+                for s, types in zip(ga, zip(*cols) if cols else repeat(()))]
+
+    k = len(members)
+    blocks = {(x, y): block(x, y) for x in range(k) for y in range(x, k)}
+    rows = []
+    for x in range(k):
+        parts = [list(zip(*blocks[y, x])) for y in range(x)] + [blocks[x, y] for y in range(x, k)]
+        rows += [list(chain.from_iterable(row)) for row in zip(*parts)]
+    if order != sorted(order):
+        # back from the grouped order: original position i sits at at[i]
+        at = [0] * len(order)
+        for p, i in enumerate(order):
+            at[i] = p
+        rows = [list(map(rows[p].__getitem__, at)) for p in at]
+    return rows, list(by_value)
 
 
 def _integer_gram(rows, values):
@@ -331,16 +395,22 @@ def _integer_gram(rows, values):
     return [list(map(ints.__getitem__, row)) for row in rows]
 
 
+def _coded_gram_rank(ts: TermSpace, chi):
+    """The coded Gram of ts under chi (_gram_rows) and its rank over the
+    rationals: the one fill that gram_rank and the CLI's gram report read."""
+    rows, values = _gram_rows(ts, chi)
+    return rows, values, len(_certified_keys(_integer_gram(rows, values)))
+
+
 def gram_rank(ts: TermSpace, chi):
     """Full Gram matrix of the spanning set under the pairing, and its rank
     over the rationals.  With a complete spanning set the rank is the
     dimension of the endomorphism space in the quotient category; on the
     curated set of I (spanning_end), which misses hole powers, it is a
     lower bound."""
-    rows, values = _gram_rows(ts, chi)
+    rows, values, rank = _coded_gram_rank(ts, chi)
     n = len(rows)
-    entries = [values[c] for row in rows for c in row]
-    return Matrix(n, n, entries), len(_certified_keys(_integer_gram(rows, values)))
+    return Matrix(n, n, [values[c] for row in rows for c in row]), rank
 
 
 def is_negligible(f, ts: TermSpace, chi) -> bool:

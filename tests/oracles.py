@@ -23,6 +23,10 @@
   sets of S and I as exponent tuples, and the closure types of a pair of
   them as sums of exponents; the oracle for the curated Gram, which
   gram._gram_rows closes along the plans of the entries' summaries.
+- gram_rows_by_rows: the coded Gram a row at a time, one closure_row per
+  entry over the entries from the diagonal on, one code per closure-types
+  tuple; the oracle for gram._gram_rows, which fills a block per pair of
+  shape groups from per-root tables of label sums and codes each value.
 - pair_by_pairs: the pairing of two linear combinations as a double loop
   over their terms, one summary_closure per pair of terms summarized from
   their trees; the oracle for gram.pair, is_negligible and the quotient
@@ -47,7 +51,7 @@
 from __future__ import annotations
 
 from math import lcm
-from operator import mul
+from operator import getitem, mul
 
 from octqft.character import (
     CharacterForm, SequenceTable, classify_table, eval_character, rational_character,
@@ -63,7 +67,9 @@ from octqft.cobordism import (
     Tensor,
     TermTypeError,
     DiagramSummary,
+    _SUMMARIES,
     _closed_type,
+    closure_row,
     _fold,
     evaluate,
     summarize,
@@ -685,6 +691,28 @@ def _curated_types(obj, a, b):
         return ((x + z, y + t + 1),)
     p, q, r, u = b[1:]
     return tuple(sorted(((x + r, y + u + s), (z + p, t + q + s))))
+
+
+def gram_rows_by_rows(ts, chi):
+    """The coded Gram of the term space ts under chi a row at a time: the
+    upper part of row i is one closure_row of its summary over the
+    summaries from i on, one code per distinct closure-types tuple, mirrored
+    below the diagonal, and the value of a code is the product of chi over
+    its types; the oracle for gram._gram_rows, which fills a block per pair
+    of shape groups and codes each distinct value."""
+    summaries = [_SUMMARIES[e.sids[0]] for e in ts.spanning]
+    codes = {}
+    upper = [[codes.setdefault(types, len(codes)) for types in closure_row(s, summaries[i:])]
+             for i, s in enumerate(summaries)]
+    # row i left of the diagonal is column i of the rows above: upper[k][i - k]
+    rows = [list(map(getitem, upper, range(i, 0, -1))) + up for i, up in enumerate(upper)]
+    values = []
+    for types in codes:
+        value = ONE
+        for genus, windows in types:
+            value *= chi.value(genus, windows)
+        values.append(value)
+    return rows, values
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """End-to-end tests of the command line front end."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from octqft.cli import build_parser, main
+from octqft.cli import _encode, build_parser, main
 from octqft.kfa import make_semisimple_kfa
 
 
@@ -342,3 +344,59 @@ def test_reused_parser_leaks_no_state(capsys, kfa_path, tmp_path):
     build_parser.cache_clear()
     assert [call(argv) for argv in commands * 2] == alone * 2
     assert build_parser() is build_parser()
+
+
+# ---------------------------------------------------------------------------
+# the report encoder
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('χ∘"\\\n\t\x00\x1f\x7f ')),
+                max_size=8)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10 ** 40, 10 ** 40),
+    st.floats(), _TEXT)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.lists(inner, max_size=4).map(tuple),
+                            st.lists(_TEXT, max_size=5), st.dictionaries(_TEXT, inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_encoder_matches_json_dumps(payload):
+    assert _encode(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    [], {}, [[]], {"a": {}}, "", "χ∘", ["a", 1, None, True, "b"], [1.5, -0.0, float("inf")],
+    {2: "x", 10: "y"}, {None: 1}, {True: [], False: {}}, {1.5: "z"},
+    {"gram": [["1", "2/3"], ["-2/3", "1"]], "rank": 2, "witness": None},
+])
+def test_encoder_matches_json_dumps_on_examples(payload):
+    assert _encode(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    {1, 2}, Fraction(1, 2), b"x", ["a", object()], {"a": {1}}, {(1, 2): "x"}, {"a": 1, 2: "b"},
+])
+def test_encoder_raises_type_error_as_json_does(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _encode(payload)
+
+
+def test_gram_without_matrix_builds_no_full_matrix(capsys, monkeypatch):
+    # --no-matrix reads the rank off the coded Gram: no n x n Matrix is
+    # built, only the small blocks of the certificate
+    from octqft import numkit
+
+    shapes = []
+    real_init = numkit.Matrix.__init__
+    monkeypatch.setattr(numkit.Matrix, "__init__",
+                        lambda self, rows, cols, entries: shapes.append((rows, cols))
+                        or real_init(self, rows, cols, entries))
+    chi = json.dumps({"exp": [{"lambda": "1", "mu": "3", "coeff": "2"}]})
+    assert main(["gram", "--object", "S", "--char", chi, "--no-matrix"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 2
+    assert shapes and max(shapes) < (272, 272)

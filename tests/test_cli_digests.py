@@ -1,7 +1,8 @@
 """The CLI promises byte-identical reports: the exit code, the sha256 of
-stdout and the whole of stderr of the witness, idempotents, gram and eval
-commands are pinned here, so a change of the pairing, rank, typing or
-evaluation engine that alters one byte fails."""
+stdout and the whole of stderr of every subcommand are pinned here, and so
+are the bytes a report writes to a file with --output.  A change of the
+pairing, rank, typing or evaluation engine, or of the JSON rendering, that
+alters one byte fails."""
 
 import hashlib
 import json
@@ -9,7 +10,9 @@ import json
 import pytest
 
 from octqft.cli import main
-from octqft.kfa import make_semisimple_kfa
+from octqft.frobenius import frobenius_from_form
+from octqft.kfa import make_closed_only, make_semisimple_kfa
+from octqft.numkit import Tensor
 
 
 def _char(exp, **poly):
@@ -20,6 +23,24 @@ def _char(exp, **poly):
 
 KFA21 = json.dumps(make_semisimple_kfa(2, 1).to_json())
 CHI1 = '{"exp":[{"lambda":"1","mu":"3","coeff":"2"}]}'
+
+
+def _broken_kfa():
+    obj = make_semisimple_kfa(2, 1).to_json()
+    obj["zipper"][0][0] = "7"
+    return json.dumps(obj)
+
+
+def _irrational_kfa():
+    # multiplication by 2x on Q[x]/(x^2 - 2): eigenvalues +-2*sqrt(2)
+    prod = Tensor.from_entries((2, 2, 2), {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1, (0, 1, 1): 2})
+    fa = frobenius_from_form(prod, Tensor.from_entries((2,), {(0,): 1}),
+                             Tensor.from_entries((2,), {(1,): 1}))
+    return json.dumps(make_closed_only(fa).to_json())
+
+
+def _table(fn, n=9):
+    return json.dumps({"values": [[str(fn(g, w)) for w in range(n)] for g in range(n)]})
 
 
 @pytest.mark.parametrize("argv, code, digest, err", [
@@ -61,3 +82,64 @@ def test_cli_report_bytes_pinned(argv, code, digest, err, capsys):
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
     assert captured.err == err
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (["check-kfa", "--kfa", KFA21], 0,
+     "eec7a67337febb914cf5a1e196def1340b58ef0e9e0f6505e16262b254c379f4"),
+    (["check-kfa", "--kfa", _broken_kfa()], 1,
+     "ebd5a6d385f5b59ba21be579ba7295436aeb2916e69eb4c91ead040017456530"),
+    (["invariants", "--kfa", KFA21], 0,
+     "7e8e36d4ba56fc8d1aa6ad32b06e245897a92547c9e89eb8f7c1fcbc04e1408f"),
+    (["invariants", "--kfa", KFA21, "--gmax", "2", "--wmax", "3"], 0,
+     "85168adef4520e6c3409ea421defdf9135c898ea2ceb7e20dde70b4f46034ffd"),
+    (["character", "--kfa", KFA21], 0,
+     "361bd38a580217014a42cbf4feb79c8f8d05b52bc43d58524a06caa41ffc5731"),
+    (["character", "--kfa", _irrational_kfa()], 1,
+     "43917ad84bbe2e5cfd15bf2af13dff848a26947a341503bfa077bda37261c776"),
+    (["classify", "--table", _table(lambda g, w: 2 ** w)], 0,
+     "922807be4487c6e7657a4439aa910a416692d7d718625a5d2c61d277c1658184"),
+    (["classify", "--table", _table(lambda g, w: int(g == 0))], 1,
+     "c2bc42f5eca85485bd4b0987e16ce721d07ba8d6f60ae511eac8bdd8ae60a741"),
+    (["classify", "--table", _table(lambda g, w: 2 ** w + (g == w == 7))], 1,
+     "080120cbadf2fa4714deeb887051bc0de70b545b09abbb1859f3674c050a0788"),
+    (["classify", "--table", _table(lambda g, w: 2 ** (g // 2) if w == 0 and g % 2 == 0 else 0)],
+     1,
+     "43917ad84bbe2e5cfd15bf2af13dff848a26947a341503bfa077bda37261c776"),
+    (["classify", "--rational", "1/((1-2*X)*(1-3*Y))"], 0,
+     "354a735c9c3c12fec7115cbf70e004f7d2fe65228527d2525ed2a53db52c1c6c"),
+    (["classify", "--rational", "1/(1-Y)"], 1,
+     "c2bc42f5eca85485bd4b0987e16ce721d07ba8d6f60ae511eac8bdd8ae60a741"),
+    (["classify", "--form", _char([(2, 3, 1), (4, 5, 1)], Y="1", X="-1/2")], 0,
+     "b79331c3fc2cb869586a96e7569060c5b5d0043c5a48b1612168b47a9b6a6e59"),
+    (["scale", "--kfa", KFA21, "--s", "1/2"], 0,
+     "8bcbe0063795d695b4176823ca2955bf501956388ef7ae0c3397fc1644ebdc40"),
+    (["witness", "--object", "S", "--char", "Y*Y*Y", "--budget", "4"], 1,
+     "ceeabb2d0a0c9158bce2d2f336689804f5b02a47f7cec77e1a739dbc502ca983"),
+], ids=["check-kfa-valid", "check-kfa-invalid", "invariants-default", "invariants-2x3",
+        "character", "character-indeterminate", "classify-table-good",
+        "classify-table-not-good-witness", "classify-table-not-good-no-recurrence",
+        "classify-table-indeterminate", "classify-rational-good",
+        "classify-rational-not-good-witness", "classify-form", "scale", "error-payload"])
+def test_structure_and_classify_report_bytes_pinned(argv, code, digest, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (["check-kfa", "--kfa", KFA21], 0,
+     "eec7a67337febb914cf5a1e196def1340b58ef0e9e0f6505e16262b254c379f4"),
+    (["gram", "--object", "S", "--char", CHI1], 0,
+     "650fba55b8af495110145403848d1d4900aea83c65552d618caa0433317fd404"),
+    (["witness", "--object", "S", "--char", "Y*Y*Y", "--budget", "4"], 1,
+     "ceeabb2d0a0c9158bce2d2f336689804f5b02a47f7cec77e1a739dbc502ca983"),
+], ids=["check-kfa", "gram-S-chi1", "error-payload"])
+def test_output_file_bytes_pinned(argv, code, digest, capsys, tmp_path):
+    # --output writes the report and one newline to the file, nothing to stdout
+    dest = tmp_path / "report.json"
+    assert main(argv + ["--output", str(dest)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "")
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest

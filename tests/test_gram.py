@@ -29,6 +29,7 @@ from octqft.frobenius import frobenius_from_form
 from octqft.numkit import Matrix, Tensor, nullspace
 from octqft.gram import (
     MOD_P1,
+    TermSpace,
     IncompleteSpanningError,
     LinComb,
     _SymPivot,
@@ -71,6 +72,7 @@ from oracles import (
     closure_by_gluing,
     compose_by_gluing,
     curated_exponents,
+    gram_rows_by_rows,
     network,
     network_summary,
     pair_by_pairs,
@@ -424,6 +426,45 @@ def _curated_gram(obj, chi):
     """The coded Gram rows and values of the curated set of obj under chi,
     shared by the tests that only read them."""
     return _gram_rows(spanning_end(obj, chi), chi)
+
+
+def _gram_cases():
+    xy = rational_character({(0, 0): 1}, {(0, 0): 1, (1, 1): -1})
+    # "origin" is χ = [g = w = 0], under which nearly every value is 0
+    chis = {"chi2": CHI2, "two_terms": CHI_TWO_GEOMETRIC, "poly3": CHI_POLY3,
+            "origin": CharacterForm.make(alpha_1=1), "xy": xy}
+    curated = [pytest.param(obj, chi, id=f"{obj}-{name}") for obj in "SI" for name, chi in chis.items()]
+    # III@3 under xy: its rank under χ₁ is 78 of 96, and certifying it
+    # would take seconds
+    enumerated = [pytest.param(space, xy if space == "III@3" else CHI2, id=space)
+                  for space in ("S@6", "I@6", "SI@6", "II@4", "II@6", "III@3")]
+    return curated + enumerated + [pytest.param("closed", CHI2, id="closed-diagrams")]
+
+
+@pytest.mark.parametrize("space, chi", _gram_cases())
+def test_block_fill_matches_row_by_row_oracle(space, chi):
+    # the Gram filled a block per pair of shape groups, one code per distinct
+    # value, against the oracle that runs one closure_row per row and codes
+    # each closure-types tuple: entry for entry, and the pivot basis
+    if space == "closed":
+        ts = TermSpace("", [lc(parse(t)) for t in ("uS ; eS", "uS ; dS ; mS ; eS",
+                                                    "uI ; eI", "uS ; z ; eI")])
+    elif "@" in space:
+        word, budget = space.split("@")
+        ts = enumerate_end_terms(word, int(budget))
+    else:
+        ts = spanning_end(space, chi if isinstance(chi, CharacterForm) else CHI2)
+    rows, values = _gram_rows(ts, chi)
+    expected_rows, expected_values = gram_rows_by_rows(ts, chi)
+    assert len(set(values)) == len(values)
+    entries = [[values[c] for c in row] for row in rows]
+    expected = [[expected_values[c] for c in row] for row in expected_rows]
+    assert entries == expected
+    # the pivot keys are certified on the integer-scaled Gram alone, so an
+    # equal scaled Gram keeps them
+    assert _integer_gram(rows, values) == scaled_gram(expected)
+    chosen, block = _pivot_basis(ts, chi)
+    assert block.to_rows() == [[expected[i][j] for j in chosen] for i in chosen]
 
 
 def test_certified_keys_recover_rank_lost_mod_p():

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .numkit import (
     ONE, ZERO, Matrix, Poly, is_squarefree, rat, rat_to_str, rational_roots, rats,
@@ -157,28 +159,19 @@ class TableCharacter:
         return self._cache[key]
 
 
-def _pow0(base: Fraction, e: int) -> Fraction:
-    # 0^0 = 1: a mu = 0 term contributes exactly in the w = 0 column
-    if e == 0:
-        return ONE
-    return base ** e
-
-
-def _powers(base: Fraction, e_max: int) -> list:
-    """[base^0, ..., base^e_max], with 0^0 = 1 as in _pow0."""
-    out = [ONE]
-    for _ in range(e_max):
-        out.append(out[-1] * base)
-    return out
-
-
 def eval_character(form: CharacterForm, g: int, w: int) -> Fraction:
+    """The value at (g, w), term by term: each term's integer numerator and
+    denominator are summed as integers, and one Fraction is built at the
+    end.  Integer 0 ** 0 is 1, so a mu = 0 term counts at w = 0 only."""
     if g < 0 or w < 0:
         raise ValueError("genus and window count must be nonnegative")
-    total = form.poly_value(g, w)
+    v = form.poly_value(g, w)
+    num, den = v.numerator, v.denominator
     for lam, mu, c in form.exp_terms:
-        total += c * _pow0(lam, g) * _pow0(mu, w)
-    return total
+        t_num = c.numerator * lam.numerator ** g * mu.numerator ** w
+        t_den = c.denominator * lam.denominator ** g * mu.denominator ** w
+        num, den = num * t_den + t_num * den, den * t_den
+    return Fraction(num, den)
 
 
 def to_table(form: CharacterForm, g_max: int, w_max: int) -> SequenceTable:
@@ -203,7 +196,7 @@ def char_scale(a: CharacterForm, c) -> CharacterForm:
 
 
 def _exp_value(form: CharacterForm, g: int, w: int) -> Fraction:
-    return sum((c * _pow0(lam, g) * _pow0(mu, w) for lam, mu, c in form.exp_terms), ZERO)
+    return eval_character(form, g, w) - form.poly_value(g, w)
 
 
 def char_mul(a: CharacterForm, b: CharacterForm) -> CharacterForm:
@@ -273,6 +266,28 @@ class Indeterminate:
         return {"status": "indeterminate", "reason": self.reason}
 
 
+def _exp_grid(exp_terms, g_max: int, w_max: int):
+    """(den, nums) with nums[g][w] / den = sum of c * lam^g * mu^w over the
+    terms, for g <= g_max and w <= w_max, all integers.
+
+    A term (a/b, e/f, n/q) contributes K * a^g b^(g_max-g) * e^w f^(w_max-w)
+    with K = n * den / (q b^g_max f^w_max), so each cell is one integer dot
+    product over the terms."""
+    if not exp_terms:
+        return 1, [[0] * (w_max + 1) for _ in range(g_max + 1)]
+    den = lcm(*[c.denominator * lam.denominator ** g_max * mu.denominator ** w_max
+                for lam, mu, c in exp_terms])
+    row_factors = []    # per term, K * a^g b^(g_max-g) for each g
+    col_factors = []    # per term, e^w f^(w_max-w) for each w
+    for lam, mu, c in exp_terms:
+        a, b, e, f = lam.numerator, lam.denominator, mu.numerator, mu.denominator
+        k = c.numerator * (den // (c.denominator * b ** g_max * f ** w_max))
+        row_factors.append([k * a ** g * b ** (g_max - g) for g in range(g_max + 1)])
+        col_factors.append([e ** w * f ** (w_max - w) for w in range(w_max + 1)])
+    cols = list(zip(*col_factors))
+    return den, [[sum(map(mul, ks, col)) for col in cols] for ks in zip(*row_factors)]
+
+
 def classify_table(table: SequenceTable, rank_bound: int):
     """Decide whether the table extends to a good character with at most
     rank_bound geometric lam-values (and per-lam mu-values).
@@ -281,6 +296,13 @@ def classify_table(table: SequenceTable, rank_bound: int):
     machine-readable reason and, for a support violation, the first offending
     (g, w) position) or Indeterminate when a minimal recurrence exists but its
     spectrum does not split over Q.
+
+    The geometric terms found from the recurrences are expanded over the
+    whole table as integers over one common denominator (_exp_grid) and
+    compared with the table by cross-multiplication; only the cells that
+    differ, which must lie on 1, X, Y, Y^2, are subtracted as Fractions.  As
+    a safety net the reconstructed form is then evaluated cell by cell with
+    eval_character, independently of that grid, and must reproduce the table.
     """
     r = rank_bound
     if r < 0:
@@ -338,23 +360,16 @@ def classify_table(table: SequenceTable, rank_bound: int):
             if residue:
                 exp_terms.append((lam, ZERO, residue))
 
-    # the geometric part on the whole table, one power grid per term
-    exp_grid = [[ZERO] * (table.w_max + 1) for _ in range(table.g_max + 1)]
-    for lam, mu, c in CharacterForm.make(exp_terms=exp_terms).exp_terms:
-        mu_pows = _powers(mu, table.w_max)
-        for row, lam_pow in zip(exp_grid, _powers(lam, table.g_max)):
-            a = c * lam_pow
-            for w, m in enumerate(mu_pows):
-                if m:
-                    row[w] += a * m
+    # the geometric part on the whole table as integers over one denominator
+    terms = CharacterForm.make(exp_terms=exp_terms).exp_terms
+    den, grid = _exp_grid(terms, table.g_max, table.w_max)
     poly = {}
-    for g, (row, exp_row) in enumerate(zip(table.values, exp_grid)):
-        for w, (value, exp_value) in enumerate(zip(row, exp_row)):
-            if value == exp_value:
+    for g, (row, grid_row) in enumerate(zip(table.values, grid)):
+        for w, (value, num) in enumerate(zip(row, grid_row)):
+            if value.numerator * den == num * value.denominator:
                 continue
-            rem = value - exp_value
             if (g, w) in POLY_SUPPORT:
-                poly[(g, w)] = rem
+                poly[(g, w)] = value - Fraction(num, den)
             else:
                 return NotGood(
                     "remainder after removing geometric terms is not supported on 1, X, Y, Y^2",
@@ -487,32 +502,46 @@ def parse_rational_expr(text: str):
     """Parse an expression in X, Y, integers, + - * / and parentheses into a
     (num, den) pair of bivariate polynomial dicts.  No simplification beyond
     dropping zero terms; division by an identically-zero expression fails."""
-    toks = _tokenize(text)
-    pos = [0]
+    parser = _Parser(text)
+    result = parser.expr()
+    if parser.pos != len(parser.toks):
+        tok, at = parser.toks[parser.pos]
+        raise ExprError(f"unexpected token {tok!r}", at)
+    return result
 
-    def peek():
-        return toks[pos[0]][0] if pos[0] < len(toks) else None
 
-    def take():
-        t = toks[pos[0]]
-        pos[0] += 1
+class _Parser:
+    """Recursive descent over the tokens of one text.  The state lives on the
+    instance, so parsing leaves no reference cycle behind."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+
+    def take(self):
+        t = self.toks[self.pos]
+        self.pos += 1
         return t
 
-    def expr():
-        node = term()
-        while peek() in ("+", "-"):
-            op, _ = take()
-            rhs = term()
+    def expr(self):
+        node = self.term()
+        while self.peek() in ("+", "-"):
+            op, _ = self.take()
+            rhs = self.term()
             node = _rf_add(node, rhs) if op == "+" else _rf_add(node, _rf_neg(rhs))
         return node
 
-    def term():
-        node = unary()
+    def term(self):
+        node = self.unary()
         while True:
-            nxt = peek()
+            nxt = self.peek()
             if nxt in ("*", "/"):
-                op, at = take()
-                rhs = unary()
+                op, at = self.take()
+                rhs = self.unary()
                 if op == "*":
                     node = _rf_mul(node, rhs)
                 else:
@@ -521,25 +550,26 @@ def parse_rational_expr(text: str):
                     node = _rf_mul(node, (rhs[1], rhs[0]))
             elif nxt == "(" or nxt == "X" or nxt == "Y" or (nxt is not None and nxt.isdigit()):
                 # adjacency is multiplication: 2X, (1-2X)(1-3Y)
-                node = _rf_mul(node, atom())
+                node = _rf_mul(node, self.atom())
             else:
                 return node
 
-    def unary():
-        if peek() == "-":
-            take()
-            return _rf_neg(unary())
-        return atom()
+    def unary(self):
+        if self.peek() == "-":
+            self.take()
+            return _rf_neg(self.unary())
+        return self.atom()
 
-    def atom():
-        if peek() is None:
-            raise ExprError("unexpected end of expression", len(text))
-        tok, at = take()
+    def atom(self):
+        if self.peek() is None:
+            raise ExprError("unexpected end of expression", len(self.text))
+        tok, at = self.take()
         if tok == "(":
-            node = expr()
-            if peek() != ")":
-                raise ExprError("expected ')'", toks[pos[0]][1] if pos[0] < len(toks) else len(text))
-            take()
+            node = self.expr()
+            if self.peek() != ")":
+                end = self.toks[self.pos][1] if self.pos < len(self.toks) else len(self.text)
+                raise ExprError("expected ')'", end)
+            self.take()
             return node
         if tok == "X":
             return ({(1, 0): ONE}, {(0, 0): ONE})
@@ -548,11 +578,6 @@ def parse_rational_expr(text: str):
         if tok.isdigit():
             return ({(0, 0): Fraction(tok)} if tok != "0" else {}, {(0, 0): ONE})
         raise ExprError(f"unexpected token {tok!r}", at)
-
-    result = expr()
-    if pos[0] != len(toks):
-        raise ExprError(f"unexpected token {toks[pos[0]][0]!r}", toks[pos[0]][1])
-    return result
 
 
 def _tokenize(text: str):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numkit import Matrix, Rat, Tensor, ZERO, ONE, rat, rat_to_str, rats
+from .numkit import Matrix, Tensor, ZERO, ONE, rat, rats
 
 
 class AxiomError(ValueError):
@@ -119,19 +119,25 @@ class FrobeniusAlgebra:
         return f"FrobeniusAlgebra(dim={self.dim})"
 
     def to_json(self):
+        """Product planes [c][a][b] and coproduct planes [a][b][c]: the flat
+        entry order of both tensors, so each list is rendered in one pass
+        (str of a Fraction prints what rat_to_str prints) and then sliced."""
         n = self.dim
+
+        def render(t):
+            return ["0" if not v else str(v) for v in t.entries]
+
+        def planes(t):
+            flat = render(t)
+            rows = [flat[i * n:i * n + n] for i in range(n * n)]
+            return [rows[i * n:i * n + n] for i in range(n)]
+
         return {
             "dim": n,
-            "product": [
-                [[rat_to_str(self.product[(c, a, b)]) for b in range(n)] for a in range(n)]
-                for c in range(n)
-            ],
-            "unit": [rat_to_str(self.unit[(a,)]) for a in range(n)],
-            "coproduct": [
-                [[rat_to_str(self.coproduct[(a, b, c)]) for c in range(n)] for b in range(n)]
-                for a in range(n)
-            ],
-            "counit": [rat_to_str(self.counit[(a,)]) for a in range(n)],
+            "product": planes(self.product),
+            "unit": render(self.unit),
+            "coproduct": planes(self.coproduct),
+            "counit": render(self.counit),
         }
 
     @classmethod

@@ -42,7 +42,7 @@ from math import lcm
 from operator import mul, sub
 
 from . import numkit
-from .numkit import Matrix, Rat, ZERO, ONE, rat, Poly, nullspace
+from .numkit import Matrix, Rat, ZERO, ONE, integer_scaled, rat, Poly, nullspace
 from .frobenius import (
     ConsistencyError,
     _associativity_difference,
@@ -390,8 +390,7 @@ def _integer_gram(rows, values):
     """The coded Gram (rows, values) scaled by the lcm of the denominators
     of its values to integer rows: one multiply per distinct value, then a
     list lookup per entry."""
-    scale = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
+    ints = integer_scaled(values)[0]
     return [list(map(ints.__getitem__, row)) for row in rows]
 
 

@@ -14,8 +14,10 @@ function in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
-from .numkit import Matrix, Tensor, ZERO, ONE, rat
+from .numkit import Matrix, Tensor, ONE, integer_scaled, rat
 from .frobenius import (
     AxiomError,
     ConsistencyError,
@@ -374,14 +376,25 @@ def structural_endos(k: KFA) -> StructuralEndos:
     return StructuralEndos(handle=handle, window=window, hole=hole)
 
 
-def _trace_of_product(a: Matrix, b: Matrix):
-    total = ZERO
-    for i, row in enumerate(a.nonzero_rows()):
-        for j, v in row:
-            w = b[j, i]
-            if w:
-                total += v * w
-    return total
+def _scaled_rows(m: Matrix):
+    """The rows of m as integer lists, and their one denominator."""
+    ints, d = integer_scaled(m.entries)
+    n = m.cols
+    return [ints[i * n:i * n + n] for i in range(m.rows)], d
+
+
+def _int_product(a, b_cols):
+    """Integer matrix product, a as rows and b as columns; returns rows."""
+    return [[sum(map(mul, row, col)) for col in b_cols] for row in a]
+
+
+def _columns(rows):
+    """Columns of a square integer matrix given as rows."""
+    return [list(col) for col in zip(*rows)]
+
+
+def _int_identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def invariant_table(k: KFA, g_max: int, w_max: int) -> SequenceTable:
@@ -391,55 +404,82 @@ def invariant_table(k: KFA, g_max: int, w_max: int) -> SequenceTable:
     trace of handle^g window^w, invariant(0, w+2) equals the open trace of
     hole^w, and invariant(0, 1) equals the open counit of the open unit.
     Any mismatch raises ConsistencyError.
+
+    Handle, window, hole, counits and units are scaled to integer matrices,
+    one denominator each.  invariant(g, w) is the integer dot product of
+    counit window^w and handle^g unit over the product of the denominators,
+    one Fraction per cell, and each identity is compared as an integer
+    equality with its denominators multiplied across.
     """
     if g_max < 0 or w_max < 0:
         raise ValueError("bounds must be >= 0")
     endos = structural_endos(k)
-    handle, window, hole = endos.handle, endos.window, endos.hole
     r = k.closed.dim
-    eps = k.closed.counit_matrix()
+    handle, d_h = _scaled_rows(endos.handle)
+    window, d_w = _scaled_rows(endos.window)
+    eps, d_eps = integer_scaled(k.closed.counit.entries)
+    unit, d_unit = integer_scaled(k.closed.unit.entries)
+    base = d_eps * d_unit
 
-    # invariant(g, w) = (eps window^w) . (handle^g unit): the nonzeros of one
-    # row vector per w, one column vector per g, and a dot product per cell
+    # invariant(g, w) * base * d_w^w * d_h^g = (eps window^w) . (handle^g unit)
+    window_cols = _columns(window)
     row_vecs = [eps]
     for _ in range(w_max):
-        row_vecs.append(row_vecs[-1] * window)
-    row_nzs = [vec.nonzero_rows()[0] for vec in row_vecs]
+        row_vecs.append([sum(map(mul, row_vecs[-1], col)) for col in window_cols])
+    col_vecs = [unit]
+    for _ in range(g_max):
+        col_vecs.append([sum(map(mul, row, col_vecs[-1])) for row in handle])
+    nums = [[sum(map(mul, rv, cv)) for rv in row_vecs] for cv in col_vecs]
+    w_dens = [base]
+    for _ in range(w_max):
+        w_dens.append(w_dens[-1] * d_w)
     rows = []
-    col = k.closed.unit_matrix()
-    for g in range(g_max + 1):
-        if g:
-            col = handle * col
-        u = col.entries
-        rows.append([sum((a * u[i] for i, a in row_nz), ZERO) for row_nz in row_nzs])
+    g_den = 1
+    for num_row in nums:
+        rows.append([Fraction(num, g_den * den) for num, den in zip(num_row, w_dens)])
+        g_den *= d_h
 
-    # closed-trace identity
+    # closed-trace identity: trace(handle^(g-1) window^w) * base * d_h equals
+    # the numerator of invariant(g, w); trace(A B) is flat(A) . flat(B^T)
     if g_max >= 1:
-        wpow = [Matrix.identity(r)]
-        for _ in range(w_max):
-            wpow.append(window * wpow[-1])
-        gpow = Matrix.identity(r)
+        wpow = _int_identity(r)
+        wpow_t = []
+        for w in range(w_max + 1):
+            if w:
+                wpow = _int_product(wpow, window_cols)
+            wpow_t.append([x for col in zip(*wpow) for x in col])
+        hpow = _int_identity(r)
+        handle_cols = _columns(handle)
         for g in range(1, g_max + 1):
+            flat = [x for row in hpow for x in row]
             for w in range(w_max + 1):
-                if _trace_of_product(gpow, wpow[w]) != rows[g][w]:
+                if sum(map(mul, flat, wpow_t[w])) * base * d_h != nums[g][w]:
                     raise ConsistencyError(
                         f"closed trace identity fails at genus {g}, windows {w}"
                     )
             if g < g_max:
-                gpow = handle * gpow
-    # open-trace identity
-    hpow = Matrix.identity(k.open.dim)
+                hpow = _int_product(hpow, handle_cols)
+    # open-trace identity: trace(hole^w) * base * d_w^(w+2) equals the
+    # numerator of invariant(0, w+2) times d_o^w
+    n = k.open.dim
+    hole, d_o = _scaled_rows(endos.hole)
+    hole_cols = _columns(hole)
+    opow = _int_identity(n)
+    o_den = 1
     for w in range(w_max - 1):
-        if hpow.trace() != rows[0][w + 2]:
+        trace = sum(opow[i][i] for i in range(n))
+        if trace * w_dens[w + 2] != nums[0][w + 2] * o_den:
             raise ConsistencyError(f"open trace identity fails at {w} holes")
         if w + 3 <= w_max:
-            hpow = hole * hpow
+            opow = _int_product(opow, hole_cols)
+            o_den *= d_o
     # the strip invariant equals the open counit of the open unit
     if w_max >= 1:
-        strip = (k.open.counit_matrix() * k.open.unit_matrix())[0, 0]
-        if strip != rows[0][1]:
+        o_eps, d_oe = integer_scaled(k.open.counit.entries)
+        o_unit, d_ou = integer_scaled(k.open.unit.entries)
+        if sum(map(mul, o_eps, o_unit)) * w_dens[1] != nums[0][1] * d_oe * d_ou:
             raise ConsistencyError("strip invariant differs from the open counit of the unit")
-    return SequenceTable.from_rows(rows)
+    return SequenceTable(g_max, w_max, tuple(map(tuple, rows)))
 
 
 def character_of(k: KFA) -> CharacterForm:

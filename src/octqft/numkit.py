@@ -9,7 +9,8 @@ whose nonzero count is tiny compared to their volume.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import mul
 
 Rat = Fraction
 
@@ -45,6 +46,13 @@ def rats(values) -> list:
         else:
             out.append(rat(x))
     return out
+
+
+def integer_scaled(values):
+    """(ints, d): the rationals as integers over one denominator d > 0, the
+    lcm of theirs, so that values[i] == ints[i] / d."""
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -605,7 +613,7 @@ def rational_roots(p: Poly):
     q = Poly(cs)
     if q.degree >= 1:
         # integerize
-        from math import gcd, lcm
+        from math import gcd
         den = lcm(*[c.denominator for c in q.coeffs])
         ints = [int(c * den) for c in q.coeffs]
         g = gcd(*ints)
@@ -647,6 +655,17 @@ def recurrence_from_sequences(seqs, max_order: int):
     Every sequence must have length >= 2*max_order + 1 so that a spurious
     short-data annihilator cannot be returned.  All-zero input returns t by
     convention (so the "spectrum" is {0} rather than the empty product).
+
+    All arithmetic is on integers: each sequence is scaled by the lcm of its
+    denominators, which keeps its recurrences.  The windows of length
+    max_order + 1 of every sequence are the rows of one matrix, eliminated
+    fraction-free (Bareiss) column by column.  The first column d in the
+    span of the columns before it gives the candidate: those columns are
+    independent, so no order below d fits even these rows, and the order-d
+    fit is unique.  It is then certified on every window of every sequence.
+    A failure at s[N] comes after the candidate has generated s[0..N-1],
+    with N >= len(s) - max_order + d, so by Massey's lemma every recurrence
+    of s[0..N] has order >= N + 1 - d > max_order: none exists.
     """
     seqs = [[rat(x) for x in s] for s in seqs]
     if not seqs:
@@ -658,15 +677,33 @@ def recurrence_from_sequences(seqs, max_order: int):
                 f" (need at least {2 * max_order + 1})")
     if all(not x for s in seqs for x in s):
         return Poly.t()
-    for d in range(1, max_order + 1):
-        rows = []
-        rhs = []
-        for s in seqs:
-            for k in range(len(s) - d):
-                rows.append(s[k:k + d])
-                rhs.append(-s[k + d])
-        a = Matrix.from_rows(rows)
-        sol = a.solve(rhs)
-        if sol is not None:
-            return Poly(list(sol) + [ONE])
-    return None
+    if max_order < 1:
+        return None
+    ints = [integer_scaled(s)[0] for s in seqs]
+    width = max_order + 1
+    rows = [s[k:k + width] for s in ints for k in range(len(s) - max_order) if any(s[k:k + width])]
+    det = 1
+    for d in range(width):
+        piv = next((i for i in range(d, len(rows)) if rows[i][d]), None)
+        if piv is None:
+            break
+        rows[d], rows[piv] = rows[piv], rows[d]
+        top = rows[d]
+        p = top[d]
+        for i in range(d + 1, len(rows)):
+            f = rows[i][d]
+            rows[i] = [(p * a - f * b) // det for a, b in zip(rows[i], top)]
+        det = p
+    else:
+        return None
+    # rows[:d] is upper triangular with det = its last pivot, so det * p_i
+    # is an integer (Cramer) and each back-substitution step divides exactly
+    y = [0] * d + [det]
+    for i in range(d - 1, -1, -1):
+        row = rows[i]
+        y[i] = -sum(map(mul, row[i + 1:d + 1], y[i + 1:d + 1])) // row[i]
+    for s in ints:
+        for k in range(len(s) - d):
+            if sum(map(mul, y, s[k:k + d + 1])):
+                return None
+    return Poly([Fraction(c, det) for c in y])

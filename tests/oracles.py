@@ -45,8 +45,19 @@
 - classify_rational_full: classification of a rational generating function
   on the table sized from its unsimplified degrees alone, without the
   small certified first try of character.classify_rational.
+- frobenius_json_by_index: the JSON of a Frobenius algebra read one tensor
+  index at a time; the oracle for FrobeniusAlgebra.to_json, which renders
+  each flat entry list once and slices it.
 - invariant_rows: the invariant table of a KFA as one matrix-vector product
-  per cell, without the dot products of kfa.invariant_table.
+  per cell, over Fraction matrices, without the integer row and column
+  vectors of kfa.invariant_table.
+- recurrence_by_orders: the shared minimal recurrence of some sequences as
+  one Fraction solve per order 1, 2, ..., max_order; the oracle for
+  numkit.recurrence_from_sequences, which eliminates one integer window
+  matrix fraction-free and certifies the first dependent column.
+- eval_character_by_fractions: a character's value at one cell as a sum of
+  Fraction terms; the oracle for character.eval_character, which sums
+  integer numerators over one denominator.
 """
 from __future__ import annotations
 
@@ -78,7 +89,7 @@ from octqft.cobordism import (
 from octqft.frobenius import ConsistencyError
 from octqft.gram import MOD_P1, _SymPivot
 from octqft.kfa import make_semisimple_kfa, structural_endos
-from octqft.numkit import ONE, Matrix, rat
+from octqft.numkit import ONE, Matrix, Poly, rat, rat_to_str
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +865,30 @@ def classify_rational_full(num: dict, den: dict):
 
 
 # ---------------------------------------------------------------------------
+# structure JSON
+
+
+def frobenius_json_by_index(fa):
+    """FrobeniusAlgebra.to_json one entry at a time: a bounds-checked tensor
+    read and rat_to_str per entry, product as [c][a][b] and coproduct as
+    [a][b][c]."""
+    n = fa.dim
+    return {
+        "dim": n,
+        "product": [
+            [[rat_to_str(fa.product[(c, a, b)]) for b in range(n)] for a in range(n)]
+            for c in range(n)
+        ],
+        "unit": [rat_to_str(fa.unit[(a,)]) for a in range(n)],
+        "coproduct": [
+            [[rat_to_str(fa.coproduct[(a, b, c)]) for c in range(n)] for b in range(n)]
+            for a in range(n)
+        ],
+        "counit": [rat_to_str(fa.counit[(a,)]) for a in range(n)],
+    }
+
+
+# ---------------------------------------------------------------------------
 # invariant tables
 
 
@@ -875,3 +910,45 @@ def invariant_rows(k, g_max: int, w_max: int):
             row.append((eps * vec)[0, 0])
         rows.append(row)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# recurrences and cell values
+
+
+def recurrence_by_orders(seqs, max_order: int):
+    """Minimal monic recurrence shared by seqs: for d = 1..max_order, the
+    particular solution (free coordinates zero) of the system of every
+    window of length d + 1 of every sequence, or None."""
+    seqs = [[rat(x) for x in s] for s in seqs]
+    if not seqs:
+        raise ValueError("no sequences given")
+    for s in seqs:
+        if len(s) < 2 * max_order + 1:
+            raise ValueError(
+                f"sequence of length {len(s)} is too short for order {max_order}"
+                f" (need at least {2 * max_order + 1})")
+    if all(not x for s in seqs for x in s):
+        return Poly.t()
+    for d in range(1, max_order + 1):
+        rows = []
+        rhs = []
+        for s in seqs:
+            for k in range(len(s) - d):
+                rows.append(s[k:k + d])
+                rhs.append(-s[k + d])
+        sol = Matrix.from_rows(rows).solve(rhs)
+        if sol is not None:
+            return Poly(list(sol) + [ONE])
+    return None
+
+
+def eval_character_by_fractions(form: CharacterForm, g: int, w: int):
+    """poly_value(g, w) + sum of c * lam^g * mu^w in Fraction arithmetic,
+    with 0^0 = 1."""
+    if g < 0 or w < 0:
+        raise ValueError("genus and window count must be nonnegative")
+    total = form.poly_value(g, w)
+    for lam, mu, c in form.exp_terms:
+        total += c * (ONE if g == 0 else lam ** g) * (ONE if w == 0 else mu ** w)
+    return total

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octqft.character import (
-    CharacterForm, Good, Indeterminate, NotGood, SequenceTable, char_add, char_mul,
+    CharacterForm, ExprError, Good, Indeterminate, NotGood, SequenceTable, char_add, char_mul,
     char_scale, classify_rational, classify_table, eval_character, parse_rational_expr,
     scale_transform, to_table,
 )
+from oracles import eval_character_by_fractions, recurrence_by_orders
 
 
 def tbl(fn, g_max=6, w_max=6):
@@ -165,6 +166,25 @@ def test_parse_rational_expr():
         parse_rational_expr("1/(X-X)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 + * 2", "unexpected token '*' (at offset 4)"),
+    ("Z", "unexpected character 'Z' (at offset 0)"),
+    ("1/(X-X)", "division by zero expression (at offset 1)"),
+    ("(1 - X", "expected ')' (at offset 6)"),
+    ("(1 - X 3", "expected ')' (at offset 8)"),
+    ("((X)(Y) + 2", "expected ')' (at offset 11)"),
+    ("(2 ) )", "unexpected token ')' (at offset 5)"),
+    ("", "unexpected end of expression (at offset 0)"),
+    ("2 - ", "unexpected end of expression (at offset 4)"),
+    ("X / 0", "division by zero expression (at offset 2)"),
+])
+def test_parse_rational_expr_errors(text, message):
+    with pytest.raises(ExprError) as exc:
+        parse_rational_expr(text)
+    assert str(exc.value) == message
+    assert exc.value.pos == int(message.rsplit(" ", 1)[1].rstrip(")"))
+
+
 def test_scale_transform_law():
     f = CharacterForm.make(alpha_1=3, alpha_X=1, alpha_Y=2, alpha_Y2=5,
                            exp_terms=[(2, 3, 4)])
@@ -214,6 +234,33 @@ def test_roundtrip_recognition(f):
     assert res.form == f
 
 
+@given(forms(), st.integers(0, 12), st.integers(0, 12))
+@settings(max_examples=150, deadline=None)
+def test_eval_character_matches_fraction_sums(f, g, w):
+    # forms() draws mu = 0 and negative lam, mu and coefficients
+    assert eval_character(f, g, w) == eval_character_by_fractions(f, g, w)
+
+
+def test_eval_character_edge_cells():
+    f = CharacterForm.make(alpha_1=F(1, 3), alpha_X=-2, alpha_Y=F(5, 7), alpha_Y2=F(-1, 2),
+                           exp_terms=[(F(-2, 3), 0, F(7, 5)), (F(1, 2), F(-3, 4), F(-1, 6)),
+                                      (-3, F(5, 2), 2), (F(3, 7), 1, F(-4, 9))])
+    cells = [(g, w) for g in range(6) for w in range(6)]
+    # 0^0 = 1: a mu = 0 term counts in the w = 0 column only
+    cells += [(g, 0) for g in (0, 7, 40)] + [(0, w) for w in (0, 1, 40)]
+    # the depth of the deep-trace terms, and beyond
+    cells += [(501, 0), (0, 501), (501, 3), (17, 501), (250, 250)]
+    for g, w in cells:
+        assert eval_character(f, g, w) == eval_character_by_fractions(f, g, w), (g, w)
+    assert eval_character(CharacterForm.make(exp_terms=[(F(1, 2), 0, 3)]), 0, 0) == 3
+    for g, w in ((-1, 0), (0, -1), (-3, -3)):
+        with pytest.raises(ValueError) as got:
+            eval_character(f, g, w)
+        with pytest.raises(ValueError) as want:
+            eval_character_by_fractions(f, g, w)
+        assert str(got.value) == str(want.value)
+
+
 @given(forms(), forms())
 @settings(max_examples=25, deadline=None)
 def test_product_matches_tables(a, b):
@@ -227,10 +274,10 @@ def _classify_table_per_column(table, r):
     """classify_table as it was before one Vandermonde inverse served every
     column: one exact solve per column w and a cell-by-cell remainder.  The
     oracle of test_classify_table_matches_per_column_solve."""
-    from octqft.character import POLY_SUPPORT, _exp_value
-    from octqft.numkit import (
-        ZERO, Matrix, is_squarefree, rat_to_str, rational_roots, recurrence_from_sequences,
-    )
+    from octqft.character import POLY_SUPPORT
+    from octqft.numkit import ZERO, Matrix, is_squarefree, rat_to_str, rational_roots
+
+    recurrence_from_sequences = recurrence_by_orders
 
     deep_rows = [table.values[g] for g in range(2, table.g_max + 1)]
     exp_terms = []
@@ -279,7 +326,7 @@ def _classify_table_per_column(table, r):
     poly = {}
     for g in range(table.g_max + 1):
         for w in range(table.w_max + 1):
-            rem = table.value(g, w) - _exp_value(exp_form, g, w)
+            rem = table.value(g, w) - eval_character_by_fractions(exp_form, g, w)
             if not rem:
                 continue
             if (g, w) in POLY_SUPPORT:
@@ -293,7 +340,7 @@ def _classify_table_per_column(table, r):
         poly.get((0, 1), ZERO), poly.get((0, 2), ZERO), exp_terms)
     for g in range(table.g_max + 1):
         for w in range(table.w_max + 1):
-            if eval_character(form, g, w) != table.value(g, w):
+            if eval_character_by_fractions(form, g, w) != table.value(g, w):
                 return NotGood("reconstructed form does not reproduce the table", witness=(g, w))
     return Good(form)
 

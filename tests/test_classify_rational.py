@@ -6,6 +6,7 @@ certificate; everything else is the full-size verdict.  These tests compare
 it with tests/oracles.py::classify_rational_full on a seeded corpus, and
 check that the certificate, not the small table, decides.
 """
+import gc
 import hashlib
 import json
 import random
@@ -129,3 +130,17 @@ def test_certificate_refuses_what_the_small_table_cannot_see():
         got = classify_rational(num, den)
         assert got.to_json()["status"] == "not_good", text
         assert got == classify_rational_full(num, den)
+
+
+def test_parsing_leaves_no_cyclic_garbage():
+    # the parser keeps its state on an object, not in closures that refer to
+    # one another, so a parse frees everything by reference counting alone
+    texts = corpus() + ["2 + X/((1-X)*(1-2*Y))"] * 10
+    gc.disable()
+    try:
+        gc.collect()
+        for text in texts:
+            parse_rational_expr(text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -6,12 +6,17 @@ alters one byte fails."""
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from oracles import invariant_rows
 from octqft.cli import main
 from octqft.frobenius import frobenius_from_form
-from octqft.kfa import make_closed_only, make_semisimple_kfa
+from octqft.kfa import (
+    kfa_product, kfa_sum, make_closed_only, make_nonsemisimple_kfa, make_semisimple_kfa,
+    scale_kfa,
+)
 from octqft.numkit import Tensor
 
 
@@ -41,6 +46,30 @@ def _irrational_kfa():
 
 def _table(fn, n=9):
     return json.dumps({"values": [[str(fn(g, w)) for w in range(n)] for g in range(n)]})
+
+
+# structures whose operators, tables and forms all carry denominators: a
+# product at alpha = 1/2 and -2/3 with a polynomial and a geometric part, and
+# a sum rescaled by 2/3 with two geometric terms
+PRODUCT_KFA = kfa_product(
+    make_semisimple_kfa(2, Fraction(1, 2)),
+    kfa_sum(make_semisimple_kfa(1, Fraction(-2, 3)),
+            make_nonsemisimple_kfa(0, 1, 3, Fraction(1, 3), -1)))
+SCALED_KFA = scale_kfa(
+    kfa_sum(make_semisimple_kfa(1, 3), make_semisimple_kfa(2, Fraction(-2, 3))), Fraction(2, 3))
+
+
+def _fractional_cases(k, digests):
+    """invariants, character and classify --table (on the oracle's table) of
+    k, each at the table size character_of uses."""
+    kj = json.dumps(k.to_json())
+    r = k.closed.dim
+    size = 2 * r + 4
+    table = json.dumps({"values": [[str(v) for v in row] for row in invariant_rows(k, size, size)]})
+    argvs = (["invariants", "--kfa", kj, "--gmax", str(size), "--wmax", str(size)],
+             ["character", "--kfa", kj],
+             ["classify", "--table", table, "--rank-bound", str(r)])
+    return [(argv, 0, digest) for argv, digest in zip(argvs, digests)]
 
 
 @pytest.mark.parametrize("argv, code, digest, err", [
@@ -116,11 +145,22 @@ def test_cli_report_bytes_pinned(argv, code, digest, err, capsys):
      "8bcbe0063795d695b4176823ca2955bf501956388ef7ae0c3397fc1644ebdc40"),
     (["witness", "--object", "S", "--char", "Y*Y*Y", "--budget", "4"], 1,
      "ceeabb2d0a0c9158bce2d2f336689804f5b02a47f7cec77e1a739dbc502ca983"),
+    *_fractional_cases(PRODUCT_KFA, (
+        "9fcbc4fcd36d9f50430690aebcb621a686a8ceb08d4ab11b785e70bbc13c7303",
+        "04a61fe786dda89218c6125ba8dde2127abbfde3074c3fe4197aaf6c50048d89",
+        "03e194c4250ada0c73d84cb3f5e9b5cea1904d1e4a96c8805b8b64a3a9663d61")),
+    *_fractional_cases(SCALED_KFA, (
+        "c3756ee15b8f346d26f4265d34e95b21dddd97b8bd1b4368fdd9d81ea0de3b0d",
+        "31b17d8c3cc81b44c468c3021e7b80e3c6294afb7553deefe4e4cfce8e5ffc28",
+        "4f2547d7e7d30e67b162946804afb3e9e291a7f06278a57db7d9ff1d89e08c8c")),
 ], ids=["check-kfa-valid", "check-kfa-invalid", "invariants-default", "invariants-2x3",
         "character", "character-indeterminate", "classify-table-good",
         "classify-table-not-good-witness", "classify-table-not-good-no-recurrence",
         "classify-table-indeterminate", "classify-rational-good",
-        "classify-rational-not-good-witness", "classify-form", "scale", "error-payload"])
+        "classify-rational-not-good-witness", "classify-form", "scale", "error-payload",
+        "invariants-product-fractional", "character-product-fractional",
+        "classify-table-product-fractional", "invariants-scaled-2/3",
+        "character-scaled-2/3", "classify-table-scaled-2/3"])
 def test_structure_and_classify_report_bytes_pinned(argv, code, digest, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octqft.numkit import Matrix, Tensor, ONE
-from octqft.frobenius import AxiomError, ConsistencyError, make_A, make_F
+from octqft.frobenius import AxiomError, ConsistencyError, FrobeniusAlgebra, make_A, make_F
 from octqft.character import CharacterForm, char_mul, classify_table, scale_transform, to_table, Good
 from octqft.kfa import (
     KFA,
@@ -26,7 +26,7 @@ from octqft.kfa import (
     scale_kfa,
     structural_endos,
 )
-from oracles import invariant_rows
+from oracles import frobenius_json_by_index, invariant_rows
 
 
 def test_semisimple_shapes_and_axioms():
@@ -366,16 +366,70 @@ def test_kfa_json_float_entry_raises_type_error():
         KFA.from_json(obj)
 
 
-def test_invariant_table_matches_per_cell_products():
-    # one dot product per cell against one matrix-vector product per cell,
-    # on seeded structures of every constructor
-    rng = random.Random(9)
+def _seeded_structures(seed, count):
+    """Seeded structures of every constructor, combinator and scaling."""
+    rng = random.Random(seed)
     values = [F(v) for v in (1, 2, -1, 3)] + [F(1, 2), F(-2, 3), F(1, 3)]
-    for _ in range(8):
+    out = [make_closed_only(make_F(1, F(-2, 3))), make_closed_only(make_A(2, F(1, 2), 3))]
+    for _ in range(count):
         k = make_semisimple_kfa(rng.randint(0, 3), rng.choice(values))
         n = make_nonsemisimple_kfa(rng.randint(0, 2), rng.randint(1, 2), rng.choice(values),
                                    rng.choice(values + [F(0)]), rng.choice(values + [F(0)]))
-        for kk in (k, n, kfa_sum(k, n), kfa_product(k, n), scale_kfa(kfa_sum(n, k), rng.choice(values))):
-            g_max, w_max = rng.randint(0, 7), rng.randint(0, 7)
-            table = invariant_table(kk, g_max, w_max)
-            assert [list(row) for row in table.values] == invariant_rows(kk, g_max, w_max)
+        out += [k, n, kfa_sum(k, n), kfa_product(k, n), kfa_product(n, kfa_sum(k, k)),
+                scale_kfa(kfa_sum(n, k), rng.choice(values)), scale_kfa(kfa_product(k, n), F(2, 3))]
+    return out
+
+
+def test_invariant_table_matches_per_cell_products():
+    # integer dot products against one Fraction matrix-vector product per
+    # cell, on seeded structures of every constructor and on alpha = 1/2
+    # and -2/3, rescaling by 2/3 and products
+    half, m23 = make_semisimple_kfa(2, F(1, 2)), make_semisimple_kfa(1, F(-2, 3))
+    nil = make_nonsemisimple_kfa(1, 2, F(-2, 3), F(1, 3), F(1, 2))
+    cases = [half, m23, nil, kfa_product(half, m23), kfa_product(nil, half),
+             kfa_product(kfa_sum(half, m23), nil), scale_kfa(half, F(2, 3)),
+             scale_kfa(kfa_sum(m23, nil), F(2, 3)), scale_kfa(kfa_product(m23, nil), F(2, 3))]
+    rng = random.Random(9)
+    for k in cases + _seeded_structures(9, 4):
+        size = 2 * k.closed.dim + 4
+        for g_max, w_max in ((size, size), (rng.randint(0, 7), rng.randint(0, 7)), (0, 3), (3, 0)):
+            table = invariant_table(k, g_max, w_max)
+            assert [list(row) for row in table.values] == invariant_rows(k, g_max, w_max)
+
+
+def test_frobenius_json_matches_per_index_rendering():
+    for k in _seeded_structures(11, 6):
+        for fa in (k.open, k.closed):
+            assert fa.to_json() == frobenius_json_by_index(fa)
+
+
+def _perturbed(k, sector, field, index, delta):
+    """k with one entry of one structure tensor of one sector moved by delta."""
+    fa = getattr(k, sector)
+    parts = {"product": fa.product, "unit": fa.unit, "coproduct": fa.coproduct, "counit": fa.counit}
+    entries = list(parts[field].entries)
+    entries[index] += delta
+    parts[field] = Tensor(parts[field].shape, entries)
+    fa = FrobeniusAlgebra(**parts)
+    open_, closed = (fa, k.closed) if sector == "open" else (k.open, fa)
+    return KFA(open_, closed, k.zipper, k.cozipper)
+
+
+@pytest.mark.parametrize("sector, field, index, g_max, w_max, message", [
+    # the closed counit moves every cell but no trace
+    ("closed", "counit", 0, 3, 3, "closed trace identity fails at genus 1, windows 0"),
+    ("closed", "counit", 1, 4, 4, "closed trace identity fails at genus 1, windows 0"),
+    # without a genus row, a moved closed unit shows in the open traces
+    ("closed", "unit", 0, 0, 4, "open trace identity fails at 0 holes"),
+    # the open counit enters only the strip
+    ("open", "counit", 0, 3, 3, "strip invariant differs from the open counit of the unit"),
+    ("open", "counit", 3, 0, 1, "strip invariant differs from the open counit of the unit"),
+])
+def test_invariant_table_identity_failures(sector, field, index, g_max, w_max, message):
+    k = kfa_sum(scale_kfa(make_semisimple_kfa(2, F(1, 2)), F(2, 3)),
+                make_semisimple_kfa(1, F(-2, 3)))
+    bad = _perturbed(k, sector, field, index, F(1, 5))
+    structural_endos(bad)   # the commutation checks still pass
+    with pytest.raises(ConsistencyError) as exc:
+        invariant_table(bad, g_max, w_max)
+    assert str(exc.value) == message

@@ -7,6 +7,7 @@ from octqft.numkit import (
     Matrix, Poly, Tensor, is_squarefree, poly_gcd,
     rat, rat_to_str, rational_roots, recurrence_from_sequences,
 )
+from oracles import recurrence_by_orders
 
 
 def test_rat_roundtrip():
@@ -151,6 +152,82 @@ def test_recurrence_finite_support():
 
 
 small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+def _agree(seqs, max_order):
+    """recurrence_from_sequences against the per-order oracle, ValueError
+    included; returns the common answer."""
+    try:
+        want = recurrence_by_orders(seqs, max_order)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            recurrence_from_sequences(seqs, max_order)
+        assert str(got.value) == str(exc)
+        return exc
+    assert recurrence_from_sequences(seqs, max_order) == want
+    return want
+
+
+def _recurrent(coeffs, start, n):
+    """n terms of s[k + d] = -sum coeffs[i] * s[k + i], d = len(coeffs)."""
+    s = list(start)
+    while len(s) < n:
+        s.append(-sum(c * x for c, x in zip(coeffs, s[len(s) - len(coeffs):])))
+    return s[:n]
+
+
+@st.composite
+def recurrent_sequences(draw):
+    """Sequences of one random rational recurrence of order <= 4 (a zero
+    constant coefficient gives the root 0), of different lengths, each
+    possibly with a run of leading zeros and possibly all zero."""
+    max_order = draw(st.integers(1, 4))
+    order = draw(st.integers(1, max_order))
+    coeffs = draw(st.lists(small_rats, min_size=order, max_size=order))
+    seqs = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = 2 * max_order + 1 + draw(st.integers(0, 4))
+        start = draw(st.lists(small_rats | st.just(F(0)), min_size=order, max_size=order))
+        seqs.append(_recurrent(coeffs, start, n))
+    return seqs, max_order
+
+
+@given(recurrent_sequences())
+@settings(max_examples=200, deadline=None)
+def test_recurrence_matches_per_order_oracle(case):
+    seqs, max_order = case
+    assert _agree(seqs, max_order) is not None
+
+
+@given(st.integers(1, 3), st.lists(small_rats, min_size=2, max_size=3),
+       st.lists(st.lists(small_rats, min_size=3, max_size=3), min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_recurrence_of_cancelling_combinations(max_order, lams, mix):
+    # each sequence a combination of the same geometric sequences, so the
+    # combinations can cancel some roots or all of them
+    n = 2 * max_order + 3
+    seqs = [[sum(c * lam ** k for c, lam in zip(row, lams)) for k in range(n)] for row in mix]
+    _agree(seqs, max_order)
+
+
+@given(st.integers(0, 4), st.lists(st.lists(small_rats | st.just(F(0)), min_size=1, max_size=12),
+                                   min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_recurrence_of_arbitrary_data(max_order, seqs):
+    # mostly no recurrence of order <= max_order, partly zero data, and the
+    # too-short ValueError
+    _agree(seqs, max_order)
+
+
+def test_recurrence_edge_cases():
+    assert _agree([[0, 0, 0, 0, 5]], 2) is None
+    assert _agree([[0, 1, 2, 4, 8, 16, 32]], 3) == Poly([0, -2, 1])
+    assert _agree([[0] * 5, [0, 0, 1, 0, 0]], 2) is None
+    assert _agree([[0] * 7, [F(1, 3), 0, 0, 0, 0, 0, 0]], 3) == Poly([0, 1])
+    assert _agree([[1, 2, 3]], 0) is None
+    assert _agree([[0]], 0) == Poly.t()
+    assert isinstance(_agree([], 2), ValueError)
+    assert isinstance(_agree([[1, 2, 3, 4]], 2), ValueError)
 
 
 @given(st.lists(small_rats, min_size=1, max_size=5))

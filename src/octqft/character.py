@@ -18,8 +18,8 @@ from math import lcm
 from operator import mul
 
 from .numkit import (
-    ONE, ZERO, Matrix, Poly, is_squarefree, rat, rat_to_str, rational_roots, rats,
-    recurrence_from_sequences,
+    ONE, ZERO, Matrix, Poly, integer_scaled, is_squarefree, rat, rat_to_str, rational_roots,
+    rats, recurrence_from_sequences,
 )
 
 POLY_SUPPORT = ((0, 0), (1, 0), (0, 1), (0, 2))
@@ -393,33 +393,45 @@ def rational_character(num: dict, den: dict) -> TableCharacter:
     """Character whose generating function is num/den, with num and den
     bivariate polynomials as {(x_deg, y_deg): coeff} dicts.
 
-    A value at (g, w) first fills, in row order, every coefficient of the
-    box [0, g] x [0, w] not yet known.  Each needs only coefficients before
-    it, so the expansion needs no recursion at any depth."""
+    num and den are scaled to integers N and E by the lcm of all their
+    denominators.  With D = E[0, 0], the coefficient at (i, j) is
+    n[i][j] / D^(i+j+1) for the integers
+
+        n[i][j] = N[i, j] D^(i+j) - sum over (a, b) != (0, 0) of
+                  E[a, b] D^(a+b-1) n[i-a][j-b].
+
+    A value at (g, w) first fills, in row order, every numerator of the box
+    [0, g] x [0, w] not yet known.  Each needs only numerators before it,
+    so the expansion needs no recursion at any depth.  One Fraction is
+    built per cell read."""
     num = {k: rat(v) for k, v in num.items() if v}
     den = {k: rat(v) for k, v in den.items() if v}
-    d00 = den.get((0, 0), ZERO)
-    if not d00:
+    if not den.get((0, 0)):
         raise ValueError("denominator must have a nonzero constant term")
-    den_rest = [(k, v) for k, v in den.items() if k != (0, 0)]
-    rows = []       # rows[g][w], each row a prefix of its coefficients
+    ints = integer_scaled([*num.values(), *den.values()])[0]
+    den = dict(zip(den, ints[len(num):]))
+    num = dict(zip(num, ints))
+    d00 = den.pop((0, 0))    # den keeps the terms (a, b) != (0, 0)
+    powers = [1]    # powers[k] = d00 ** k
+    rows = []       # rows[g][w], each row a prefix of its numerators
 
     def coeff(g, w):
         if g < 0 or w < 0:
             raise ValueError("genus and window count must be nonnegative")
-        if g < len(rows) and w < len(rows[g]):
-            return rows[g][w]
-        while len(rows) <= g:
-            rows.append([])
-        for i in range(g + 1):
-            row = rows[i]
-            for j in range(len(row), w + 1):
-                s = num.get((i, j), ZERO)
-                for (a, b), v in den_rest:
-                    if a <= i and b <= j:
-                        s -= v * rows[i - a][j - b]
-                row.append(s / d00)
-        return rows[g][w]
+        if g >= len(rows) or w >= len(rows[g]):
+            while len(rows) <= g:
+                rows.append([])
+            while len(powers) <= g + w + 1:
+                powers.append(powers[-1] * d00)
+            for i in range(g + 1):
+                row = rows[i]
+                for j in range(len(row), w + 1):
+                    s = num.get((i, j), 0) * powers[i + j]
+                    for (a, b), v in den.items():
+                        if a <= i and b <= j:
+                            s -= v * powers[a + b - 1] * rows[i - a][j - b]
+                    row.append(s)
+        return Fraction(rows[g][w], powers[g + w + 1])
 
     return TableCharacter(coeff)
 

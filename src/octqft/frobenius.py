@@ -10,13 +10,18 @@ structure tensors:
 
 check_frobenius verifies the axioms entry by entry and reports which hold.
 All checks run over the nonzero entries only, so the large Kronecker-product
-algebras produced by tensor_product stay cheap to verify.
+algebras produced by tensor_product stay cheap to verify.  The sums of an
+identity run on integers: each tensor is scaled once to integers over one
+denominator (Tensor.scaled_nonzeros), and where the two sides have different
+denominators each side is multiplied by the other's.  A positive factor keeps
+every zero and every nonzero, so the least differing entry is the one the
+rational sums give.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numkit import Matrix, Tensor, ZERO, ONE, rat, rats
+from .numkit import Matrix, Tensor, ZERO, ONE, integer_scaled, rat, rats
 
 
 class AxiomError(ValueError):
@@ -52,29 +57,9 @@ class FrobeniusAlgebra:
         self.unit = unit
         self.coproduct = coproduct
         self.counit = counit
-        self._mult = None
-        self._comult = None
         self._pairing = None
         self._pmat = None
         self._dmat = None
-
-    def mult_table(self):
-        """dict (a, b) -> [(c, coeff)] over nonzero product entries."""
-        if self._mult is None:
-            table = {}
-            for (c, a, b), v in self.product.iter_nonzeros():
-                table.setdefault((a, b), []).append((c, v))
-            self._mult = table
-        return self._mult
-
-    def comult_table(self):
-        """dict c -> [(a, b, coeff)] over nonzero coproduct entries."""
-        if self._comult is None:
-            table = {}
-            for (a, b, c), v in self.coproduct.iter_nonzeros():
-                table.setdefault(c, []).append((a, b, v))
-            self._comult = table
-        return self._comult
 
     def pairing(self) -> Matrix:
         """Matrix of the form b(x, y) = counit(x * y)."""
@@ -141,12 +126,16 @@ class FrobeniusAlgebra:
         }
 
     @classmethod
-    def from_json(cls, obj):
+    def from_json(cls, obj, parsed=None):
+        """Rebuild from to_json(); parsed is passed on to rats(), so one
+        table of decoded strings can serve a whole document."""
+        if parsed is None:
+            parsed = {}
         n = obj["dim"]
-        prod = Tensor((n, n, n), rats(x for plane in obj["product"] for row in plane for x in row))
-        cop = Tensor((n, n, n), rats(x for plane in obj["coproduct"] for row in plane for x in row))
-        unit = Tensor((n,), rats(obj["unit"]))
-        counit = Tensor((n,), rats(obj["counit"]))
+        prod = Tensor((n, n, n), rats((x for plane in obj["product"] for row in plane for x in row), parsed))
+        cop = Tensor((n, n, n), rats((x for plane in obj["coproduct"] for row in plane for x in row), parsed))
+        unit = Tensor((n,), rats(obj["unit"], parsed))
+        counit = Tensor((n,), rats(obj["counit"], parsed))
         return cls(prod, unit, cop, counit)
 
 
@@ -199,9 +188,9 @@ def _first_difference(lhs, rhs):
     contributions differ, or None when the sums agree."""
     diff = {}
     for k, v in lhs:
-        diff[k] = diff.get(k, ZERO) + v
+        diff[k] = diff.get(k, 0) + v
     for k, v in rhs:
-        diff[k] = diff.get(k, ZERO) - v
+        diff[k] = diff.get(k, 0) - v
     return min((k for k, v in diff.items() if v), default=None)
 
 
@@ -211,51 +200,66 @@ def _violation(lhs, rhs, message):
     return None if key is None else message(*key)
 
 
-def _identity_twice(n):
-    """Contributions of id on both sides, keyed (a, side, a)."""
-    return [((a, side, a), ONE) for a in range(n) for side in (0, 1)]
+def _identity_twice(n, one):
+    """Contributions of one times id on both sides, keyed (a, side, a)."""
+    return [((a, side, a), one) for a in range(n) for side in (0, 1)]
 
 
 def _unital_violation(n, product, unit):
-    u = dict(unit.nonzeros())
-    prod = list(product.iter_nonzeros())
+    """Both sides times d_u * d_P: the unit's and the product's denominators."""
+    prod, d_p = product.scaled_nonzeros()
+    units, d_u = unit.scaled_nonzeros()
+    u = {a: x for (a,), x in units}
     return _violation(
         [((b, 0, c), u[a] * v) for (c, a, b), v in prod if a in u]
         + [((a, 1, c), u[b] * v) for (c, a, b), v in prod if b in u],
-        _identity_twice(n),
+        _identity_twice(n, d_u * d_p),
         lambda a, side, c: f"unit * e_{a} != e_{a}" if side == 0 else f"e_{a} * unit != e_{a}",
     )
 
 
 def _counital_violation(n, coproduct, counit):
-    e = dict(counit.nonzeros())
-    cop = list(coproduct.iter_nonzeros())
+    """Both sides times d_e * d_C: the counit's and the coproduct's
+    denominators."""
+    cop, d_c = coproduct.scaled_nonzeros()
+    counits, d_e = counit.scaled_nonzeros()
+    e = {a: x for (a,), x in counits}
     return _violation(
         [((c, 0, b), e[a] * v) for (a, b, c), v in cop if a in e]
         + [((c, 1, a), e[b] * v) for (a, b, c), v in cop if b in e],
-        _identity_twice(n),
+        _identity_twice(n, d_e * d_c),
         lambda c, side, x: (f"(counit x id) o coproduct != id at basis {c}" if side == 0
                             else f"(id x counit) o coproduct != id at basis {c}"),
     )
 
 
-def _product_joins(product):
+def _product_joins(prod):
+    """The integer product entries (d, x, y) keyed by x and by y."""
     by_in1 = {}
     by_in2 = {}
-    for (d, x, y), v in product.iter_nonzeros():
+    for (d, x, y), v in prod:
         by_in1.setdefault(x, []).append((d, y, v))
         by_in2.setdefault(y, []).append((d, x, v))
     return by_in1, by_in2
 
 
+def _comult_map(coproduct):
+    """dict c -> [(a, b, int)] over the integer coproduct entries."""
+    cmap = {}
+    for (a, b, c), v in coproduct.scaled_nonzeros()[0]:
+        cmap.setdefault(c, []).append((a, b, v))
+    return cmap
+
+
 def _associativity_difference(product):
     """Least key (a, b, c, e) at which (e_a e_b) e_c and e_a (e_b e_c) differ
-    in their e_e component, or None.  The two sides are compared one first
+    in their e_e component, or None.  Both sides are sums of products of two
+    integer entries, over d_P^2.  The two sides are compared one first
     factor a at a time, in increasing order, so the search stops at the
     first block that differs and holds the keys of one block only."""
     by_in1 = {}
     by_out = {}
-    for (d, x, y), v in product.iter_nonzeros():
+    for (d, x, y), v in product.scaled_nonzeros()[0]:
         by_in1.setdefault(x, []).append((d, y, v))
         by_out.setdefault(d, []).append((x, y, v))
     for a in sorted(by_in1):
@@ -288,8 +292,10 @@ def _coassociative_violation(cmap):
     )
 
 
-def _frobenius_violation(product, cmap, by_in1, by_in2):
-    m1 = [((a, b, x, y), v1 * v2) for (d, a, b), v1 in product.iter_nonzeros()
+def _frobenius_violation(prod, cmap, by_in1, by_in2):
+    """Every side is a sum of products of one product and one coproduct
+    entry, over d_P * d_C."""
+    m1 = [((a, b, x, y), v1 * v2) for (d, a, b), v1 in prod
           for x, y, v2 in cmap.get(d, ())]
     m2 = (((a, b, d, y), v2 * v3) for b, terms in cmap.items() for x, y, v2 in terms
           for d, a, v3 in by_in2.get(x, ()))
@@ -332,8 +338,9 @@ def check_frobenius(fa: FrobeniusAlgebra) -> FrobeniusReport:
     (a, b, x, y) for frobenius, its first identity before the second.
     """
     n = fa.dim
-    cmap = fa.comult_table()
-    by_in1, by_in2 = _product_joins(fa.product)
+    prod = fa.product.scaled_nonzeros()[0]
+    cmap = _comult_map(fa.coproduct)
+    by_in1, by_in2 = _product_joins(prod)
     beta = fa.pairing()
 
     details = {}
@@ -348,7 +355,7 @@ def check_frobenius(fa: FrobeniusAlgebra) -> FrobeniusReport:
     flags["counital"] = record("counital", _counital_violation(n, fa.coproduct, fa.counit))
     flags["associative"] = record("associative", _associative_violation(fa.product))
     flags["coassociative"] = record("coassociative", _coassociative_violation(cmap))
-    flags["frobenius"] = record("frobenius", _frobenius_violation(fa.product, cmap, by_in1, by_in2))
+    flags["frobenius"] = record("frobenius", _frobenius_violation(prod, cmap, by_in1, by_in2))
     r = beta.rank()
     flags["pairing_nondegenerate"] = record(
         "pairing_nondegenerate", None if r == n else f"pairing has rank {r} of {n}"
@@ -496,11 +503,18 @@ def central_transition(f_from: FrobeniusAlgebra, f_to: FrobeniusAlgebra) -> Tens
     if sol is None:
         raise RankError("target pairing is degenerate", rank=beta.rank(), dim=n)
 
-    a = {i: sol[i] for i in range(n) if sol[i]}
-    prod = list(f_to.product.iter_nonzeros())
+    # counit_to(a * e_x) over d_a * d_P * d_to against counit_from(e_x)
+    # over d_from, each side times the other's denominator
+    ints, d_a = integer_scaled(sol)
+    a = {i: x for i, x in enumerate(ints) if x}
+    prod, d_p = f_to.product.scaled_nonzeros()
+    e_to, d_to = integer_scaled(f_to.counit.entries)
+    e_from, d_from = integer_scaled(f_from.counit.entries)
+    e_to = [x * d_from for x in e_to]
+    d_lhs = d_a * d_p * d_to
     if _first_difference(
-        ((x, a[c] * v * f_to.counit[d]) for (d, c, x), v in prod if c in a),
-        ((x, f_from.counit[x]) for x in range(n)),
+        ((x, a[c] * v * e_to[d]) for (d, c, x), v in prod if c in a),
+        ((x, e_from[x] * d_lhs) for x in range(n)),
     ) is not None:
         raise ConsistencyError("transition element does not reproduce the source counit")
     if _first_difference(

@@ -86,10 +86,13 @@ class KFA:
 
     @classmethod
     def from_json(cls, obj):
-        open_ = FrobeniusAlgebra.from_json(obj["open"])
-        closed = FrobeniusAlgebra.from_json(obj["closed"])
-        zipper = Matrix.from_json(obj["zipper"], rows=open_.dim, cols=closed.dim)
-        cozipper = Matrix.from_json(obj["cozipper"], rows=closed.dim, cols=open_.dim)
+        """Rebuild from to_json(), decoding each distinct string once for
+        the whole document."""
+        parsed = {}
+        open_ = FrobeniusAlgebra.from_json(obj["open"], parsed)
+        closed = FrobeniusAlgebra.from_json(obj["closed"], parsed)
+        zipper = Matrix.from_json(obj["zipper"], rows=open_.dim, cols=closed.dim, parsed=parsed)
+        cozipper = Matrix.from_json(obj["cozipper"], rows=closed.dim, cols=open_.dim, parsed=parsed)
         return cls(open_, closed, zipper, cozipper)
 
 
@@ -134,18 +137,31 @@ def _cocommutative_violation(coproduct):
 
 
 def _copairing_symmetric_violation(fa):
-    gamma = fa.copairing()
-    n = gamma.rows
+    """Compares the copairing coproduct(unit) with its transpose on
+    integers over d_C * d_u."""
+    units, _ = fa.unit.scaled_nonzeros()
+    u = {c: x for (c,), x in units}
+    gamma = {}
+    for (a, b, c), v in fa.coproduct.scaled_nonzeros()[0]:
+        if c in u:
+            gamma[(a, b)] = gamma.get((a, b), 0) + v * u[c]
+    n = fa.dim
     for a in range(n):
         for b in range(a):
-            if gamma[a, b] != gamma[b, a]:
+            if gamma.get((a, b), 0) != gamma.get((b, a), 0):
                 return f"copairing component ({b},{a}) != ({a},{b})"
     return None
 
 
-def _entries(m: Matrix):
-    """Contributions ((row, col), value) of the nonzero entries of m."""
-    return (((i, j), v) for i, row in enumerate(m.nonzero_rows()) for j, v in row)
+def _product_entries(left, right, scale):
+    """Contributions ((i, j), scale * (left right)[i, j]) of the nonzero
+    entries of the product of two integer matrices given as rows."""
+    cols = list(zip(*right))
+    for i, row in enumerate(left):
+        for j, col in enumerate(cols):
+            x = sum(map(mul, row, col))
+            if x:
+                yield (i, j), scale * x
 
 
 def check_kfa(k: KFA) -> KfaReport:
@@ -156,6 +172,11 @@ def check_kfa(k: KFA) -> KfaReport:
     least offending entry, in the key order (s, t, i) for zipper_homomorphism,
     (s, b, c) for zipper_central, (closed, open) for duality and (d, c) for
     cardy; the sector checks report what check_frobenius reports.
+
+    The zipper, cozipper and both pairings are scaled to integer matrices
+    with one denominator each, the structure tensors by
+    Tensor.scaled_nonzeros, and every identity is compared on integers with
+    both sides brought to one denominator.
     """
     flags = {}
     details = {}
@@ -174,42 +195,61 @@ def check_kfa(k: KFA) -> KfaReport:
     record("open_symmetric", _symmetric_violation(k.open.pairing()))
     record("open_cosymmetric", _copairing_symmetric_violation(k.open))
 
-    # zipper sends the closed unit to the open unit
-    if k.zipper * k.closed.unit_matrix() == k.open.unit_matrix():
+    zipper, d_z = _scaled_rows(k.zipper)
+    cozipper, d_cz = _scaled_rows(k.cozipper)
+    oprod, d_po = k.open.product.scaled_nonzeros()
+    cprod, d_pc = k.closed.product.scaled_nonzeros()
+
+    # zipper sends the closed unit to the open unit: both over d_z * d_uc * d_uo
+    c_unit, d_uc = integer_scaled(k.closed.unit.entries)
+    o_unit, d_uo = integer_scaled(k.open.unit.entries)
+    if all(sum(map(mul, row, c_unit)) * d_uo == x * d_z * d_uc for row, x in zip(zipper, o_unit)):
         record("zipper_unital", None)
     else:
         record("zipper_unital", "zipper(closed unit) != open unit")
 
-    # zipper is multiplicative
-    zrows = k.zipper.nonzero_rows()              # open index -> [(closed index, coeff)]
-    zcols = k.zipper.transpose().nonzero_rows()  # closed index -> [(open index, coeff)]
-    oprod = list(k.open.product.iter_nonzeros())
+    # zipper is multiplicative: zipper(e_s e_t) over d_pc * d_z and
+    # zipper(e_s) zipper(e_t) over d_z^2 * d_po, both brought to d_pc * d_z^2 * d_po
+    zrows = [[(c, z) for c, z in enumerate(row) if z] for row in zipper]  # open -> [(closed, z)]
+    zcols = [[] for _ in range(k.closed.dim)]                              # closed -> [(open, z)]
+    for i, row in enumerate(zrows):
+        for c, z in row:
+            zcols[c].append((i, z))
+    lift = d_z * d_po
     record("zipper_homomorphism", _violation(
-        (((s, t, i), v * z) for (c, s, t), v in k.closed.product.iter_nonzeros() for i, z in zcols[c]),
-        (((s, t, i), zs * zt * v) for (i, a, b), v in oprod for s, zs in zrows[a] for t, zt in zrows[b]),
+        (((s, t, i), v * z * lift) for (c, s, t), v in cprod for i, z in zcols[c]),
+        (((s, t, i), zs * zt * v * d_pc) for (i, a, b), v in oprod
+         for s, zs in zrows[a] for t, zt in zrows[b]),
         lambda s, t, i: f"zipper(e_{s} e_{t}) != zipper(e_{s}) zipper(e_{t})",
     ))
 
-    # zipper image is central in the open sector
+    # zipper image is central in the open sector: both sides over d_z * d_po
     record("zipper_central", _violation(
         (((s, b, c), z * v) for (c, a, b), v in oprod for s, z in zrows[a]),
         (((s, b, c), z * v) for (c, b, a), v in oprod for s, z in zrows[a]),
         lambda s, b, c: f"zipper(e_{s}) does not commute with open basis {b}",
     ))
 
-    # pairing duality between zipper and cozipper
+    # pairing duality between zipper and cozipper: closed pairing times
+    # cozipper over d_bc * d_cz, zipper^T times open pairing over d_z * d_bo
+    c_pair, d_bc = _scaled_rows(k.closed.pairing())
+    o_pair, d_bo = _scaled_rows(k.open.pairing())
     record("duality", _violation(
-        _entries(k.closed.pairing() * k.cozipper),
-        _entries(k.zipper.transpose() * k.open.pairing()),
+        _product_entries(c_pair, cozipper, d_z * d_bo),
+        _product_entries([list(col) for col in zip(*zipper)], o_pair, d_bc * d_cz),
         lambda i, j: f"pairing duality fails at closed {i}, open {j}",
     ))
 
-    # Cardy: zipper o cozipper equals product o swap o coproduct on the open sector
-    omult = k.open.mult_table()
+    # Cardy: zipper o cozipper equals product o swap o coproduct on the open
+    # sector; the left side is over d_co * d_po, the right over d_z * d_cz
+    omult = {}
+    for (c, a, b), v in oprod:
+        omult.setdefault((a, b), []).append((c, v))
+    ocop, d_co = k.open.coproduct.scaled_nonzeros()
+    lift = d_z * d_cz
     record("cardy", _violation(
-        (((d, c), v * v2) for (a, b, c), v in k.open.coproduct.iter_nonzeros()
-         for d, v2 in omult.get((b, a), ())),
-        _entries(k.zipper * k.cozipper),
+        (((d, c), v * v2 * lift) for (a, b, c), v in ocop for d, v2 in omult.get((b, a), ())),
+        _product_entries(zipper, cozipper, d_co * d_po),
         lambda d, c: f"Cardy relation fails at open entry ({d},{c})",
     ))
 

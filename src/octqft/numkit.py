@@ -1,15 +1,22 @@
 """Exact rational numerics: tensors, matrices, polynomials, recurrences.
 
-Everything runs on fractions.Fraction.  No floats anywhere; degenerate or
-irrational situations are reported, never approximated.  Matrices are dense
-(flat row-major entries) but the elimination and multiplication routines skip
-zero entries, which matters for the large Kronecker-product structure tensors
-whose nonzero count is tiny compared to their volume.
+Values are fractions.Fraction at every interface.  No floats anywhere;
+degenerate or irrational situations are reported, never approximated.
+Matrices are dense (flat row-major entries) but the elimination and
+multiplication routines skip zero entries, which matters for the large
+Kronecker-product structure tensors whose nonzero count is tiny compared to
+their volume.
+
+Where a loop would do many Fraction operations it runs on integers over one
+denominator instead (integer_scaled, Tensor.scaled_nonzeros): the axiom
+checks of frobenius and kfa, recurrence_from_sequences (fraction-free
+elimination), rational_roots and is_squarefree (primitive integer
+polynomials).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 Rat = Fraction
@@ -29,13 +36,16 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-def rats(values) -> list:
+def rats(values, parsed=None) -> list:
     """rat() of each value in order, parsing each distinct string once.
 
-    Only exact str values share a decoding: 1, 1.0 and True hash equal, so
-    every other value goes through rat() and raises as it would alone.
-    Sharing is safe because Fractions are immutable."""
-    parsed = {}
+    parsed maps the strings decoded so far to their values; pass one dict to
+    several calls to share it across the parts of one document.  Only exact
+    str values share a decoding: 1, 1.0 and True hash equal, so every other
+    value goes through rat() and raises as it would alone.  Sharing is safe
+    because Fractions are immutable."""
+    if parsed is None:
+        parsed = {}
     out = []
     for x in values:
         if type(x) is str:
@@ -69,10 +79,12 @@ def rat_to_str(x: Fraction) -> str:
 class Tensor:
     """Dense tensor with explicit shape and flat row-major entries.
 
-    shape == () is a scalar.  Entries are Fractions.
+    shape == () is a scalar.  Entries are Fractions.  scaled_nonzeros()
+    gives the nonzero entries as integers over one denominator, which is
+    what the axiom checks sum.
     """
 
-    __slots__ = ("shape", "entries", "_nz")
+    __slots__ = ("shape", "entries", "_nz", "_scaled")
 
     def __init__(self, shape, entries):
         self.shape = tuple(shape)
@@ -81,6 +93,7 @@ class Tensor:
             raise ValueError(f"shape {self.shape} needs {n} entries, got {len(entries)}")
         self.entries = entries
         self._nz = None
+        self._scaled = None
 
     @classmethod
     def zeros(cls, shape):
@@ -105,6 +118,7 @@ class Tensor:
             idx = (idx,)
         self.entries[self.flat_index(idx)] = rat(value)
         self._nz = None
+        self._scaled = None
 
     @classmethod
     def from_entries(cls, shape, items):
@@ -131,6 +145,16 @@ class Tensor:
         if self._nz is None:
             self._nz = [(k, v) for k, v in enumerate(self.entries) if v]
         return self._nz
+
+    def scaled_nonzeros(self):
+        """Cached (items, d): the nonzero entries as (multi_index, int)
+        pairs over one denominator d > 0, the lcm of theirs, so that each
+        value is int / d."""
+        if self._scaled is None:
+            nz = self.nonzeros()
+            ints, d = integer_scaled([v for _, v in nz])
+            self._scaled = [(self.unflatten(k), x) for (k, _), x in zip(nz, ints)], d
+        return self._scaled
 
     def iter_nonzeros(self):
         """Yield (multi_index, value) for the nonzero entries."""
@@ -184,7 +208,8 @@ class Matrix:
         return cls(n, n, e)
 
     @classmethod
-    def from_rows(cls, rows_list):
+    def from_rows(cls, rows_list, parsed=None):
+        """Matrix of the given rows; parsed is passed on to rats()."""
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
 
@@ -193,7 +218,7 @@ class Matrix:
                 if len(r) != cols:
                     raise ValueError("ragged rows")
                 yield from r
-        return cls(rows, cols, rats(cells()))
+        return cls(rows, cols, rats(cells(), parsed))
 
     def to_json(self):
         # str of a Fraction prints what rat_to_str prints
@@ -202,14 +227,14 @@ class Matrix:
         return [flat[i * n:i * n + n] for i in range(self.rows)]
 
     @classmethod
-    def from_json(cls, obj, rows=None, cols=None):
+    def from_json(cls, obj, rows=None, cols=None, parsed=None):
         """Rebuild from nested string lists; explicit rows/cols disambiguate
-        empty shapes like 0 x n."""
+        empty shapes like 0 x n.  parsed is passed on to rats()."""
         if rows is None:
             rows = len(obj)
         if cols is None:
             cols = len(obj[0]) if obj else 0
-        m = cls.from_rows(obj) if obj else cls.zeros(0, cols)
+        m = cls.from_rows(obj, parsed) if obj else cls.zeros(0, cols)
         if m.rows != rows or m.cols != cols:
             raise ValueError(f"expected {rows}x{cols} matrix, got {m.rows}x{m.cols}")
         return m
@@ -586,10 +611,46 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
+def _primitive(p: Poly):
+    """The integer coefficients of p over the lcm of its denominators,
+    divided by their gcd: p's primitive integer polynomial, lowest first."""
+    ints = integer_scaled(p.coeffs)[0]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _pseudo_remainder(a, b):
+    """An integer multiple lc(b)^k * (a mod b) of the remainder of a by b,
+    for integer coefficient lists, lowest first, b nonzero; [] when b
+    divides a."""
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    while len(r) - 1 >= db:
+        f = r[-1]
+        k = len(r) - 1 - db
+        r = [lead * c for c in r]
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
 def is_squarefree(p: Poly) -> bool:
+    """Whether gcd(p, p') is constant, by a primitive remainder sequence on
+    integer polynomials: each remainder differs from the rational one by a
+    nonzero factor, so the degrees of the sequence are the same."""
     if p.degree <= 0:
         return True
-    return poly_gcd(p, p.derivative()).degree == 0
+    a = _primitive(p)
+    b = [i * c for i, c in enumerate(a)][1:]
+    while b:
+        r = _pseudo_remainder(a, b)
+        g = gcd(*r) or 1
+        a, b = b, [c // g for c in r]
+    return len(a) == 1
 
 
 def rational_roots(p: Poly):
@@ -598,40 +659,58 @@ def rational_roots(p: Poly):
     Returns (roots, fully_split) where roots is a list of (root, multiplicity)
     sorted by root, and fully_split says whether the polynomial factors
     completely over Q (i.e. deflating all rational roots leaves a constant).
+
+    Works on the primitive integer polynomial a_0 + ... + a_d t^d of p with
+    t^k stripped.  A candidate root u/v in lowest terms, u dividing a_0 and
+    v dividing a_d, is tested by homogeneous Horner: sum a_i u^i v^(d-i) = 0.
+    A root is deflated by exact integer division by v t - u, integral by
+    Gauss's lemma, until the candidate no longer vanishes.
     """
     if p.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
     roots = []
     # strip t^k
     k = 0
-    cs = list(p.coeffs)
-    while cs and not cs[0]:
-        cs.pop(0)
+    while not p.coeffs[k]:
         k += 1
     if k:
         roots.append((ZERO, k))
-    q = Poly(cs)
-    if q.degree >= 1:
-        # integerize
-        from math import gcd
-        den = lcm(*[c.denominator for c in q.coeffs])
-        ints = [int(c * den) for c in q.coeffs]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [c // g for c in ints]
-        a0, ad = abs(ints[0]), abs(ints[-1])
+    a = _primitive(p)[k:]
+    if len(a) > 1:
+        a0, ad = abs(a[0]), abs(a[-1])
+        dens = sorted(_divisors(ad))
         for num in sorted(_divisors(a0)):
-            for d in sorted(_divisors(ad)):
-                for s in (1, -1):
-                    cand = Fraction(s * num, d)
+            for v in dens:
+                if gcd(num, v) > 1:
+                    continue    # num/v was tried in lowest terms already
+                for u in (num, -num):
                     mult = 0
-                    while q.degree >= 1 and not q(cand):
-                        q = q.divmod(Poly([-cand, 1]))[0]
+                    while len(a) > 1 and not _homogeneous_value(a, u, v):
+                        a = _deflate(a, u, v)
                         mult += 1
                     if mult:
-                        roots.append((cand, mult))
+                        roots.append((Fraction(u, v), mult))
     roots.sort(key=lambda rm: rm[0])
-    return roots, q.degree <= 0
+    return roots, len(a) <= 1
+
+
+def _homogeneous_value(a, u, v):
+    """v^d * a(u/v) for the integer coefficients a, lowest first."""
+    acc = a[-1]
+    vk = v
+    for c in reversed(a[:-1]):
+        acc = acc * u + c * vk
+        vk *= v
+    return acc
+
+
+def _deflate(a, u, v):
+    """The integer quotient of a by v t - u, which divides it; its
+    coefficients from the top are b_(i-1) = (a_i + u b_i) / v."""
+    out = [a[-1] // v]
+    for c in reversed(a[1:-1]):
+        out.append((c + u * out[-1]) // v)
+    return out[::-1]
 
 
 def _divisors(n: int):

@@ -58,10 +58,24 @@
 - eval_character_by_fractions: a character's value at one cell as a sum of
   Fraction terms; the oracle for character.eval_character, which sums
   integer numerators over one denominator.
+- check_frobenius_by_fractions, check_kfa_by_fractions,
+  unital_violation_by_fractions, associative_violation_by_fractions and
+  central_transition_by_fractions: the axiom checks with every identity
+  summed as Fraction contributions; the oracles for frobenius and kfa,
+  which sum integer numerators with both sides over one denominator.
+- rational_series_by_fractions: the power series of num/den, one Fraction
+  sum per coefficient divided by den(0, 0); the oracle for
+  character.rational_character, which fills integer numerators over powers
+  of the scaled den(0, 0).
+- is_squarefree_by_fractions, rational_roots_by_fractions: gcd(p, p') and
+  the rational roots by Fraction division and evaluation; the oracles for
+  numkit's primitive integer remainder sequence, homogeneous Horner test
+  and exact integer deflation.
 """
 from __future__ import annotations
 
-from math import lcm
+from fractions import Fraction
+from math import gcd, isqrt, lcm
 from operator import getitem, mul
 
 from octqft.character import (
@@ -86,10 +100,10 @@ from octqft.cobordism import (
     summarize,
     summary_closure,
 )
-from octqft.frobenius import ConsistencyError
+from octqft.frobenius import STRUCTURAL_FLAGS, ConsistencyError
 from octqft.gram import MOD_P1, _SymPivot
-from octqft.kfa import make_semisimple_kfa, structural_endos
-from octqft.numkit import ONE, Matrix, Poly, rat, rat_to_str
+from octqft.kfa import KFA_FLAGS, make_semisimple_kfa, structural_endos
+from octqft.numkit import ONE, ZERO, Matrix, Poly, poly_gcd, rat, rat_to_str
 
 
 # ---------------------------------------------------------------------------
@@ -952,3 +966,264 @@ def eval_character_by_fractions(form: CharacterForm, g: int, w: int):
     for lam, mu, c in form.exp_terms:
         total += c * (ONE if g == 0 else lam ** g) * (ONE if w == 0 else mu ** w)
     return total
+
+
+# ---------------------------------------------------------------------------
+# axiom checks, series and roots in Fraction arithmetic
+
+
+def _first_difference_by_fractions(lhs, rhs):
+    diff = {}
+    for k, v in lhs:
+        diff[k] = diff.get(k, ZERO) + v
+    for k, v in rhs:
+        diff[k] = diff.get(k, ZERO) - v
+    return min((k for k, v in diff.items() if v), default=None)
+
+
+def _violation_by_fractions(lhs, rhs, message):
+    key = _first_difference_by_fractions(lhs, rhs)
+    return None if key is None else message(*key)
+
+
+def _pairing_by_fractions(fa):
+    """counit(e_a e_b) as an n x n Matrix."""
+    n = fa.dim
+    out = [ZERO] * (n * n)
+    for (c, a, b), v in fa.product.iter_nonzeros():
+        out[a * n + b] += fa.counit[(c,)] * v
+    return Matrix(n, n, out)
+
+
+def unital_violation_by_fractions(n, product, unit):
+    u = dict(unit.nonzeros())
+    prod = list(product.iter_nonzeros())
+    return _violation_by_fractions(
+        [((b, 0, c), u[a] * v) for (c, a, b), v in prod if a in u]
+        + [((a, 1, c), u[b] * v) for (c, a, b), v in prod if b in u],
+        [((a, side, a), ONE) for a in range(n) for side in (0, 1)],
+        lambda a, side, c: f"unit * e_{a} != e_{a}" if side == 0 else f"e_{a} * unit != e_{a}",
+    )
+
+
+def associative_violation_by_fractions(product):
+    prod = list(product.iter_nonzeros())
+    by_in1 = {}
+    by_out = {}
+    for (d, x, y), v in prod:
+        by_in1.setdefault(x, []).append((d, y, v))
+        by_out.setdefault(d, []).append((x, y, v))
+    return _violation_by_fractions(
+        (((a, b, c, e), v1 * v2) for a, terms in by_in1.items() for d, b, v1 in terms
+         for e, c, v2 in by_in1.get(d, ())),
+        (((a, b, c, e), v1 * v2) for a, terms in by_in1.items() for e, d, v2 in terms
+         for b, c, v1 in by_out.get(d, ())),
+        lambda a, b, c, e: f"(e_{a} e_{b}) e_{c} and e_{a} (e_{b} e_{c}) differ in the e_{e} component",
+    )
+
+
+def check_frobenius_by_fractions(fa):
+    """(flags, first_violation, details) of check_frobenius, every identity
+    summed in Fraction arithmetic."""
+    n = fa.dim
+    prod = list(fa.product.iter_nonzeros())
+    cop = list(fa.coproduct.iter_nonzeros())
+    cmap = {}
+    for (a, b, c), v in cop:
+        cmap.setdefault(c, []).append((a, b, v))
+    by_in1, by_in2 = {}, {}
+    for (d, x, y), v in prod:
+        by_in1.setdefault(x, []).append((d, y, v))
+        by_in2.setdefault(y, []).append((d, x, v))
+    e = dict(fa.counit.nonzeros())
+    beta = _pairing_by_fractions(fa)
+
+    counital = _violation_by_fractions(
+        [((c, 0, b), e[a] * v) for (a, b, c), v in cop if a in e]
+        + [((c, 1, a), e[b] * v) for (a, b, c), v in cop if b in e],
+        [((a, side, a), ONE) for a in range(n) for side in (0, 1)],
+        lambda c, side, x: (f"(counit x id) o coproduct != id at basis {c}" if side == 0
+                            else f"(id x counit) o coproduct != id at basis {c}"),
+    )
+    coassociative = _violation_by_fractions(
+        (((p, q, y, c), v1 * v2) for c, terms in cmap.items() for x, y, v1 in terms
+         for p, q, v2 in cmap.get(x, ())),
+        (((x, p, q, c), v1 * v2) for c, terms in cmap.items() for x, y, v1 in terms
+         for p, q, v2 in cmap.get(y, ())),
+        lambda p, q, r, c: f"coassociativity fails on basis {c} at component ({p},{q},{r})",
+    )
+    m1 = [((a, b, x, y), v1 * v2) for (d, a, b), v1 in prod for x, y, v2 in cmap.get(d, ())]
+    m2 = [((a, b, d, y), v2 * v3) for b, terms in cmap.items() for x, y, v2 in terms
+          for d, a, v3 in by_in2.get(x, ())]
+    m3 = [((a, b, x, d), v2 * v3) for a, terms in cmap.items() for x, y, v2 in terms
+          for d, b, v3 in by_in1.get(y, ())]
+    frobenius = _violation_by_fractions(m1, m2, lambda a, b, x, y: (
+        f"coproduct o product and (product x id)(id x coproduct) differ at input ({a},{b}) component ({x},{y})"
+    )) or _violation_by_fractions(m1, m3, lambda a, b, x, y: (
+        f"coproduct o product and (id x product)(coproduct x id) differ at input ({a},{b}) component ({x},{y})"
+    ))
+    r = beta.rank()
+    commutative = next((f"e_{a} e_{b} and e_{b} e_{a} differ in the e_{c} component"
+                        for (c, a, b), v in prod if a != b and fa.product[(c, b, a)] != v), None)
+    symmetric = next((f"pairing(e_{b}, e_{a}) != pairing(e_{a}, e_{b})"
+                      for a in range(n) for b in range(a) if beta[a, b] != beta[b, a]), None)
+    checks = {
+        "unital": unital_violation_by_fractions(n, fa.product, fa.unit),
+        "counital": counital,
+        "associative": associative_violation_by_fractions(fa.product),
+        "coassociative": coassociative,
+        "frobenius": frobenius,
+        "pairing_nondegenerate": None if r == n else f"pairing has rank {r} of {n}",
+        "commutative": commutative,
+        "symmetric": symmetric,
+    }
+    return _report_by_fractions(checks, STRUCTURAL_FLAGS)
+
+
+def _report_by_fractions(checks, ordered):
+    flags = {name: v is None for name, v in checks.items()}
+    details = {name: v for name, v in checks.items() if v is not None}
+    first = next((f"{name}: {details[name]}" for name in ordered if name in details), None)
+    return flags, first, details
+
+
+def check_kfa_by_fractions(k):
+    """(flags, first_violation, details) of check_kfa, every identity as a
+    sum of Fraction contributions and every map as a Fraction Matrix."""
+    def entries(m):
+        return (((i, j), v) for i, row in enumerate(m.nonzero_rows()) for j, v in row)
+
+    checks = {}
+    for sector in ("open", "closed"):
+        checks[f"{sector}_frobenius"] = check_frobenius_by_fractions(getattr(k, sector))[1]
+    cprod = list(k.closed.product.iter_nonzeros())
+    checks["closed_commutative"] = next(
+        (f"e_{a} e_{b} and e_{b} e_{a} differ in the e_{c} component"
+         for (c, a, b), v in cprod if a != b and k.closed.product[(c, b, a)] != v), None)
+    checks["closed_cocommutative"] = next(
+        (f"coproduct of basis {c} is not swap-invariant at component ({a},{b})"
+         for (a, b, c), v in k.closed.coproduct.iter_nonzeros()
+         if a != b and k.closed.coproduct[(b, a, c)] != v), None)
+    beta = _pairing_by_fractions(k.open)
+    n = beta.rows
+    checks["open_symmetric"] = next(
+        (f"pairing(e_{b}, e_{a}) != pairing(e_{a}, e_{b})"
+         for a in range(n) for b in range(a) if beta[a, b] != beta[b, a]), None)
+    cop_m = Matrix(n * n, n, list(k.open.coproduct.entries))
+    gamma = cop_m * Matrix(n, 1, list(k.open.unit.entries))
+    checks["open_cosymmetric"] = next(
+        (f"copairing component ({b},{a}) != ({a},{b})"
+         for a in range(n) for b in range(a) if gamma[a * n + b, 0] != gamma[b * n + a, 0]), None)
+    unit_ok = k.zipper * Matrix(k.closed.dim, 1, list(k.closed.unit.entries)) \
+        == Matrix(n, 1, list(k.open.unit.entries))
+    checks["zipper_unital"] = None if unit_ok else "zipper(closed unit) != open unit"
+    zrows = k.zipper.nonzero_rows()
+    zcols = k.zipper.transpose().nonzero_rows()
+    oprod = list(k.open.product.iter_nonzeros())
+    checks["zipper_homomorphism"] = _violation_by_fractions(
+        (((s, t, i), v * z) for (c, s, t), v in cprod for i, z in zcols[c]),
+        (((s, t, i), zs * zt * v) for (i, a, b), v in oprod for s, zs in zrows[a]
+         for t, zt in zrows[b]),
+        lambda s, t, i: f"zipper(e_{s} e_{t}) != zipper(e_{s}) zipper(e_{t})",
+    )
+    checks["zipper_central"] = _violation_by_fractions(
+        (((s, b, c), z * v) for (c, a, b), v in oprod for s, z in zrows[a]),
+        (((s, b, c), z * v) for (c, b, a), v in oprod for s, z in zrows[a]),
+        lambda s, b, c: f"zipper(e_{s}) does not commute with open basis {b}",
+    )
+    checks["duality"] = _violation_by_fractions(
+        entries(_pairing_by_fractions(k.closed) * k.cozipper),
+        entries(k.zipper.transpose() * beta),
+        lambda i, j: f"pairing duality fails at closed {i}, open {j}",
+    )
+    omult = {}
+    for (c, a, b), v in oprod:
+        omult.setdefault((a, b), []).append((c, v))
+    checks["cardy"] = _violation_by_fractions(
+        (((d, c), v * v2) for (a, b, c), v in k.open.coproduct.iter_nonzeros()
+         for d, v2 in omult.get((b, a), ())),
+        entries(k.zipper * k.cozipper),
+        lambda d, c: f"Cardy relation fails at open entry ({d},{c})",
+    )
+    return _report_by_fractions(checks, KFA_FLAGS)
+
+
+def central_transition_by_fractions(f_from, f_to):
+    """central_transition's two identity checks on its solved element, in
+    Fraction arithmetic: the name of the first that fails, or None."""
+    n = f_from.dim
+    beta = _pairing_by_fractions(f_to)
+    sol = beta.transpose().solve([f_from.counit[(x,)] for x in range(n)])
+    if sol is None:
+        return "degenerate"
+    a = {i: sol[i] for i in range(n) if sol[i]}
+    prod = list(f_to.product.iter_nonzeros())
+    if _first_difference_by_fractions(
+        ((x, a[c] * v * f_to.counit[(d,)]) for (d, c, x), v in prod if c in a),
+        ((x, f_from.counit[(x,)]) for x in range(n)),
+    ) is not None:
+        return "counit"
+    if _first_difference_by_fractions(
+        (((b, d), a[c] * v) for (d, c, b), v in prod if c in a),
+        (((b, d), a[c] * v) for (d, b, c), v in prod if c in a),
+    ) is not None:
+        return "central"
+    return None
+
+
+def rational_series_by_fractions(num: dict, den: dict, g_max: int, w_max: int):
+    """Coefficients [g][w] of num/den for g <= g_max, w <= w_max, each one
+    Fraction sum divided by den(0, 0)."""
+    num = {k: rat(v) for k, v in num.items() if v}
+    den = {k: rat(v) for k, v in den.items() if v}
+    d00 = den[(0, 0)]
+    rows = [[ZERO] * (w_max + 1) for _ in range(g_max + 1)]
+    for i in range(g_max + 1):
+        for j in range(w_max + 1):
+            s = num.get((i, j), ZERO)
+            for (a, b), v in den.items():
+                if (a, b) != (0, 0) and a <= i and b <= j:
+                    s -= v * rows[i - a][j - b]
+            rows[i][j] = s / d00
+    return rows
+
+
+def is_squarefree_by_fractions(p: Poly) -> bool:
+    """gcd(p, p') over Q by Fraction division."""
+    return p.degree <= 0 or poly_gcd(p, p.derivative()).degree == 0
+
+
+def rational_roots_by_fractions(p: Poly):
+    """rational_roots by Fraction evaluation and division: every candidate
+    s * u / v with u | a_0, v | a_d of the integerized polynomial."""
+    roots = []
+    cs = list(p.coeffs)
+    k = 0
+    while not cs[0]:
+        cs.pop(0)
+        k += 1
+    if k:
+        roots.append((ZERO, k))
+    q = Poly(cs)
+    if q.degree >= 1:
+        den = lcm(*[c.denominator for c in q.coeffs])
+        ints = [int(c * den) for c in q.coeffs]
+        g = gcd(*ints)
+        a0, ad = abs(ints[0]) // g, abs(ints[-1]) // g
+
+        def divisors(m):
+            small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+            return sorted(set(small + [m // d for d in small]))
+
+        for u in divisors(a0):
+            for v in divisors(ad):
+                for s in (1, -1):
+                    cand = Fraction(s * u, v)
+                    mult = 0
+                    while q.degree >= 1 and not q(cand):
+                        q = q.divmod(Poly([-cand, 1]))[0]
+                        mult += 1
+                    if mult:
+                        roots.append((cand, mult))
+    roots.sort(key=lambda rm: rm[0])
+    return roots, q.degree <= 0

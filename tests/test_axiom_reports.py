@@ -12,10 +12,14 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octqft.numkit import Matrix, Tensor
 from octqft.frobenius import (
+    AxiomError,
+    ConsistencyError,
     FrobeniusAlgebra,
+    RankError,
     central_transition,
     check_frobenius,
     frobenius_from_form,
@@ -32,6 +36,13 @@ from octqft.kfa import (
     make_nonsemisimple_kfa,
     make_semisimple_kfa,
     scale_kfa,
+)
+from oracles import (
+    associative_violation_by_fractions,
+    central_transition_by_fractions,
+    check_frobenius_by_fractions,
+    check_kfa_by_fractions,
+    unital_violation_by_fractions,
 )
 
 ALGEBRA_PARTS = ("product", "unit", "coproduct", "counit")
@@ -275,3 +286,120 @@ def test_perturbation_corpus_reports_pinned():
     assert fired == set(algebra_reports[0]["check"]["flags"])
     blob = json.dumps([kfa_reports, algebra_reports], sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == CORPUS_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# integer identities against the Fraction oracles
+
+ALPHA = st.sampled_from([1, 2, -1, F(1, 2), 3, F(-2, 3), F(5, 7)])
+SMALL = st.sampled_from([0, 1, -1, 2, F(1, 3), F(-3, 5)])
+# primes that divide no denominator of the structures drawn here
+NUDGE_PRIMES = (101, 103, 107, 109, 113, 127)
+
+
+@st.composite
+def small_kfas(draw, depth=2):
+    kind = draw(st.sampled_from(("ss", "ns", "sum", "product", "scale") if depth else ("ss", "ns")))
+    if kind == "ss":
+        return make_semisimple_kfa(draw(st.integers(0, 2)), draw(ALPHA))
+    if kind == "ns":
+        return make_nonsemisimple_kfa(draw(st.integers(0, 1)), draw(st.integers(1, 2)),
+                                      draw(ALPHA), draw(SMALL), draw(SMALL))
+    if kind == "scale":
+        return scale_kfa(draw(small_kfas(depth - 1)), draw(ALPHA))
+    if kind == "product":
+        # keep Kronecker products small: both factors are primitive
+        return kfa_product(draw(small_kfas(0)), draw(small_kfas(0)))
+    return kfa_sum(draw(small_kfas(depth - 1)), draw(small_kfas(depth - 1)))
+
+
+@st.composite
+def nudged_kfas(draw):
+    """A valid structure, or one with one entry of one tensor moved by
+    +-m/p for a prime p that no entry's denominator contains."""
+    k = draw(small_kfas())
+    if not draw(st.booleans()):
+        return k
+    parts = {n: t for n, t in _kfa_parts(k).items() if t.entries}
+    name = draw(st.sampled_from(sorted(parts, key=str)))
+    t = parts[name]
+    i = draw(st.integers(0, len(t.entries) - 1))
+    delta = F(draw(st.sampled_from((1, -1, 2, -5))), draw(st.sampled_from(NUDGE_PRIMES)))
+    idx = t.unflatten(i) if isinstance(t, Tensor) else divmod(i, t.cols)
+    return _edit_kfa(k, name, idx, t.entries[i] + delta)
+
+
+def _triple(rep):
+    return rep.flags, rep.first_violation, rep.details
+
+
+@given(nudged_kfas())
+@settings(max_examples=60, deadline=None)
+def test_axiom_checks_match_fraction_oracle(k):
+    assert _triple(check_kfa(k)) == check_kfa_by_fractions(k)
+    for fa in (k.open, k.closed):
+        assert _triple(check_frobenius(fa)) == check_frobenius_by_fractions(fa)
+
+
+def _from_form_outcome(product, unit, counit):
+    try:
+        frobenius_from_form(product, unit, counit)
+    except AxiomError as exc:
+        return str(exc)
+    except (RankError, ConsistencyError):
+        pass
+    return None
+
+
+@given(nudged_kfas(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_from_form_and_transition_errors_match_fraction_oracle(k, use_open):
+    fa = k.open if use_open else k.closed
+    n = fa.dim
+    unital = unital_violation_by_fractions(n, fa.product, fa.unit)
+    associative = associative_violation_by_fractions(fa.product)
+    expected = (f"unital: {unital}" if unital else
+                f"associative: {associative}" if associative else None)
+    assert _from_form_outcome(fa.product, fa.unit, fa.counit) == expected
+
+    # a second counit on the same algebra: the transition element must
+    # reproduce it and be central, exactly when the oracle says so
+    if n:
+        counit = _edited(fa.counit, (n - 1,), fa.counit.entries[-1] + F(1, 101))
+        moved = FrobeniusAlgebra(fa.product, fa.unit, fa.coproduct, counit)
+        for f_from, f_to in ((moved, fa), (fa, moved)):
+            want = central_transition_by_fractions(f_from, f_to)
+            try:
+                got = central_transition(f_from, f_to)
+            except RankError:
+                assert want == "degenerate"
+            except ConsistencyError as exc:
+                assert want == ("central" if "not central" in str(exc) else "counit")
+            else:
+                assert want is None
+                # and it is the element: counit_from(x) = counit_to(a x)
+                a = got.entries
+                for x in range(n):
+                    assert sum(a[c] * v * f_to.counit[(d,)]
+                               for (d, c, y), v in f_to.product.iter_nonzeros() if y == x) \
+                        == f_from.counit[(x,)]
+
+
+def test_from_form_and_transition_error_messages():
+    # unital and associative failures of frobenius_from_form; a degenerate
+    # and a non-central target of central_transition
+    fa = make_semisimple_kfa(2, F(2, 3)).open
+    with pytest.raises(AxiomError, match=r"^unital: unit \* e_1 != e_1$"):
+        frobenius_from_form(_edited(fa.product, (1, 0, 1), F(1, 103)), fa.unit, fa.counit)
+    bad = _edited(fa.product, (0, 1, 2), F(5, 107))
+    assert unital_violation_by_fractions(fa.dim, bad, fa.unit) is None
+    with pytest.raises(AxiomError, match=r"^associative: " + re.escape(
+            associative_violation_by_fractions(bad))):
+        frobenius_from_form(bad, fa.unit, fa.counit)
+    skew = FrobeniusAlgebra(fa.product, fa.unit, fa.coproduct, _edited(fa.counit, (1,), F(1, 109)))
+    with pytest.raises(ConsistencyError, match="not central"):
+        central_transition(skew, fa)
+    assert central_transition_by_fractions(skew, fa) == "central"
+    flat = FrobeniusAlgebra(fa.product, fa.unit, fa.coproduct, Tensor.zeros((fa.dim,)))
+    with pytest.raises(RankError):
+        central_transition(fa, flat)

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from octqft.character import (
     CharacterForm, ExprError, Good, Indeterminate, NotGood, SequenceTable, char_add, char_mul,
     char_scale, classify_rational, classify_table, eval_character, parse_rational_expr,
-    scale_transform, to_table,
+    rational_character, scale_transform, to_table,
 )
-from oracles import eval_character_by_fractions, recurrence_by_orders
+from oracles import eval_character_by_fractions, rational_series_by_fractions, recurrence_by_orders
 
 
 def tbl(fn, g_max=6, w_max=6):
@@ -396,3 +396,38 @@ def test_classify_table_matches_per_column_solve(monkeypatch):
         assert got.to_json() == _classify_table_per_column(table, r).to_json()
         kinds.add(type(got))
     assert kinds == {Good, NotGood, Indeterminate}
+
+
+series_coeff = st.fractions(min_value=-7, max_value=7, max_denominator=5)
+series_poly = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), series_coeff, max_size=5)
+
+
+@given(series_poly, series_poly,
+       st.sampled_from([F(2), F(-3), F(1, 2), F(-2, 3), F(5, 4), F(1), F(-1)]),
+       st.lists(st.tuples(st.integers(0, 44), st.integers(0, 44)), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_rational_character_matches_fraction_series(num, den, d00, cells):
+    # den(0, 0) mostly not +-1, fractional coefficients everywhere, cells read
+    # in any order down to depth 44, so the fill extends boxes already filled
+    den = {**den, (0, 0): d00}
+    chi = rational_character(num, den)
+    g_max = max(g for g, _ in cells)
+    w_max = max(w for _, w in cells)
+    want = rational_series_by_fractions(num, den, g_max, w_max)
+    for g, w in cells:
+        assert chi.value(g, w) == want[g][w]
+    for g in range(g_max + 1):
+        assert [chi.value(g, w) for w in range(w_max + 1)] == want[g]
+
+
+def test_rational_character_deep_fractional_denominator():
+    num = {(0, 0): F(1, 3), (2, 1): F(-5, 7)}
+    den = {(0, 0): F(-6, 5), (1, 0): F(1, 2), (0, 1): 3, (1, 1): F(-2, 9)}
+    chi = rational_character(num, den)
+    want = rational_series_by_fractions(num, den, 40, 40)
+    assert chi.value(40, 40) == want[40][40]
+    assert all(chi.value(g, w) == want[g][w] for g in range(41) for w in range(41))
+    with pytest.raises(ValueError):
+        chi.value(-1, 0)
+    with pytest.raises(ValueError):
+        rational_character(num, {(1, 0): 1})

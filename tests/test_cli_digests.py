@@ -14,7 +14,7 @@ from oracles import invariant_rows
 from octqft.cli import main
 from octqft.frobenius import frobenius_from_form
 from octqft.kfa import (
-    kfa_product, kfa_sum, make_closed_only, make_nonsemisimple_kfa, make_semisimple_kfa,
+    KFA_FLAGS, kfa_product, kfa_sum, make_closed_only, make_nonsemisimple_kfa, make_semisimple_kfa,
     scale_kfa,
 )
 from octqft.numkit import Tensor
@@ -166,6 +166,70 @@ def test_structure_and_classify_report_bytes_pinned(argv, code, digest, capsys):
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
     assert captured.err == ""
+
+
+# a valid structure whose every tensor carries denominators: a sum of a
+# semisimple and a nilpotent structure, rescaled by 3/7
+FRACTIONAL_KFA = scale_kfa(
+    kfa_sum(make_semisimple_kfa(2, Fraction(1, 2)),
+            make_nonsemisimple_kfa(1, 1, Fraction(2, 3), Fraction(1, 5), 3)), Fraction(3, 7))
+
+
+def _perturbed_kfa(path, delta):
+    """FRACTIONAL_KFA as JSON with the entry at path moved by delta; product
+    planes are indexed [c][a][b], coproduct planes [a][b][c]."""
+    obj = FRACTIONAL_KFA.to_json()
+    *head, last = path
+    node = obj
+    for key in head:
+        node = node[key]
+    node[last] = str(Fraction(node[last]) + delta)
+    return json.dumps(obj)
+
+
+# (path, delta, failed flags): together the cases fail every KFA flag
+PERTURBED_KFA_CASES = [
+    (("open", "product", 0, 4, 5), Fraction(-1, 13),
+     {"open_frobenius", "open_symmetric", "zipper_homomorphism", "zipper_central", "duality",
+      "cardy"},
+     "a8c708980dd3fa958f6afa65e257ad9186ab1f1489463599f54b0aaac30bdf3d"),
+    (("open", "coproduct", 1, 2, 3), Fraction(1, 11),
+     {"open_frobenius", "open_cosymmetric", "cardy"},
+     "26596bbe7623b325d13b7fad712e5cde78f920ee537a3982ec1a9fb7383ed4ad"),
+    (("closed", "product", 1, 1, 2), Fraction(-1, 17),
+     {"closed_frobenius", "closed_commutative", "zipper_homomorphism", "duality"},
+     "c5b99b34f583f6862a8d61be41ea3589a1732512d73af2f43be10e741faa7fe5"),
+    (("closed", "coproduct", 3, 2, 2), Fraction(-1, 13),
+     {"closed_frobenius", "closed_cocommutative"},
+     "31aa2ef993d3161db92b7142d6c07812b764fe06eb55a4a730304d7e7ac7d27c"),
+    (("zipper", 0, 0), Fraction(1, 13),
+     {"zipper_unital", "zipper_homomorphism", "zipper_central", "duality", "cardy"},
+     "ebd5a6d385f5b59ba21be579ba7295436aeb2916e69eb4c91ead040017456530"),
+    (("zipper", 0, 2), Fraction(1, 13),
+     {"zipper_homomorphism", "zipper_central", "duality", "cardy"},
+     "a5648a9b35f45378820ad38fd46257c3fa007557b07b00d6e492afcd39597f77"),
+    (("cozipper", 3, 0), Fraction(1, 13),
+     {"duality", "cardy"},
+     "d9d81c6c488c869e8032798b5dfc231cd61a1d5f64412b89770596cf4bbe2277"),
+]
+
+
+def test_perturbed_kfa_cases_fail_every_flag():
+    assert main(["check-kfa", "--kfa", json.dumps(FRACTIONAL_KFA.to_json())]) == 0
+    assert set().union(*(failed for _, _, failed, _ in PERTURBED_KFA_CASES)) == set(KFA_FLAGS)
+
+
+@pytest.mark.parametrize("path, delta, failed, digest", PERTURBED_KFA_CASES,
+                         ids=["open-product", "open-coproduct", "closed-product",
+                              "closed-coproduct", "zipper-unit-column", "zipper",
+                              "cozipper"])
+def test_check_kfa_invalid_report_bytes_pinned(path, delta, failed, digest, capsys):
+    assert main(["check-kfa", "--kfa", _perturbed_kfa(path, delta)]) == 1
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == ""
+    flags = json.loads(captured.out)["flags"]
+    assert {name for name, ok in flags.items() if not ok} == failed
 
 
 @pytest.mark.parametrize("argv, code, digest", [

@@ -306,6 +306,24 @@ def test_kfa_json_roundtrip():
     assert KFA.from_json(z.to_json()) == z
 
 
+def test_kfa_from_json_decodes_each_string_once_per_document():
+    k = KFA.from_json(make_semisimple_kfa(2, F(1, 2)).to_json())
+    # "2" = 1/alpha fills the open coproduct and the cozipper, which share
+    # one decoding of it
+    twos = [v for t in (k.open.coproduct, k.cozipper) for v in t.entries if v == 2]
+    assert len(twos) > 3 and all(v is twos[0] for v in twos)
+    # values that are not strings still raise as rat() raises on them
+    for bad, error in ((0.5, TypeError), (None, TypeError), ("1/0", ZeroDivisionError),
+                       ("x", ValueError)):
+        obj = make_semisimple_kfa(2, 1).to_json()
+        obj["cozipper"][0][3] = bad
+        with pytest.raises(error):
+            KFA.from_json(obj)
+    obj = make_semisimple_kfa(2, 1).to_json()
+    obj["closed"]["unit"][0] = 1
+    assert KFA.from_json(obj) == make_semisimple_kfa(2, 1)
+
+
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 small_nonzero = small.filter(lambda x: x != 0)
 

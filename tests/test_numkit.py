@@ -7,7 +7,7 @@ from octqft.numkit import (
     Matrix, Poly, Tensor, is_squarefree, poly_gcd,
     rat, rat_to_str, rational_roots, recurrence_from_sequences,
 )
-from oracles import recurrence_by_orders
+from oracles import is_squarefree_by_fractions, rational_roots_by_fractions, recurrence_by_orders
 
 
 def test_rat_roundtrip():
@@ -239,3 +239,38 @@ def test_from_roots_has_those_roots(roots):
     found, split = rational_roots(p)
     assert split
     assert sorted(r for r, m in found for _ in range(m)) == sorted(roots)
+
+
+# roots that cover zero, repeated, negative and fractional values; factors
+# with no rational root; and factors with 30-digit coefficients
+ROOTS = st.sampled_from([0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 7), F(-9, 4)])
+IRREDUCIBLE = st.sampled_from([
+    Poly([1, 0, 1]), Poly([-2, 0, 1]), Poly([3, 1, 1]), Poly([F(1, 3), 0, 0, 1]),
+    Poly([1, 10 ** 30 + 3, 1]), Poly([7, 10 ** 31 + 1, 0, 1]),
+])
+CONTENTS = st.sampled_from([1, -1, F(3, 5), F(10 ** 30 + 7, 10 ** 31 + 9), -(10 ** 33 + 1)])
+
+
+@given(st.lists(ROOTS, max_size=5), st.lists(IRREDUCIBLE, max_size=2), CONTENTS)
+@settings(max_examples=150, deadline=None)
+def test_roots_and_squarefree_match_fraction_oracles(roots, factors, content):
+    p = Poly.from_roots(roots).scale(content)
+    for f in factors:
+        p = p * f
+    assert rational_roots(p) == rational_roots_by_fractions(p)
+    assert is_squarefree(p) == is_squarefree_by_fractions(p)
+    found, split = rational_roots(p)
+    assert split == (not factors)
+    assert sorted(r for r, m in found for _ in range(m)) == sorted(map(F, roots))
+
+
+def test_roots_of_polynomial_with_large_coefficients():
+    # (2t + 3)(t - 5)^2 (t^2 + (10^30 + 3) t + 1) times a 34-digit content:
+    # 31-digit middle coefficients, while the primitive polynomial keeps a
+    # small constant and leading coefficient
+    p = (Poly.from_roots([F(-3, 2), 5, 5]) * Poly([1, 10 ** 30 + 3, 1])).scale(F(10 ** 33 + 1, 7))
+    assert max(abs(c.numerator) for c in p.coeffs) > 10 ** 60
+    expected = ([(F(-3, 2), 1), (F(5), 2)], False)
+    assert rational_roots(p) == expected == rational_roots_by_fractions(p)
+    assert not is_squarefree(p)
+    assert is_squarefree(p.divmod(Poly.from_roots([5]))[0])

@@ -28,6 +28,9 @@ def _char(exp, **poly):
 
 KFA21 = json.dumps(make_semisimple_kfa(2, 1).to_json())
 CHI1 = '{"exp":[{"lambda":"1","mu":"3","coeff":"2"}]}'
+# a geometric term plus a polynomial part with denominators, so that the
+# curated Grams are scaled to integers and print fractions
+CHI_POLY_FRACTIONS = _char([(2, 3, 1)], **{"1": "1/2"}, X="3/4", Y2="-2/3")
 
 
 def _broken_kfa():
@@ -95,6 +98,12 @@ def _fractional_cases(k, digests):
      "95d60368758a257fe23fbb62811d98bbc339dcdd2f9f37eecdd85ba34451802b", ""),
     (["gram", "--object", "S", "--char", _char([(2, 3, 1), (4, 5, 1)]), "--no-matrix"], 0,
      "1ae264ec5cf4ea9badbb5f08efaf005774f1b21dab9212e82ea54fe017c051f2", ""),
+    (["gram", "--object", "I", "--char", _char([(2, 3, 1), (4, 5, 1)]), "--no-matrix"], 0,
+     "622713e402bd0b118cadfb324b7c759d259f3e1468f93db267cf7e9d610912fc", ""),
+    (["gram", "--object", "S", "--char", CHI_POLY_FRACTIONS], 0,
+     "f9cdfae1cb8b8ea9b4ae7ce9e04a146d1bbcba3ee3e22a3e212b71486564010c", ""),
+    (["gram", "--object", "I", "--char", CHI_POLY_FRACTIONS], 0,
+     "c62b8cd55153f83490fe348235b521f57a947cf22e708e167df525b59d44b6a1", ""),
     (["eval", "--term", "uS ; dS ; mS ; z ; zs ; eS", "--kfa", KFA21], 0,
      "31c3ffb47faa9d2a058d6ec92d0cf295fa0f2dc1ec52890b51d538d6d30f0815", ""),
     (["eval", "--term", "(z * id:I) ; mI ; dI", "--kfa", KFA21], 0,
@@ -105,6 +114,7 @@ def _fractional_cases(k, digests):
 ], ids=["witness-II-xy", "witness-S-xy", "witness-I-xy", "witness-I-y2",
         "idempotents-chi1", "idempotents-two-blocks", "idempotents-one-window-root",
         "witness-SI-xy", "gram-S-chi1", "gram-I-chi1", "gram-S-two-blocks-rank",
+        "gram-I-two-blocks-rank", "gram-S-poly-fractions", "gram-I-poly-fractions",
         "eval-closed-surface", "eval-open-matrix", "eval-ill-typed"])
 def test_cli_report_bytes_pinned(argv, code, digest, err, capsys):
     assert main(argv) == code

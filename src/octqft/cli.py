@@ -215,12 +215,14 @@ def _cmd_eval(args):
 
 def _cmd_gram(args):
     chi = _load_char_form(args.char)
-    rows, values, rank = _coded_gram_rank(spanning_end(args.object, chi), chi)
+    rows, values, rank = _coded_gram_rank(spanning_end(args.object, chi), chi, not args.no_matrix)
     gram = None
     if not args.no_matrix:
-        # each distinct value rendered once; an entry is a list lookup
+        # each distinct value rendered once; an entry is a list lookup.  The
+        # codes are freed before the report is encoded, the peak of memory
         text = list(map(rat_to_str, values))
         gram = [list(map(text.__getitem__, row)) for row in rows]
+        del rows
     payload = {
         "object": args.object,
         "rank": rank,

@@ -29,7 +29,14 @@ scaling and the CLI's rendering run once per distinct value.
 Ranks and quotient bases are picked by symmetric pivoting mod a prime on
 packed big-int columns (_SymPivot) and certified exactly over Z
 (_certified_keys): the certificate runs each time single acceptance
-stalls and ends the selection once it holds.
+stalls and ends the selection once it holds.  The curated sets of S and I
+under a closed-form χ (spanning_end, which records the exponents of its
+entries) need neither the fill nor its certificate: χ has a Hankel
+factorization of finite rank r, so their Gram is Φ M Φᵀ with at most
+1 + r + r² independent rows in Φ, and its rank is that of the Gram of as
+many entries (_factored_rank).  Their quotient basis is the same modular
+selection over pairings computed as it asks for them, proven once it holds
+that many keys (_curated_keys).
 """
 from __future__ import annotations
 
@@ -193,7 +200,8 @@ def _as_lincomb(f):
 
 def closure_types(sid_first, sid_then):
     """(genus, windows) multiset of the trace closure of the term summarized
-    as sid_first followed by the one summarized as sid_then."""
+    as sid_first followed by the one summarized as sid_then: one pairing,
+    such as a diagonal entry of the curated key selection (_curated_keys)."""
     return next(closure_row(_SUMMARIES[sid_first], (_SUMMARIES[sid_then],)))
 
 
@@ -262,6 +270,7 @@ class TermSpace:
     spanning: list          # LinCombs of one endomorphism term each, with its summary id
     g_bound: int = None
     w_bound: int = None
+    exponents: dict = None  # curated sets: summary id -> exponent tuple, in spanning order
 
 
 def spanning_end(obj: str, chi: CharacterForm) -> TermSpace:
@@ -276,6 +285,9 @@ def spanning_end(obj: str, chi: CharacterForm) -> TermSpace:
     The summary of each entry is composed from those of its blocks: σ_{g,w}
     from σ_{g,w−1} and a window (σ_{g,0} from σ_{g−1,0} and a handle), a
     cap sandwich as σ ; cap ; σ, and the ι sandwiches of I as zs ; · ; z.
+    The space records what its entries are (exponents): ("id",) for the
+    identity of I, ("sig", g, w) for σ_{g,w} and ("cap", x, y, z, t) for a
+    cap sandwich, plain or ι-sandwiched, keyed by summary id.
     """
     if not isinstance(chi, CharacterForm):
         raise TypeError("curated spanning sets need a character in closed form")
@@ -293,16 +305,19 @@ def spanning_end(obj: str, chi: CharacterForm) -> TermSpace:
     sig = {(0, 0): summarize(Id("S"))}
     for g, w in grid[1:]:
         sig[g, w] = chain(sig[g, w - 1], window) if w else chain(sig[g - 1, 0], handle)
-    caps = [((x, y, z, t), chain(sig[z, t], cap, sig[x, y])) for x, y in grid for z, t in grid]
+    blocks = ([(("sig", *e), s) for e, s in sig.items()]
+              + [(("cap", *a, *b), chain(sig[b], cap, sig[a])) for a in grid for b in grid])
     if obj == "S":
-        entries = ([(sigma_endo(*e), s) for e, s in sig.items()]
-                   + [(cap_sandwich_endo(*e), s) for e, s in caps])
+        build = {"sig": sigma_endo, "cap": cap_sandwich_endo}
+        entries = [(e, build[e[0]](*e[1:]), s) for e, s in blocks]
     else:
+        build = {"sig": iota_sigma_endo, "cap": iota_cap_sandwich_endo}
         cozipper, zipper = summarize(Gen("zs")), summarize(Gen("z"))
-        entries = ([(Id("I"), summarize(Id("I")))]
-                   + [(iota_sigma_endo(*e), chain(cozipper, s, zipper)) for e, s in sig.items()]
-                   + [(iota_cap_sandwich_endo(*e), chain(cozipper, s, zipper)) for e, s in caps])
-    return TermSpace(obj, [LinComb([(ONE, t)], [intern_summary(s)]) for t, s in entries], gb, wb)
+        entries = ([(("id",), Id("I"), summarize(Id("I")))]
+                   + [(e, build[e[0]](*e[1:]), chain(cozipper, s, zipper)) for e, s in blocks])
+    sids = [intern_summary(s) for _, _, s in entries]
+    return TermSpace(obj, [LinComb([(ONE, t)], [sid]) for (_, t, _), sid in zip(entries, sids)],
+                     gb, wb, dict(zip(sids, (e for e, _, _ in entries))))
 
 
 class _Codes(dict):
@@ -394,11 +409,119 @@ def _integer_gram(rows, values):
     return [list(map(ints.__getitem__, row)) for row in rows]
 
 
-def _coded_gram_rank(ts: TermSpace, chi):
+# ---------------------------------------------------------------------------
+# the factored rank of a curated space
+#
+# A closed-form χ is Σ c λ^g μ^w plus a polynomial P on {1, X, Y, Y²}.  With
+# F(g, w) = (λ_t^g μ_t^w)_t, a value at a sum of exponent pairs a_1 .. a_m
+# and a shift s is multilinear in their features:
+#   χ(a_1 + … + a_m + s) = Σ_t c_t λ_t^s_g μ_t^s_w Π_i F_t(a_i)
+#                          + Σ_{u_1..u_m} P(u_1 + … + u_m + s) Π_i [a_i = u_i]
+# over cells u_i ≤ (1, 2), the only cells whose sums can land in the support
+# of P.  Every pairing of two curated entries is such a value (m = 0 to 3),
+# or a product of two (cap against cap), with the entries' exponents for
+# the a_i and the pair's handle and window shift for s.  So the Gram is Φ M Φᵀ: σ_{g,w}
+# has the feature row F(g, w), with the indicators of the cells appended
+# when P ≠ 0; a cap sandwich cap(x, y, z, t) has F(x, y) ⊗ F(z, t); the
+# identity of I has 1; and M is a fixed middle.  Take B the grid points
+# whose rows are independent of those before them: the σ_b for b in B span
+# the σ rows, and the cap(b, b′) for b, b′ in B span the cap rows, their
+# Kronecker square.  Those entries, with the identity of I, are a row basis
+# Ψ of Φ, so the rank of the Gram is the rank of Ψ M Ψᵀ, the Gram of those
+# entries: at most 1 + r + r² of them, r = len(F).
+
+_CELLS = [(g, w) for g in range(2) for w in range(3)]
+
+
+def _features(chi, g, w) -> list:
+    """F(g, w) under chi: λ^g μ^w per exponential term (0^0 = 1), then, when
+    chi has a polynomial part, the indicator of each cell of _CELLS."""
+    row = [lam ** g * mu ** w for lam, mu, _ in chi.exp_terms]
+    if any((chi.alpha_1, chi.alpha_X, chi.alpha_Y, chi.alpha_Y2)):
+        row += [ONE if (g, w) == cell else ZERO for cell in _CELLS]
+    return row
+
+
+def _factored_rank(ts: TermSpace, chi):
+    """The Gram rank of the curated space ts under chi, as the rank of the
+    Gram of a row basis of its Hankel factorization (above), certified by
+    _certified_keys; None when the factorization does not apply: chi is not
+    a CharacterForm, ts does not record the exponents of its entries in
+    spanning order (a space not built by spanning_end, or one changed
+    since), or MOD_P1
+    divides a denominator of chi, so that the integer-scaled Gram could
+    select other keys mod p than the values do (_curated_keys)."""
+    if not isinstance(chi, CharacterForm) or ts.exponents is None:
+        return None
+    params = (chi.alpha_1, chi.alpha_X, chi.alpha_Y, chi.alpha_Y2, *chain(*chi.exp_terms))
+    if (list(ts.exponents) != [e.sids[0] for e in ts.spanning]
+            or any(x.denominator % MOD_P1 == 0 for x in params)):
+        return None
+    at = {e: i for i, e in enumerate(ts.exponents.values())}
+    basis = []          # the grid points whose rows are independent of those before them
+    for p in (e[1:] for e in at if e[0] == "sig"):
+        if Matrix.from_rows([_features(chi, *b) for b in (*basis, p)]).rank() > len(basis):
+            basis.append(p)
+    core = ([i for e, i in at.items() if e[0] == "id"] + [at[("sig", *b)] for b in basis]
+            + [at[("cap", *a, *b)] for a in basis for b in basis])
+    sub = TermSpace(ts.object, [ts.spanning[i] for i in core])
+    return len(_certified_keys(_integer_gram(*_gram_rows(sub, chi))))
+
+
+def _curated_keys(ts: TermSpace, chi, rank) -> list:
+    """The keys that _certified_keys picks from the integer-scaled Gram of
+    ts, given its rank (_factored_rank), with no fill.  The same selection
+    mod MOD_P1 runs over pairings computed as it asks for them: the
+    diagonal by closure_types, and the whole row of any other first
+    argument (a key, or an entry of a pair search) by one closure_row.  No
+    denominator of chi is a multiple of
+    MOD_P1, so the scaling is a unit mod p and the values select the keys
+    the scaled Gram does.  The selection is proven once it holds rank keys:
+    that is the stall at which _schur_vanishes would first hold.  When it
+    ends short, because a value nonzero over Q vanished mod p, the keys are
+    picked again over Q, where a maximal block has rank keys."""
+    sids = [e.sids[0] for e in ts.spanning]
+    summaries = _summaries(ts.spanning)
+    value = _chi_products(chi)
+
+    def pairings(number):
+        rows = {}
+
+        def pairfn(i, j):
+            if i == j:
+                return number(closure_types(sids[i], sids[i]))
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = list(map(number, closure_row(summaries[i], summaries)))
+            return row[j]
+        return pairfn
+
+    def proven(keys):
+        return len(keys) == rank
+
+    mod = _Codes(lambda types: _mod_of(value(types), MOD_P1)).__getitem__
+    piv = _SymPivot(pairings(mod), MOD_P1)
+    if not piv.select(range(len(sids)), proven=proven):
+        piv = _SymPivot(pairings(value))
+        if not piv.select(range(len(sids)), proven=proven):
+            raise ConsistencyError(f"factored rank {rank}, but {len(piv.keys)} keys over Q")
+    return piv.keys
+
+
+def _coded_gram_rank(ts: TermSpace, chi, matrix=True):
     """The coded Gram of ts under chi (_gram_rows) and its rank over the
-    rationals: the one fill that gram_rank and the CLI's gram report read."""
+    rationals, as gram_rank and the CLI's gram report read them.  On a
+    curated space under a closed-form chi the rank is factored
+    (_factored_rank), and the Gram is filled only when matrix is true (rows
+    and values are None otherwise); on any other space the fill is certified
+    (_certified_keys)."""
+    rank = _factored_rank(ts, chi)
+    if rank is not None and not matrix:
+        return None, None, rank
     rows, values = _gram_rows(ts, chi)
-    return rows, values, len(_certified_keys(_integer_gram(rows, values)))
+    if rank is None:
+        rank = len(_certified_keys(_integer_gram(rows, values)))
+    return rows, values, rank
 
 
 def gram_rank(ts: TermSpace, chi):
@@ -406,7 +529,9 @@ def gram_rank(ts: TermSpace, chi):
     over the rationals.  With a complete spanning set the rank is the
     dimension of the endomorphism space in the quotient category; on the
     curated set of I (spanning_end), which misses hole powers, it is a
-    lower bound."""
+    lower bound.  On a curated set under a closed-form chi the rank comes
+    from the Hankel factorization of chi (_factored_rank), with no
+    certificate of the full Gram, which is filled only to be returned."""
     rows, values, rank = _coded_gram_rank(ts, chi)
     n = len(rows)
     return Matrix(n, n, [values[c] for row in rows for c in row]), rank
@@ -894,11 +1019,14 @@ def _certified_keys(a) -> list:
     The keys are picked by _SymPivot mod MOD_P1, and each time singles
     stall the exact certificate (_schur_vanishes) is run on the keys so
     far; the selection stops once it holds, and seeks a 2x2 step mod p only
-    while it fails.  The keys are those of the whole modular selection.
-    When no pair extends a block that the certificate rejects, because some
-    value nonzero over Q vanished mod p, the keys are picked again over Q."""
+    while it fails.  A selection of every row needs no certificate: its
+    block, the whole of a, is invertible mod p and so over Q.  The keys are
+    those of the whole modular selection.  When no pair extends a block
+    that the certificate rejects, because some value nonzero over Q
+    vanished mod p, the keys are picked again over Q."""
     piv = _SymPivot(lambda i, j: a[i][j], MOD_P1)
-    if piv.select(range(len(a)), proven=lambda keys: _schur_vanishes(a, keys)):
+    if piv.select(range(len(a)),
+                  proven=lambda keys: len(keys) == len(a) or _schur_vanishes(a, keys)):
         return piv.keys
     piv = _SymPivot(lambda i, j: a[i][j])
     piv.select(range(len(a)))
@@ -1068,31 +1196,42 @@ def _pivot_basis(ts, chi):
     The positions are those _certified_keys picks from the integer-scaled
     Gram: the symmetric pivot engine's acceptance order over the spanning
     positions (_SymPivot.select: singles in index order until they stall,
-    then, unless the exact certificate already holds, the first pair with
-    an invertible 2x2 Schur complement, then singles again), run over
-    Z/MOD_P1, or over Q when the certificate fails.  Witness coordinates
-    are indexed by these positions, so the order is part of the contract.
-    The block is read off the coded Gram rows, a list lookup per entry.
+    then, unless the selection is already proven, the first pair with an
+    invertible 2x2 Schur complement, then singles again), run over
+    Z/MOD_P1, or over Q when the proof fails.  Witness coordinates are
+    indexed by these positions, so the order is part of the contract.  On a
+    curated space under a closed-form chi no Gram is filled: the rank is
+    factored (_factored_rank), the keys are selected over pairings computed
+    on demand (_curated_keys), and the block is the Gram of the chosen
+    entries.  Any other space fills its coded Gram, is certified at each
+    stall (_schur_vanishes), and reads the block off the rows.
     """
-    rows, values = _gram_rows(ts, chi)
-    chosen = sorted(_certified_keys(_integer_gram(rows, values)))
-    return chosen, Matrix(len(chosen), len(chosen),
-                          [values[rows[i][j]] for i in chosen for j in chosen])
+    rank = _factored_rank(ts, chi)
+    if rank is None:
+        rows, values = _gram_rows(ts, chi)
+        chosen = sorted(_certified_keys(_integer_gram(rows, values)))
+        block = [values[rows[i][j]] for i in chosen for j in chosen]
+    else:
+        chosen = sorted(_curated_keys(ts, chi, rank))
+        rows, values = _gram_rows(TermSpace(ts.object, [ts.spanning[i] for i in chosen]), chi)
+        block = [values[c] for row in rows for c in row]
+    return chosen, Matrix(len(chosen), len(chosen), block)
 
 
 def quotient_algebra(ts: TermSpace, chi) -> QuotientAlgebra:
     """Finite model of the endomorphism algebra in the quotient category.
 
-    Picks a Gram-pivot basis b_0 .. b_{n-1} with Gram matrix G.  Coordinates
-    of an endomorphism f are G⁻¹ applied to its pairings with the basis, so
-    the product tensor is G⁻¹ times the n × n² matrix of pair(b_a∘b_b, b_c),
-    and the unit is G⁻¹ times the categorical traces, pair(id, b_c).  The
-    traces are one _pairing_row of the identity against the basis, and the
-    pairings one row per composite, glued from the summaries of b_b and b_a.  The
-    tensors are then checked to be unital and associative by the Frobenius
-    axiom checks; a failure raises IncompleteSpanningError, since it means
-    that products escaped the span.  Associativity names the least failing
-    basis triple.
+    Picks a Gram-pivot basis b_0 .. b_{n-1} with Gram matrix G
+    (_pivot_basis, which fills no Gram on a curated space under a
+    closed-form chi).  Coordinates of an endomorphism f are G⁻¹ applied to
+    its pairings with the basis, so the product tensor is G⁻¹ times the
+    n × n² matrix of pair(b_a∘b_b, b_c), and the unit is G⁻¹ times the
+    categorical traces, pair(id, b_c).  The traces are one _pairing_row of
+    the identity against the basis, and the pairings one row per composite,
+    glued from the summaries of b_b and b_a.  The tensors are then checked
+    to be unital and associative by the Frobenius axiom checks; a failure
+    raises IncompleteSpanningError, since it means that products escaped
+    the span.  Associativity names the least failing basis triple.
     """
     chosen, gb = _pivot_basis(ts, chi)
     dim = len(chosen)

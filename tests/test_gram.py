@@ -34,6 +34,9 @@ from octqft.gram import (
     LinComb,
     _SymPivot,
     _certified_keys,
+    _coded_gram_rank,
+    _curated_keys,
+    _factored_rank,
     _gen_count,
     _gram_rows,
     _integer_gram,
@@ -415,6 +418,97 @@ def test_gram_rank_falls_back_over_q_when_certificate_fails():
     assert piv.keys == []
     assert r == m.rank() == 5
     assert quotient_algebra(ts, chi).dim == 5
+
+
+# ---------------------------------------------------------------------------
+# the factored rank of the curated spaces
+
+
+def _assert_factored_matches_fill(ts, chi):
+    # the rank from the Hankel factorization against the certified fill, the
+    # keys selected over pairings on demand against the fill's keys, in
+    # order, and the pivot basis against the block of the filled Gram
+    rows, values = _gram_rows(ts, chi)
+    keys = _certified_keys(_integer_gram(rows, values))
+    rank = _factored_rank(ts, chi)
+    assert rank == len(keys)
+    assert _coded_gram_rank(ts, chi, False) == (None, None, rank)
+    assert _curated_keys(ts, chi, rank) == keys
+    chosen, block = _pivot_basis(ts, chi)
+    assert chosen == sorted(keys)
+    assert block.to_rows() == [[values[rows[i][j]] for j in chosen] for i in chosen]
+
+
+_FACTORED_CHARACTERS = {
+    "two_terms": CHI_TWO_GEOMETRIC,
+    "shared_lambda": CharacterForm.make(exp_terms=[(2, 3, 1), (2, 5, 1)]),
+    "poly_part": CharacterForm.make(1, 2, 3, 5, exp_terms=[(2, 3, 1)]),
+    "three_terms": CharacterForm.make(exp_terms=[(2, 3, 1), (4, 5, 1), (7, 11, 1)]),
+    "chi1": CHI2,
+    "shared_mu": CharacterForm.make(exp_terms=[(2, 3, 1), (4, 3, 1)]),
+    "mu_zero_pair": CharacterForm.make(exp_terms=[(2, 0, 1), (3, 5, 1)]),
+    "fractions": CHI_FRACTIONS,
+    "poly3": CHI_POLY3,
+    "alpha_1": CharacterForm.make(alpha_1=1),
+    "zero": CHI_ZERO,
+    "mu_zero": CharacterForm.make(exp_terms=[(Fraction(-1, 2), 0, 3)]),
+}
+
+
+@pytest.mark.parametrize("obj", ["S", "I"])
+@pytest.mark.parametrize("chi", _FACTORED_CHARACTERS.values(), ids=_FACTORED_CHARACTERS)
+def test_factored_rank_matches_fill(obj, chi):
+    _assert_factored_matches_fill(spanning_end(obj, chi), chi)
+
+
+_RANDOM_VALUES = [Fraction(v) for v in ("-2", "-1/2", "1/3", "3")]
+
+
+@settings(max_examples=6, deadline=None)
+@given(obj=st.sampled_from("SI"),
+       terms=st.lists(st.tuples(st.sampled_from(_RANDOM_VALUES),
+                                st.sampled_from([Fraction(0), *_RANDOM_VALUES]),
+                                st.sampled_from(_RANDOM_VALUES)), min_size=1, max_size=3),
+       alphas=st.lists(st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-2, 3)]),
+                       min_size=4, max_size=4))
+def test_factored_rank_matches_fill_on_random_characters(obj, terms, alphas):
+    chi = CharacterForm.make(*alphas, exp_terms=terms)
+    _assert_factored_matches_fill(spanning_end(obj, chi), chi)
+
+
+def test_factored_keys_fall_back_over_q():
+    # every value is a multiple of MOD_P1, so the modular selection is empty
+    # and the keys are picked again over Q, as the certified fill picks them
+    chi = CharacterForm.make(alpha_Y2=3 * MOD_P1)
+    ts = spanning_end("I", chi)
+    rows, values = _gram_rows(ts, chi)
+    assert all(v % MOD_P1 == 0 for v in values)
+    _assert_factored_matches_fill(ts, chi)
+    assert _factored_rank(ts, chi) == quotient_algebra(ts, chi).dim == 5
+
+
+@pytest.mark.parametrize("obj", ["S", "I"])
+def test_spanning_end_records_its_exponents(obj):
+    ts = spanning_end(obj, CHI_TWO_GEOMETRIC)
+    assert list(ts.exponents) == [e.sids[0] for e in ts.spanning]
+    assert list(ts.exponents.values()) == curated_exponents(obj, ts.g_bound, ts.w_bound)
+
+
+def test_factored_rank_needs_a_matching_record():
+    # anything but a curated space, as built, under a closed form whose
+    # denominators MOD_P1 does not divide takes the certified fill
+    ts = spanning_end("S", CHI2)
+    assert _factored_rank(ts, CHI2) == 2
+    assert _factored_rank(ts, _memo(CHI2)) is None
+    assert _factored_rank(TermSpace("S", ts.spanning), CHI2) is None
+    extended = TermSpace("S", ts.spanning + [lc(sigma_endo(1, 1))], exponents=ts.exponents)
+    assert _factored_rank(extended, CHI2) is None
+    swapped = TermSpace("S", [ts.spanning[1], ts.spanning[0], *ts.spanning[2:]],
+                        exponents=ts.exponents)
+    assert _factored_rank(swapped, CHI2) is None
+    chi = CharacterForm.make(exp_terms=[(1, 3, Fraction(2, MOD_P1))])
+    assert _factored_rank(spanning_end("S", chi), chi) is None
+    assert gram_rank(spanning_end("S", chi), chi)[1] == 2
 
 
 _RANK_LOST_MOD_P = ([[0, MOD_P1], [MOD_P1, 0]], [[1, 1], [1, 1 + MOD_P1]],

@@ -115,8 +115,9 @@ def _load_character(spec: str):
 def _encode(x, indent="\n"):
     """The text of json.dumps(x, sort_keys=True, indent=2), with indent the
     line break and indentation of the level of x.  A list of strings is one
-    join over encode_basestring_ascii; a value json cannot encode raises
-    TypeError, as json does."""
+    join over encode_basestring_ascii; in any other list an element object
+    that repeats, such as a shared Gram row, is encoded once.  A value json
+    cannot encode raises TypeError, as json does."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     inner = indent + "  "
@@ -126,7 +127,12 @@ def _encode(x, indent="\n"):
         try:
             body = ("," + inner).join(map(encode_basestring_ascii, x))
         except TypeError:   # not all strings
-            body = ("," + inner).join([_encode(v, inner) for v in x])
+            ids = list(map(id, x))
+            if len(set(ids)) == len(x):
+                body = ("," + inner).join([_encode(v, inner) for v in x])
+            else:           # per element object, its text at this level
+                texts = {i: _encode(v, inner) for i, v in dict(zip(ids, x)).items()}
+                body = ("," + inner).join(map(texts.__getitem__, ids))
         return "[" + inner + body + indent + "]"
     if isinstance(x, dict):
         if not x:
@@ -218,11 +224,15 @@ def _cmd_gram(args):
     rows, values, rank = _coded_gram_rank(spanning_end(args.object, chi), chi, not args.no_matrix)
     gram = None
     if not args.no_matrix:
-        # each distinct value rendered once; an entry is a list lookup.  The
-        # codes are freed before the report is encoded, the peak of memory
+        # each distinct value rendered once, and each distinct row object
+        # (the shared row of a feature class) once; an entry is a list
+        # lookup.  The codes are freed before the report is encoded, the
+        # peak of memory
         text = list(map(rat_to_str, values))
-        gram = [list(map(text.__getitem__, row)) for row in rows]
-        del rows
+        distinct = {id(row): row for row in rows}
+        rendered = {i: list(map(text.__getitem__, row)) for i, row in distinct.items()}
+        gram = [rendered[id(row)] for row in rows]
+        del rows, distinct, rendered
     payload = {
         "object": args.object,
         "rank": rank,

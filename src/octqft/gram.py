@@ -36,7 +36,9 @@ factorization of finite rank r, so their Gram is Φ M Φᵀ with at most
 1 + r + r² independent rows in Φ, and its rank is that of the Gram of as
 many entries (_factored_rank).  Their quotient basis is the same modular
 selection over pairings computed as it asks for them, proven once it holds
-that many keys (_curated_keys).
+that many keys (_curated_keys).  Entries with equal rows of Φ have equal
+Gram rows, so their full Gram is filled once per such feature class and
+their key rows are computed once per class (_feature_classes).
 """
 from __future__ import annotations
 
@@ -349,7 +351,20 @@ def _gram_rows(ts: TermSpace, chi):
     type of each root), so a row is one zip of C-level passes.  Each
     distinct key is read once: its types sorted into the closure-types
     tuple, whose χ product comes from _chi_products and whose value names
-    the code."""
+    the code.
+
+    On a curated space under a closed-form chi the entries of one feature
+    class (_feature_classes) have equal rows and columns, so only one
+    representative per class is filled, and each class row is expanded once
+    over the class index: the rows of the entries of one class are one
+    shared list, which callers must not change.  When every class has one
+    member the space is filled as it is."""
+    classes = _feature_classes(ts, chi)
+    if classes is not None and len(classes[1]) < len(ts.spanning):
+        index, reps = classes
+        rows, values = _gram_rows(TermSpace(ts.object, [ts.spanning[i] for i in reps]), chi)
+        shared = [list(map(row.__getitem__, index)) for row in rows]
+        return list(map(shared.__getitem__, index)), values
     summaries = _summaries(ts.spanning)
     groups = {}
     for i, s in enumerate(summaries):
@@ -428,7 +443,11 @@ def _integer_gram(rows, values):
 # the σ rows, and the cap(b, b′) for b, b′ in B span the cap rows, their
 # Kronecker square.  Those entries, with the identity of I, are a row basis
 # Ψ of Φ, so the rank of the Gram is the rank of Ψ M Ψᵀ, the Gram of those
-# entries: at most 1 + r + r² of them, r = len(F).
+# entries: at most 1 + r + r² of them, r = len(F).  Entries with equal rows
+# of Φ, a feature class, have equal rows and columns in the Gram, so the
+# full Gram is filled for one entry per class (_feature_classes).  Under a
+# χ with few distinct F(g, w), such as λ = 1 where F depends on w alone,
+# the classes are few.
 
 _CELLS = [(g, w) for g in range(2) for w in range(3)]
 
@@ -442,20 +461,54 @@ def _features(chi, g, w) -> list:
     return row
 
 
+def _factorizes(ts: TermSpace, chi) -> bool:
+    """True when the Hankel factorization (above) applies to ts under chi:
+    chi is a CharacterForm and ts records the exponents of its entries in
+    spanning order, so it is a space built by spanning_end and not changed
+    since."""
+    return (isinstance(chi, CharacterForm) and ts.exponents is not None
+            and list(ts.exponents) == [e.sids[0] for e in ts.spanning])
+
+
+def _feature_classes(ts: TermSpace, chi):
+    """(index, reps): the feature class of each entry of ts under chi, and
+    the position of the first entry of each class; None when the
+    factorization does not apply (_factorizes).  The class of an entry is
+    its row of Φ: ("id",), ("sig", F(g, w)) or ("cap", F(x, y), F(z, t)),
+    each distinct F(g, w) coded once per grid point.  Entries of one class
+    have equal rows and columns in the Gram."""
+    if not _factorizes(ts, chi):
+        return None
+    features = _Codes()
+    point = _Codes(lambda p: features[tuple(_features(chi, *p))])
+
+    def key(e):
+        if e[0] == "sig":
+            return e[0], point[e[1:]]
+        if e[0] == "cap":
+            return e[0], point[e[1:3]], point[e[3:]]
+        return e
+
+    classes = _Codes()
+    index = [classes[key(e)] for e in ts.exponents.values()]
+    reps = []
+    for i, c in enumerate(index):
+        if c == len(reps):  # codes are given in order of first appearance
+            reps.append(i)
+    return index, reps
+
+
 def _factored_rank(ts: TermSpace, chi):
     """The Gram rank of the curated space ts under chi, as the rank of the
     Gram of a row basis of its Hankel factorization (above), certified by
-    _certified_keys; None when the factorization does not apply: chi is not
-    a CharacterForm, ts does not record the exponents of its entries in
-    spanning order (a space not built by spanning_end, or one changed
-    since), or MOD_P1
-    divides a denominator of chi, so that the integer-scaled Gram could
-    select other keys mod p than the values do (_curated_keys)."""
-    if not isinstance(chi, CharacterForm) or ts.exponents is None:
+    _certified_keys; None when the factorization does not apply
+    (_factorizes), or when MOD_P1 divides a denominator of chi, so that the
+    integer-scaled Gram could select other keys mod p than the values do
+    (_curated_keys)."""
+    if not _factorizes(ts, chi):
         return None
     params = (chi.alpha_1, chi.alpha_X, chi.alpha_Y, chi.alpha_Y2, *chain(*chi.exp_terms))
-    if (list(ts.exponents) != [e.sids[0] for e in ts.spanning]
-            or any(x.denominator % MOD_P1 == 0 for x in params)):
+    if any(x.denominator % MOD_P1 == 0 for x in params):
         return None
     at = {e: i for i, e in enumerate(ts.exponents.values())}
     basis = []          # the grid points whose rows are independent of those before them
@@ -472,27 +525,31 @@ def _curated_keys(ts: TermSpace, chi, rank) -> list:
     """The keys that _certified_keys picks from the integer-scaled Gram of
     ts, given its rank (_factored_rank), with no fill.  The same selection
     mod MOD_P1 runs over pairings computed as it asks for them: the
-    diagonal by closure_types, and the whole row of any other first
-    argument (a key, or an entry of a pair search) by one closure_row.  No
-    denominator of chi is a multiple of
-    MOD_P1, so the scaling is a unit mod p and the values select the keys
-    the scaled Gram does.  The selection is proven once it holds rank keys:
-    that is the stall at which _schur_vanishes would first hold.  When it
-    ends short, because a value nonzero over Q vanished mod p, the keys are
-    picked again over Q, where a maximal block has rank keys."""
+    diagonal by closure_types, and the row of any other first argument (a
+    key, or an entry of a pair search) once per feature class
+    (_feature_classes), by one closure_row over the first entry of each
+    class, expanded over the class index.  No denominator of chi is a
+    multiple of MOD_P1, so the scaling is a unit mod p and the values select
+    the keys the scaled Gram does.  The selection is proven once it holds
+    rank keys: that is the stall at which _schur_vanishes would first hold.
+    When it ends short, because a value nonzero over Q vanished mod p, the
+    keys are picked again over Q, where a maximal block has rank keys."""
     sids = [e.sids[0] for e in ts.spanning]
     summaries = _summaries(ts.spanning)
+    index, reps = _feature_classes(ts, chi)
+    partners = [summaries[i] for i in reps]
     value = _chi_products(chi)
 
     def pairings(number):
-        rows = {}
+        rows = {}           # per class, its row over every entry
 
         def pairfn(i, j):
             if i == j:
                 return number(closure_types(sids[i], sids[i]))
-            row = rows.get(i)
+            row = rows.get(index[i])
             if row is None:
-                row = rows[i] = list(map(number, closure_row(summaries[i], summaries)))
+                row = list(map(number, closure_row(summaries[i], partners)))
+                row = rows[index[i]] = list(map(row.__getitem__, index))
             return row[j]
         return pairfn
 
@@ -513,8 +570,9 @@ def _coded_gram_rank(ts: TermSpace, chi, matrix=True):
     rationals, as gram_rank and the CLI's gram report read them.  On a
     curated space under a closed-form chi the rank is factored
     (_factored_rank), and the Gram is filled only when matrix is true (rows
-    and values are None otherwise); on any other space the fill is certified
-    (_certified_keys)."""
+    and values are None otherwise), once per feature class, so the entries
+    of one class share one row list; on any other space the fill is
+    certified (_certified_keys)."""
     rank = _factored_rank(ts, chi)
     if rank is not None and not matrix:
         return None, None, rank
@@ -531,7 +589,8 @@ def gram_rank(ts: TermSpace, chi):
     curated set of I (spanning_end), which misses hole powers, it is a
     lower bound.  On a curated set under a closed-form chi the rank comes
     from the Hankel factorization of chi (_factored_rank), with no
-    certificate of the full Gram, which is filled only to be returned."""
+    certificate of the full Gram, which is filled only to be returned, one
+    row per feature class expanded over its entries (_gram_rows)."""
     rows, values, rank = _coded_gram_rank(ts, chi)
     n = len(rows)
     return Matrix(n, n, [values[c] for row in rows for c in row]), rank

@@ -376,6 +376,22 @@ def test_encoder_matches_json_dumps_on_examples(payload):
     assert _encode(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
+_ROW = ["1", "2/3", "-5"]
+_NESTED = [_ROW, [1, None]]
+
+
+@pytest.mark.parametrize("payload", [
+    {"gram": [_ROW, _ROW, ["0"], _ROW], "rank": 1},
+    [_NESTED, _NESTED, {"b": _NESTED}],
+    {"a": [_ROW, _ROW], "b": [[_ROW, _ROW], _ROW], "c": {"d": [[[_ROW]], _ROW]}},
+    [_ROW, [_ROW, [_ROW, _ROW]], _ROW],
+], ids=["repeated-rows", "repeated-nested", "two-depths", "three-depths"])
+def test_encoder_matches_json_dumps_on_shared_lists(payload):
+    # a list object that repeats in one list is encoded once per call; the
+    # same object at another depth is indented for that depth
+    assert _encode(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("payload", [
     {1, 2}, Fraction(1, 2), b"x", ["a", object()], {"a": {1}}, {(1, 2): "x"}, {"a": 1, 2: "b"},
 ])

@@ -14,8 +14,8 @@ from oracles import invariant_rows
 from octqft.cli import main
 from octqft.frobenius import frobenius_from_form
 from octqft.kfa import (
-    KFA_FLAGS, kfa_product, kfa_sum, make_closed_only, make_nonsemisimple_kfa, make_semisimple_kfa,
-    scale_kfa,
+    KFA_FLAGS, interpolated_gl_character, kfa_product, kfa_sum, make_closed_only,
+    make_nonsemisimple_kfa, make_semisimple_kfa, scale_kfa,
 )
 from octqft.numkit import Tensor
 
@@ -31,6 +31,11 @@ CHI1 = '{"exp":[{"lambda":"1","mu":"3","coeff":"2"}]}'
 # a geometric term plus a polynomial part with denominators, so that the
 # curated Grams are scaled to integers and print fractions
 CHI_POLY_FRACTIONS = _char([(2, 3, 1)], **{"1": "1/2"}, X="3/4", Y2="-2/3")
+# the interpolated GL family at d = 7/2 (handle eigenvalue 1), whose curated
+# entries share a few feature classes, and a lone term with a negative handle
+# eigenvalue and window eigenvalue 0, so that 0^0 = 1 decides the classes
+CHI_GL_7_2 = json.dumps(interpolated_gl_character(Fraction(7, 2), 1).to_json())
+CHI_NEG_ZERO = _char([(-1, 0, 3)])
 
 
 def _broken_kfa():
@@ -104,6 +109,14 @@ def _fractional_cases(k, digests):
      "f9cdfae1cb8b8ea9b4ae7ce9e04a146d1bbcba3ee3e22a3e212b71486564010c", ""),
     (["gram", "--object", "I", "--char", CHI_POLY_FRACTIONS], 0,
      "c62b8cd55153f83490fe348235b521f57a947cf22e708e167df525b59d44b6a1", ""),
+    (["gram", "--object", "S", "--char", CHI_GL_7_2], 0,
+     "8f8cd1e975a262076a17e062bb885f3400976c63a8eaf8a626f71bb62c2f8a89", ""),
+    (["gram", "--object", "I", "--char", CHI_GL_7_2], 0,
+     "d43ad9209049d204d1e47212c78bfe0fcc5a236c7a7c7eec2d42bf1feb647625", ""),
+    (["gram", "--object", "S", "--char", CHI_NEG_ZERO], 0,
+     "f15c8785b20734429221533837715169cb25a7de451983f80fe5dca126bb43bd", ""),
+    (["gram", "--object", "I", "--char", CHI_NEG_ZERO], 0,
+     "7e8c8f82865527f80e4a24a55d60cde361532378d205446d35f89f4099fc8455", ""),
     (["eval", "--term", "uS ; dS ; mS ; z ; zs ; eS", "--kfa", KFA21], 0,
      "31c3ffb47faa9d2a058d6ec92d0cf295fa0f2dc1ec52890b51d538d6d30f0815", ""),
     (["eval", "--term", "(z * id:I) ; mI ; dI", "--kfa", KFA21], 0,
@@ -115,6 +128,8 @@ def _fractional_cases(k, digests):
         "idempotents-chi1", "idempotents-two-blocks", "idempotents-one-window-root",
         "witness-SI-xy", "gram-S-chi1", "gram-I-chi1", "gram-S-two-blocks-rank",
         "gram-I-two-blocks-rank", "gram-S-poly-fractions", "gram-I-poly-fractions",
+        "gram-S-gl-7/2", "gram-I-gl-7/2", "gram-S-neg-handle-zero-window",
+        "gram-I-neg-handle-zero-window",
         "eval-closed-surface", "eval-open-matrix", "eval-ill-typed"])
 def test_cli_report_bytes_pinned(argv, code, digest, err, capsys):
     assert main(argv) == code

@@ -24,7 +24,9 @@ from octqft.cobordism import (
     summarize,
     summary_closure,
 )
-from octqft.kfa import character_of, kfa_sum, make_nonsemisimple_kfa, make_semisimple_kfa
+from octqft.kfa import (
+    character_of, interpolated_gl_character, kfa_sum, make_nonsemisimple_kfa, make_semisimple_kfa,
+)
 from octqft.frobenius import frobenius_from_form
 from octqft.numkit import Matrix, Tensor, nullspace
 from octqft.gram import (
@@ -37,6 +39,7 @@ from octqft.gram import (
     _coded_gram_rank,
     _curated_keys,
     _factored_rank,
+    _feature_classes,
     _gen_count,
     _gram_rows,
     _integer_gram,
@@ -509,6 +512,85 @@ def test_factored_rank_needs_a_matching_record():
     chi = CharacterForm.make(exp_terms=[(1, 3, Fraction(2, MOD_P1))])
     assert _factored_rank(spanning_end("S", chi), chi) is None
     assert gram_rank(spanning_end("S", chi), chi)[1] == 2
+
+
+# ---------------------------------------------------------------------------
+# the feature classes of the curated spaces
+
+
+def _assert_class_fill_matches(ts, chi):
+    # the fill of one entry per feature class, expanded over the classes,
+    # against the block fill of the same entries without the exponent record
+    # and against the row-by-row oracle, value for value; and the keys
+    # picked over class rows against the certified keys of the full Gram
+    rows, values = _gram_rows(ts, chi)
+    got = [[values[c] for c in row] for row in rows]
+    plain_rows, plain_values = _gram_rows(TermSpace(ts.object, ts.spanning), chi)
+    assert got == [[plain_values[c] for c in row] for row in plain_rows]
+    oracle_rows, oracle_values = gram_rows_by_rows(ts, chi)
+    assert got == [[oracle_values[c] for c in row] for row in oracle_rows]
+    keys = _certified_keys(_integer_gram(plain_rows, plain_values))
+    assert _curated_keys(ts, chi, len(keys)) == keys
+    # the entries of one class share one row object
+    index, reps = _feature_classes(ts, chi)
+    assert all(row is rows[reps[c]] for row, c in zip(rows, index))
+
+
+_CLASS_CHARACTERS = {
+    "chi1": CHI2,
+    **{f"gl_{d}": interpolated_gl_character(d, 1) for d in (0, 1, -1, 2, Fraction(7, 2))},
+    "gl_2_alpha_-1": interpolated_gl_character(2, -1),
+    **{f"lambda_-1_mu_{mu}": CharacterForm.make(exp_terms=[(-1, mu, 3)]) for mu in (0, 1, -1)},
+    "poly_fractions": CHI_POLY_FRACTIONS,
+    "two_terms": CHI_TWO_GEOMETRIC,
+}
+
+
+@pytest.mark.parametrize("obj", ["S", "I"])
+@pytest.mark.parametrize("chi", _CLASS_CHARACTERS.values(), ids=_CLASS_CHARACTERS)
+def test_class_fill_matches_plain_fill(obj, chi):
+    _assert_class_fill_matches(spanning_end(obj, chi), chi)
+
+
+_CLASS_VALUES = [Fraction(v) for v in ("-1", "1", "2", "1/2", "-1/3")]
+
+
+@settings(max_examples=6, deadline=None)
+@given(obj=st.sampled_from("SI"),
+       terms=st.lists(st.tuples(st.sampled_from(_CLASS_VALUES),
+                                st.sampled_from([Fraction(0), *_CLASS_VALUES]),
+                                st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 7)])),
+                      min_size=1, max_size=2),
+       alphas=st.lists(st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-2, 3)]),
+                       min_size=4, max_size=4))
+def test_class_fill_matches_plain_fill_on_random_characters(obj, terms, alphas):
+    chi = CharacterForm.make(*alphas, exp_terms=terms)
+    _assert_class_fill_matches(spanning_end(obj, chi), chi)
+
+
+@pytest.mark.parametrize("obj, n, classes, rows", [("S", 272, 20, 11), ("I", 273, 21, 12)])
+def test_chi1_curated_entries_fall_into_few_classes(obj, n, classes, rows):
+    # under χ₁ = 2/((1-X)(1-3Y)) the feature row is F(g, w) = (3^w,), so an
+    # entry's class is read off its window counts alone; some classes still
+    # share their Gram row
+    ts = spanning_end(obj, CHI2)
+    index, reps = _feature_classes(ts, CHI2)
+    assert (len(index), len(reps)) == (n, classes)
+    gram_rows = _gram_rows(ts, CHI2)[0]
+    assert len({id(row) for row in gram_rows}) == classes
+    assert len({tuple(row) for row in gram_rows}) == rows
+
+
+def test_feature_classes_need_a_curated_space():
+    # a generic χ leaves every entry alone in its class, and the Gram is
+    # filled as it is; spaces without the record, and value tables, have none
+    ts = spanning_end("S", CHI_TWO_GEOMETRIC)
+    index, reps = _feature_classes(ts, CHI_TWO_GEOMETRIC)
+    assert index == reps == list(range(len(ts.spanning)))
+    assert _feature_classes(TermSpace("S", ts.spanning), CHI_TWO_GEOMETRIC) is None
+    assert _feature_classes(ts, _memo(CHI_TWO_GEOMETRIC)) is None
+    rows = _gram_rows(ts, CHI_TWO_GEOMETRIC)[0]
+    assert len({id(row) for row in rows}) == len(rows)
 
 
 _RANK_LOST_MOD_P = ([[0, MOD_P1], [MOD_P1, 0]], [[1, 1], [1, 1 + MOD_P1]],

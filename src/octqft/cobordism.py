@@ -487,7 +487,9 @@ class _ShapeTable:
     the offset of the larger.  Nearly every pair of enumerated classes is
     closed, so those rows are lists.  A composition plan is (result shape
     id, the roots on the boundary in the order of the result's components,
-    the roots that close).  Equal plans and roots are stored once."""
+    the roots that close).  Equal plans and roots are stored once.  Each
+    closure plan is kept with its split plan (closure_plan), which the Gram
+    fill and the row plans of closure_row read."""
 
     def __init__(self):
         self.shapes = []        # shape id -> Shape
@@ -506,14 +508,25 @@ class _ShapeTable:
         return sid
 
     def closure_plan(self, i: int, j: int):
-        """The closure plan of shapes i <= j."""
+        """(plan, side i, side j): the closure plan of shapes i <= j and its
+        split plan, the roots once more with the members split by side.  A
+        side holds per root the members that index the labels of a summary
+        of its shape, and the root's offsets (euler, windows)."""
         row, k = self.closure[i], j - i
         if k >= len(row):
             row += [None] * (len(self.shapes) - i - len(row))
         plan = row[k]
         if plan is None:
-            plan = row[k] = self._keep(self._closure(i, j))
+            plan = row[k] = self._keep(self._split(self.shapes[i].ncomps(), self._closure(i, j)))
         return plan
+
+    def _split(self, k, roots):
+        lo, hi = [], []
+        for members, e, w in roots:
+            m = bisect_left(members, k)         # members ascend (_roots)
+            lo.append((members[:m], e, w))
+            hi.append((tuple([x - k for x in members[m:]]), e, w))
+        return roots, tuple(lo), tuple(hi)
 
     def compose_plan(self, i: int, j: int):
         """The composition plan of shape i then shape j."""
@@ -764,7 +777,7 @@ def closure_roots(a: DiagramSummary, b: DiagramSummary) -> list:
     b.closed they are the components of the closure."""
     if a.shape > b.shape:       # the closure of (b then a), which is the same
         a, b = b, a
-    return _sum_labels(_SHAPES.closure_plan(a.shape, b.shape), a.comps + b.comps, [], True)
+    return _sum_labels(_SHAPES.closure_plan(a.shape, b.shape)[0], a.comps + b.comps, [], True)
 
 
 def summary_closure(a: DiagramSummary, b: DiagramSummary):
@@ -791,28 +804,25 @@ def closure_row(a: DiagramSummary, summaries):
         yield tuple(types)
 
 
-def _split_plan(a_shape, b_shape) -> list:
-    """The closure plan of shapes a_shape and b_shape with the members of
-    each root split by side: per root, the members that index the labels of
-    a summary of shape a_shape, those that index the labels of one of shape
-    b_shape, and its offsets (euler, windows)."""
-    first = a_shape <= b_shape
-    k = _SHAPES.shapes[min(a_shape, b_shape)].ncomps()
-    split = []
-    for members, e, w in _SHAPES.closure_plan(*sorted((a_shape, b_shape))):
-        i = bisect_left(members, k)         # members ascend (_ShapeTable._roots)
-        lo, hi = members[:i], tuple([x - k for x in members[i:]])
-        split.append((lo, hi, e, w) if first else (hi, lo, e, w))
-    return split
+def _split_plan(a_shape, b_shape):
+    """(side a, side b): the closure plan of shapes a_shape and b_shape with
+    the members of each root split by side, as the shape table keeps it
+    (_ShapeTable.closure_plan).  Per root, side a holds the members that
+    index the labels of a summary of shape a_shape and side b those of one
+    of shape b_shape, each with the root's offsets (euler, windows)."""
+    if a_shape <= b_shape:
+        return _SHAPES.closure_plan(a_shape, b_shape)[1:]
+    _, b_side, a_side = _SHAPES.closure_plan(b_shape, a_shape)
+    return a_side, b_side
 
 
 def _row_plan(shape, comps, b_shape) -> list:
     """The closure plan of shapes shape and b_shape with the labels comps of
     the first summed in: per root, the members that index the labels of the
     second, and its offsets plus the labels of the first."""
-    split = _split_plan(shape, b_shape)
-    sums = _sum_labels([(am, e, w) for am, _, e, w in split], comps, [], False)
-    return [(bm, e, w) for (_, bm, _, _), (e, w) in zip(split, sums)]
+    a_side, b_side = _split_plan(shape, b_shape)
+    sums = _sum_labels(a_side, comps, [], False)
+    return [(bm, e, w) for (bm, _, _), (e, w) in zip(b_side, sums)]
 
 
 # summaries are interned so that a linear combination, an enumerated class
@@ -835,15 +845,6 @@ def intern_summary(s: DiagramSummary) -> int:
 def summary_id(t) -> int:
     """Interned id of the summary of term t."""
     return intern_summary(summarize(t))
-
-
-def sigma_term(g: int, w: int) -> CobTerm:
-    """Normal form of the connected surface with genus g and w windows:
-    a closed tube with g handle loops and w zipper-cozipper excursions."""
-    if g < 0 or w < 0:
-        raise ValueError("genus and window count must be >= 0")
-    parts = ["uS"] + ["dS ; mS"] * g + ["z ; zs"] * w + ["eS"]
-    return parse(" ; ".join(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,10 @@ many entries (_factored_rank).  Their quotient basis is the same modular
 selection over pairings computed as it asks for them, proven once it holds
 that many keys (_curated_keys).  Entries with equal rows of Φ have equal
 Gram rows, so their full Gram is filled once per such feature class and
-their key rows are computed once per class (_feature_classes).
+their key rows are computed once per class (_feature_classes).  A handle
+whose row class already holds a key, an entry of such a feature class or
+an enumerated class with the shape and labels of a key, is dropped from
+the selection before it is paired (_SymPivot.select).
 """
 from __future__ import annotations
 
@@ -390,7 +393,7 @@ def _gram_rows(ts: TermSpace, chi):
     def block(x, y):
         ga, gb = members[x], members[y]
         cols = []           # per root: per summary of ga, its row of closed types
-        for am, bm, e, w in _split_plan(ga[0].shape, gb[0].shape):
+        for (am, e, w), (bm, _, _) in zip(*_split_plan(ga[0].shape, gb[0].shape)):
             a_ids, a_sums = side(x, am)
             b_ids, b_sums = side(y, bm)
             table = [list(map([_closed_type(e + ea + eb, w + wa + wb)
@@ -528,12 +531,14 @@ def _curated_keys(ts: TermSpace, chi, rank) -> list:
     diagonal by closure_types, and the row of any other first argument (a
     key, or an entry of a pair search) once per feature class
     (_feature_classes), by one closure_row over the first entry of each
-    class, expanded over the class index.  No denominator of chi is a
-    multiple of MOD_P1, so the scaling is a unit mod p and the values select
-    the keys the scaled Gram does.  The selection is proven once it holds
-    rank keys: that is the stall at which _schur_vanishes would first hold.
-    When it ends short, because a value nonzero over Q vanished mod p, the
-    keys are picked again over Q, where a maximal block has rank keys."""
+    class, expanded over the class index.  An entry whose class already
+    holds a key has that key's row, so select drops it unpaired
+    (row_class).  No denominator of chi is a multiple of MOD_P1, so the
+    scaling is a unit mod p and the values select the keys the scaled Gram
+    does.  The selection is proven once it holds rank keys: that is the
+    stall at which _schur_vanishes would first hold.  When it ends short,
+    because a value nonzero over Q vanished mod p, the keys are picked
+    again over Q, where a maximal block has rank keys."""
     sids = [e.sids[0] for e in ts.spanning]
     summaries = _summaries(ts.spanning)
     index, reps = _feature_classes(ts, chi)
@@ -558,9 +563,9 @@ def _curated_keys(ts: TermSpace, chi, rank) -> list:
 
     mod = _Codes(lambda types: _mod_of(value(types), MOD_P1)).__getitem__
     piv = _SymPivot(pairings(mod), MOD_P1)
-    if not piv.select(range(len(sids)), proven=proven):
+    if not piv.select(range(len(sids)), proven=proven, row_class=index.__getitem__):
         piv = _SymPivot(pairings(value))
-        if not piv.select(range(len(sids)), proven=proven):
+        if not piv.select(range(len(sids)), proven=proven, row_class=index.__getitem__):
             raise ConsistencyError(f"factored rank {rank}, but {len(piv.keys)} keys over Q")
     return piv.keys
 
@@ -894,6 +899,7 @@ class _SymPivot:
         self.keys = []
         self._zrows = []    # per key: its row of its block's inverse Gram, block start
         self._h = {}        # handle -> [w, z, diagonal residual]
+        self.held = set()   # the row classes of the keys, when select is given row_class
         if p:
             self._slot = 8 * -(-(2 * p.bit_length() + 24) // 8)  # whole bytes fitting (k + 1) p^2, k < 2^24
             self._cols = []     # per key j: z_ij of each later key i in slot i - j - 1
@@ -965,7 +971,7 @@ class _SymPivot:
         self._push([h], [[self._inv(r)]])
         return True
 
-    def select(self, cands, breed=None, proven=None):
+    def select(self, cands, breed=None, proven=None, row_class=None):
         """Run the acceptance order over the sortable handles cands.
 
         Handles leave a heap in sorted order and are tried as singles.
@@ -981,20 +987,40 @@ class _SymPivot:
         proven(keys), when given, is asked each time singles stall, before
         any pair is sought; when it holds, select returns True at once.  It
         must hold only when no pair can extend the block, so that the keys
-        are those of the whole selection."""
+        are those of the whole selection.
+
+        row_class(h), when given, names a class of handles whose rows of
+        pairings are proportional; the classes of the keys are kept in
+        held.  A popped or stalled handle whose class is held is dropped
+        unpaired, and nothing changes: an accepted key k has a nonzero row,
+        so the row of a handle h of its class is c times the row of k, its
+        coordinates are c e_k, and its residual, single or against any
+        other handle in a 2x2 step, is zero.  Such an h is never accepted
+        and never one of a pair, so the keys, their order and the pairs
+        found are those of the selection without row_class.  The classes
+        of both handles of a pair are held before either breeds."""
         heap = list(cands)
         heapq.heapify(heap)
         stalled = []
+        held = self.held
 
-        def push_bred(h):
-            for new in breed(h) if breed else ():
-                heapq.heappush(heap, new)
+        def twin(h):
+            return row_class is not None and row_class(h) in held
+
+        def accepted(*hs):
+            if row_class is not None:
+                held.update(map(row_class, hs))
+            for h in hs:
+                for new in breed(h) if breed else ():
+                    heapq.heappush(heap, new)
 
         while True:
             while heap:
                 h = heapq.heappop(heap)
+                if twin(h):
+                    continue
                 if self.accept_single(h):
-                    push_bred(h)
+                    accepted(h)
                 else:
                     stalled.append(h)
             changed = True
@@ -1002,8 +1028,10 @@ class _SymPivot:
                 changed = False
                 still = []
                 for h in stalled:
+                    if twin(h):
+                        continue
                     if self.accept_single(h):
-                        push_bred(h)
+                        accepted(h)
                         changed = True
                     else:
                         still.append(h)
@@ -1016,8 +1044,7 @@ class _SymPivot:
             found = self.first_pair(stalled)
             if found is None:
                 return False
-            for pos in found:
-                push_bred(stalled[pos])
+            accepted(*(stalled[pos] for pos in found))
             stalled = [h for pos, h in enumerate(stalled) if pos not in found]
 
     def first_pair(self, cands):
@@ -1184,6 +1211,17 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
     (_SymPivot.select).  A zero mod p can only drop a candidate, and the
     probe-rank stopping rule makes the result a lower-bound spanning set:
     complete whenever the probe sees the full endomorphism space.
+
+    The row class of a handle is the shape and boundary labels of its
+    summary, (shape id, comps).  A probe pairing is the closed value of
+    each handle times the value of the components their closure glues,
+    which closure_roots reads off the shapes and labels alone (_probe_val),
+    so the rows of one class are proportional and a candidate whose class
+    holds a key is never accepted (_SymPivot.select).  Such a twin is
+    dropped when it is offered, before it is given a text, a term tree or a
+    heap slot, and select drops one that turns into a twin while it waits;
+    the keys and their order are those of the enumeration that pairs every
+    twin.
     """
     if not obj or any(c not in "IS" for c in obj):
         raise ValueError(f"object word must be nonempty over I/S, got {obj!r}")
@@ -1195,12 +1233,17 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
 
     terms = {}              # sid -> the first term found in its class
     accepted = []           # (gens, sid) in acceptance order
+    piv = _SymPivot(_probe_val, MOD_P1)
 
-    def offer(out, term, gens, sid):
-        # the first term found in a class stands for it
-        if sid not in terms:
-            terms[sid] = term
-            out.append((gens, pretty(term), sid, _probe_product(_SUMMARIES[sid].closed)))
+    def row_class(h):
+        return _SUMMARIES[h[2]][:2]
+
+    def offer(out, gens, sid, *factors):
+        # the first term found in a class stands for it, a twin of a key for none
+        if sid in terms or _SUMMARIES[sid][:2] in piv.held:
+            return
+        term = terms[sid] = Compose(*factors) if len(factors) == 2 else factors[0]
+        out.append((gens, pretty(term), sid, _probe_product(_SUMMARIES[sid].closed)))
 
     def breed(h):
         # a composite's summary is glued from its two interned factors
@@ -1212,17 +1255,16 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
             total = ogens + gens
             if total <= size_budget:
                 other, o = terms[osid], _SUMMARIES[osid]
-                offer(out, Compose(other, term), total, intern_summary(compose_summaries(o, s)))
-                offer(out, Compose(term, other), total, intern_summary(compose_summaries(s, o)))
+                offer(out, total, intern_summary(compose_summaries(o, s)), other, term)
+                offer(out, total, intern_summary(compose_summaries(s, o)), term, other)
         return out
 
     atoms = []
     for a in _atom_terms(obj):
         gens = _gen_count(a)
         if gens <= size_budget:
-            offer(atoms, a, gens, summary_id(a))
-    piv = _SymPivot(_probe_val, MOD_P1)
-    piv.select(atoms, breed)
+            offer(atoms, gens, summary_id(a), a)
+    piv.select(atoms, breed, row_class=row_class)
     ts = TermSpace(obj, [LinComb([(ONE, terms[sid])], [sid]) for _, _, sid, _ in piv.keys])
     _ENUM_CACHE[key] = ts
     return ts

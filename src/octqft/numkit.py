@@ -582,14 +582,6 @@ class Poly:
             rem.pop()
         return Poly(q), Poly(rem)
 
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.coeffs[-1])
-
-    def derivative(self):
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
@@ -603,12 +595,6 @@ class Poly:
                 t = "t" if i == 1 else f"t^{i}"
                 parts.append(t if c == 1 else f"{rat_to_str(c)}*{t}")
         return "Poly(" + " + ".join(parts) + ")"
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
 
 
 def _primitive(p: Poly):

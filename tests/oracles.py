@@ -33,6 +33,11 @@
   algebra, which read rows of gram._pairing_row.
 - reference_select: the symmetric pivot's acceptance order as a plain
   list loop, without the heap and breeding of gram._SymPivot.select.
+- enumerate_with_twins: the greedy probe enumeration that queues every new
+  summary class, twins of a key included (same shape and boundary labels,
+  so a probe row proportional to the key's), and leaves each to the pivot
+  to reject; the oracle for gram.enumerate_end_terms, which drops a twin
+  before it is given a text, a heap slot or a pairing.
 - certified_keys_after_select, with scaled_gram and
   schur_vanishes_by_entries: the Gram rank as the whole modular selection,
   a final pair scan included, then the exact certificate with one dot
@@ -68,9 +73,9 @@
   character.rational_character, which fills integer numerators over powers
   of the scaled den(0, 0).
 - is_squarefree_by_fractions, rational_roots_by_fractions: gcd(p, p') and
-  the rational roots by Fraction division and evaluation; the oracles for
-  numkit's primitive integer remainder sequence, homogeneous Horner test
-  and exact integer deflation.
+  the rational roots by Fraction division and evaluation, with poly_gcd and
+  derivative; the oracles for numkit's primitive integer remainder
+  sequence, homogeneous Horner test and exact integer deflation.
 """
 from __future__ import annotations
 
@@ -87,23 +92,31 @@ from octqft.cobordism import (
     GEN_SIGNATURES,
     WIRE_EULER,
     CobTerm,
+    Compose,
     Gen,
     Id,
+    LinComb,
     Tensor,
     TermTypeError,
     DiagramSummary,
     _SUMMARIES,
     _closed_type,
     closure_row,
+    compose_summaries,
     _fold,
     evaluate,
+    intern_summary,
+    pretty,
     summarize,
     summary_closure,
+    summary_id,
 )
 from octqft.frobenius import STRUCTURAL_FLAGS, ConsistencyError
-from octqft.gram import MOD_P1, _SymPivot
+from octqft.gram import (
+    MOD_P1, TermSpace, _SymPivot, _atom_terms, _gen_count, _probe_product, _probe_val,
+)
 from octqft.kfa import KFA_FLAGS, make_semisimple_kfa, structural_endos
-from octqft.numkit import ONE, ZERO, Matrix, Poly, poly_gcd, rat, rat_to_str
+from octqft.numkit import ONE, ZERO, Matrix, Poly, rat, rat_to_str
 
 
 # ---------------------------------------------------------------------------
@@ -861,6 +874,45 @@ def certified_keys_after_select(rows) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the probe enumeration, twins queued
+
+
+def enumerate_with_twins(obj: str, size_budget: int) -> TermSpace:
+    """enumerate_end_terms with every new summary class queued as a
+    candidate: each gets its text, a heap slot and its probe pairings, and
+    the pivot rejects the twins of a key by their zero residual."""
+    terms = {}              # sid -> the first term found in its class
+    accepted = []           # (gens, sid) in acceptance order
+
+    def offer(out, term, gens, sid):
+        if sid not in terms:
+            terms[sid] = term
+            out.append((gens, pretty(term), sid, _probe_product(_SUMMARIES[sid].closed)))
+
+    def breed(h):
+        gens, _, sid, _ = h
+        accepted.append((gens, sid))
+        term, s = terms[sid], _SUMMARIES[sid]
+        out = []
+        for ogens, osid in accepted:
+            total = ogens + gens
+            if total <= size_budget:
+                other, o = terms[osid], _SUMMARIES[osid]
+                offer(out, Compose(other, term), total, intern_summary(compose_summaries(o, s)))
+                offer(out, Compose(term, other), total, intern_summary(compose_summaries(s, o)))
+        return out
+
+    atoms = []
+    for a in _atom_terms(obj):
+        gens = _gen_count(a)
+        if gens <= size_budget:
+            offer(atoms, a, gens, summary_id(a))
+    piv = _SymPivot(_probe_val, MOD_P1)
+    piv.select(atoms, breed)
+    return TermSpace(obj, [LinComb([(ONE, terms[sid])], [sid]) for _, _, sid, _ in piv.keys])
+
+
+# ---------------------------------------------------------------------------
 # classification of rational generating functions
 
 
@@ -1188,9 +1240,21 @@ def rational_series_by_fractions(num: dict, den: dict, g_max: int, w_max: int):
     return rows
 
 
+def derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """The monic gcd of a and b by Fraction division (a itself when both
+    are zero)."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a if a.is_zero() else a.scale(1 / a.coeffs[-1])
+
+
 def is_squarefree_by_fractions(p: Poly) -> bool:
     """gcd(p, p') over Q by Fraction division."""
-    return p.degree <= 0 or poly_gcd(p, p.derivative()).degree == 0
+    return p.degree <= 0 or poly_gcd(p, derivative(p)).degree == 0
 
 
 def rational_roots_by_fractions(p: Poly):

@@ -32,7 +32,6 @@ from octqft.cobordism import (
     pretty,
     typecheck,
     evaluate,
-    sigma_term,
     summarize,
     compose_summaries,
     summary_closure,
@@ -52,6 +51,13 @@ from oracles import (
     summary_key,
     _analyze,
 )
+
+
+def sigma_term(g: int, w: int):
+    """Normal form of the connected surface with genus g and w windows:
+    a closed tube with g handle loops and w zipper-cozipper excursions."""
+    parts = ["uS"] + ["dS ; mS"] * g + ["z ; zs"] * w + ["eS"]
+    return parse(" ; ".join(parts))
 
 
 def test_parse_structure():

@@ -78,6 +78,7 @@ from oracles import (
     closure_by_gluing,
     compose_by_gluing,
     curated_exponents,
+    enumerate_with_twins,
     gram_rows_by_rows,
     network,
     network_summary,
@@ -251,21 +252,64 @@ def test_pair_matches_evaluation_in_the_structure(k, obj):
         assert pair(f, g, chi) == evaluate(Compose(tf, tg), k).trace()
 
 
-@pytest.mark.parametrize("k", [
-    make_semisimple_kfa(2, 1),
-    make_nonsemisimple_kfa(1, 1, 1, 0, 1),
-    kfa_sum(make_semisimple_kfa(1, 3), make_semisimple_kfa(1, 2)),
-], ids=["semisimple", "nonsemisimple", "sum"])
+_M1 = make_semisimple_kfa(1, 1)
+_M3 = make_semisimple_kfa(3, 2)
+_REALIZED = {
+    "semisimple": make_semisimple_kfa(2, 1),
+    "nonsemisimple": make_nonsemisimple_kfa(1, 1, 1, 0, 1),
+    "sum": kfa_sum(make_semisimple_kfa(1, 3), make_semisimple_kfa(1, 2)),
+    "2xM3": kfa_sum(_M3, _M3),
+    "M3": _M3,
+    "3xM1": kfa_sum(kfa_sum(_M1, _M1), _M1),
+}
+
+
+def _evaluated_span(space, k, chi):
+    # the Gram rank of space under the character of k, and the rank of the
+    # span of its entries evaluated in k
+    _, rank = gram_rank(space, chi)
+    return rank, Matrix.from_rows([evaluate(e, k).entries for e in space.spanning]).rank()
+
+
+@pytest.mark.parametrize("k", [_REALIZED[name] for name in ("semisimple", "nonsemisimple", "sum")],
+                         ids=["semisimple", "nonsemisimple", "sum"])
 @pytest.mark.parametrize("obj", ["S", "I"])
 def test_gram_rank_at_most_rank_of_evaluated_span(k, obj):
     # the universal construction maps onto the hom-space of k: the pairing
     # under the character of k is the trace of the composite evaluated in
     # k, so the Gram factors through evaluation and cannot exceed its rank
     chi = character_of(k)
-    space = spanning_end(obj, chi)
-    _, rank = gram_rank(space, chi)
-    images = Matrix.from_rows([evaluate(e, k).entries for e in space.spanning])
-    assert 0 < rank <= images.rank()
+    rank, evaluated = _evaluated_span(spanning_end(obj, chi), k, chi)
+    assert 0 < rank <= evaluated
+
+
+def test_gram_rank_below_rank_of_evaluated_span_when_nonsemisimple():
+    # the bound is strict on II at budget 4 in the nonsemisimple structure:
+    # an evaluated composite pairs to zero with every entry, a negligible
+    # morphism that k does not kill
+    k = _REALIZED["nonsemisimple"]
+    assert _evaluated_span(enumerate_end_terms("II", 4), k, character_of(k)) == (28, 29)
+
+
+# structure -> the Gram ranks of curated S and I, and of II at budget 4
+_EVALUATED_RANKS = {
+    ("semisimple", "S"): 1, ("semisimple", "I"): 2, ("semisimple", "II"): 14,
+    ("nonsemisimple", "S"): 9, ("nonsemisimple", "I"): 5,
+    ("sum", "S"): 4, ("sum", "I"): 4,
+    ("2xM3", "S"): 2, ("2xM3", "I"): 3,
+    ("M3", "S"): 1, ("M3", "I"): 2,
+    ("3xM1", "S"): 2, ("3xM1", "I"): 2, ("3xM1", "II"): 13,
+}
+
+
+@pytest.mark.parametrize("name, obj", list(_EVALUATED_RANKS))
+def test_gram_rank_equals_rank_of_evaluated_span(name, obj):
+    # in these structures the Gram sees the whole evaluated span: the
+    # curated S and I sets, and II at budget 4 in two of them
+    k = _REALIZED[name]
+    chi = character_of(k)
+    space = spanning_end(obj, chi) if len(obj) == 1 else enumerate_end_terms(obj, 4)
+    assert _evaluated_span(space, k, chi) == (_EVALUATED_RANKS[name, obj],) * 2
 
 
 def test_lc_add_merges_equal_summaries():
@@ -806,6 +850,19 @@ def test_enumeration_pinned(obj, budget):
     assert (text.count("\n") + 1, digest) == _ENUMERATIONS[obj, budget]
 
 
+_WORDS = ["".join(w) for n in (1, 2) for w in product("IS", repeat=n)]
+
+
+@pytest.mark.parametrize("obj, budget", [(w, b) for w in _WORDS for b in range(2, 7)]
+                         + [("".join(w), b) for w in product("IS", repeat=3) for b in (2, 3)])
+def test_enumeration_matches_the_oracle_that_pairs_twins(obj, budget):
+    # dropping the twins of a key (same shape and boundary labels) before
+    # they are paired changes no class, text or position
+    def texts(ts):
+        return [pretty(e.terms[0][1]) for e in ts.spanning]
+    assert texts(enumerate_end_terms(obj, budget)) == texts(enumerate_with_twins(obj, budget))
+
+
 @pytest.mark.parametrize("obj, budget", [("I", 4), ("S", 4), ("II", 4), ("II", 6)])
 def test_enumeration_candidates_compose_summaries(obj, budget):
     # every candidate the enumeration breeds is a composite of two accepted
@@ -1052,6 +1109,36 @@ def test_select_tries_bred_handles_before_stalled_ones(p):
         piv = _SymPivot(lambda a, b, g=g: g[a][b], p)
         piv.select(cands, lambda h, bred=bred: bred.get(h, []))
         assert piv.keys == keys
+
+
+@pytest.mark.parametrize("p", [0, MOD_P1], ids=["Q", "mod_p"])
+def test_select_with_row_classes_matches_select_without(p):
+    # every handle is a scaled copy of a row of a random symmetric Gram,
+    # zero scales included, and its row class names that row; a copy of a
+    # key's row is dropped unpaired and the keys stay those of the
+    # selection that pairs it
+    rng = random.Random(20231209)
+    calls = [0, 0]          # pairings asked for without and with row classes
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        g = _random_symmetric(rng, n)
+        m = n + rng.randint(0, 2 * n)
+        base = list(range(n)) + [rng.randrange(n) for _ in range(m - n)]
+        rng.shuffle(base)
+        scale = [rng.choice((-3, -2, -1, 0, 1, 2, 3)) if rng.random() < 0.5 else 1 for _ in range(m)]
+
+        gram = [[scale[a] * scale[b] * g[base[a]][base[b]] for b in range(m)] for a in range(m)]
+        keys = []
+        for run, row_class in enumerate((None, base.__getitem__)):
+            def pairfn(a, b, run=run):
+                calls[run] += 1
+                return gram[a][b] % p if p else Fraction(gram[a][b])
+            piv = _SymPivot(pairfn, p)
+            piv.select(range(m), row_class=row_class)
+            keys.append(piv.keys)
+        assert keys[0] == keys[1]
+        assert len(keys[0]) == Matrix.from_rows(gram).rank()
+    assert calls[1] < calls[0]
 
 
 def test_sym_pivot_zero_diagonal_needs_pair_steps():

@@ -327,11 +327,11 @@ def classify_table(table: SequenceTable, rank_bound: int):
             return Indeterminate("X-direction spectrum does not split over the rationals")
         lams = [lam for lam, _ in lams]
         # coefficients of each lam^g in every column at once, from one
-        # inverse of the (shifted) Vandermonde matrix
+        # solve of the (shifted) Vandermonde system
         vand = Matrix.from_rows([[lam ** (2 + i) for lam in lams] for i in range(len(lams))])
-        inv = vand.inverse()
-        assert inv is not None  # Vandermonde with distinct nonzero nodes
-        coef_rows = (inv * Matrix.from_rows(deep_rows[:len(lams)])).to_rows()
+        coefs = vand.solve(Matrix.from_rows(deep_rows[:len(lams)]))
+        assert coefs is not None  # Vandermonde with distinct nonzero nodes
+        coef_rows = coefs.to_rows()
         for lam, c_seq in zip(lams, coef_rows):  # c_seq[w] = c_lam(w)
             tail = c_seq[1:]
             if any(tail):

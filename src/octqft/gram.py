@@ -50,11 +50,10 @@ from itertools import chain, repeat
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from math import lcm
 from operator import mul, sub
 
 from . import numkit
-from .numkit import Matrix, Rat, ZERO, ONE, integer_scaled, rat, Poly, nullspace
+from .numkit import Matrix, Rat, ZERO, ONE, eliminate, integer_scaled, rat, Poly, nullspace
 from .frobenius import (
     ConsistencyError,
     _associativity_difference,
@@ -871,7 +870,9 @@ def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingRep
 # A full Gram matrix is ranked by selecting mod MOD_P1 and certifying the
 # selection exactly (_certified_keys): with K the selected keys and B the
 # block A[K, K] of the integer-scaled Gram A, A has rank |K| over Q exactly
-# when A = A[:, K] B^-1 A[K, :], checked in integers (_schur_vanishes).  The
+# when A = A[:, K] B^-1 A[K, :], checked in integers as
+# D A = A[:, K] (D B^-1) A[K, :], with the scale D and the integer D B^-1 of
+# one fraction-free elimination of [B | I] (_schur_vanishes).  The
 # check runs each time single acceptance stalls, and the selection stops
 # as soon as it holds: B is invertible mod p and the rank mod p is at most
 # the rank over Q, so the rank mod p is |K| too and no 2x2 step could have
@@ -1071,18 +1072,21 @@ def _schur_vanishes(a, keys) -> bool:
     """True when the Schur complement of the block a[keys, keys] in the
     symmetric integer matrix a is zero, so that rank a = len(keys) over Q.
 
-    With D the common denominator of B^-1, B = a[keys, keys], the integer
-    rows c_i = D a[i, keys] B^-1 must give D a[i][j] = c_i . a[keys, j] for
-    every i <= j, all in Python ints.  Row i is checked as one lazy chain of
-    C-level map passes over a[i][i:] and the key rows, a pass per nonzero
-    coordinate of c_i, stopping at the first entry that differs."""
+    The elimination of [B | I], B = a[keys, keys], gives a nonzero scale D
+    and D B^-1 in integers (numkit.eliminate).  With the integer rows
+    c_i = D a[i, keys] B^-1, D a[i][j] = c_i . a[keys, j] must hold for
+    every i <= j, all in Python ints; any nonzero D with D B^-1 integral
+    serves.  Row i is checked as one lazy chain of C-level map passes over
+    a[i][i:] and the key rows, a pass per nonzero coordinate of c_i,
+    stopping at the first entry that differs."""
+    n = len(keys)
     if keys:
-        binv = Matrix.from_rows([[a[i][j] for j in keys] for i in keys]).inverse()
-        if binv is None:
-            return False
-        d = lcm(*(v.denominator for v in binv.entries))
+        pivots, d, reduced = eliminate(([a[i][j] for j in keys] + [int(i == k) for k in keys]
+                                        for i in keys), 2 * n)
+        if pivots[-1] >= n:
+            return False    # B is singular
         # B^-1 is symmetric, so its rows are its columns
-        dinv = [[int(v * d) for v in row] for row in binv.to_rows()]
+        dinv = [[row.get(j, 0) for j in range(n, 2 * n)] for row in reduced]
     else:
         d, dinv = 1, []
     key_rows = [a[k] for k in keys]
@@ -1109,7 +1113,8 @@ def _certified_keys(a) -> list:
     block, the whole of a, is invertible mod p and so over Q.  The keys are
     those of the whole modular selection.  When no pair extends a block
     that the certificate rejects, because some value nonzero over Q
-    vanished mod p, the keys are picked again over Q."""
+    vanished mod p, the keys are picked again over Q.  D is the scale of
+    the elimination of [B | I], not a denominator of B^-1."""
     piv = _SymPivot(lambda i, j: a[i][j], MOD_P1)
     if piv.select(range(len(a)),
                   proven=lambda keys: len(keys) == len(a) or _schur_vanishes(a, keys)):
@@ -1324,12 +1329,13 @@ def quotient_algebra(ts: TermSpace, chi) -> QuotientAlgebra:
 
     Picks a Gram-pivot basis b_0 .. b_{n-1} with Gram matrix G
     (_pivot_basis, which fills no Gram on a curated space under a
-    closed-form chi).  Coordinates of an endomorphism f are G⁻¹ applied to
-    its pairings with the basis, so the product tensor is G⁻¹ times the
-    n × n² matrix of pair(b_a∘b_b, b_c), and the unit is G⁻¹ times the
-    categorical traces, pair(id, b_c).  The traces are one _pairing_row of
-    the identity against the basis, and the pairings one row per composite,
-    glued from the summaries of b_b and b_a.  The tensors are then checked
+    closed-form chi).  Coordinates of an endomorphism f solve G x = its
+    pairings with the basis, so the product tensor and the unit come out
+    of one solve of G against n² + 1 right-hand sides: the n × n² matrix of
+    pair(b_a∘b_b, b_c) and the categorical traces, pair(id, b_c).  The
+    traces are one _pairing_row of the identity against the basis, and the
+    pairings one row per composite, glued from the summaries of b_b and
+    b_a.  The tensors are then checked
     to be unital and associative by the Frobenius axiom checks; a failure
     raises IncompleteSpanningError, since it means that products escaped
     the span.  Associativity names the least failing basis triple.
@@ -1337,17 +1343,18 @@ def quotient_algebra(ts: TermSpace, chi) -> QuotientAlgebra:
     chosen, gb = _pivot_basis(ts, chi)
     dim = len(chosen)
     basis = [ts.spanning[i] for i in chosen]
-    ginv = gb.inverse()
-    if ginv is None:
-        raise ConsistencyError("pivot Gram matrix is singular")
     summaries = _summaries(basis)
     value = _chi_products(chi)
     traces = tuple(_pairing_row([(ONE, _leaf_summary(Id(ts.object)))], summaries, value))
     columns = [list(_pairing_row([(ONE, compose_summaries(sb, sa))], summaries, value))
                for sa in summaries for sb in summaries]
-    pairings = Matrix(dim, dim * dim, [v for row in zip(*columns) for v in row])
-    product = numkit.Tensor((dim, dim, dim), (ginv * pairings).entries)
-    unit = numkit.Tensor((dim,), (ginv * Matrix(dim, 1, list(traces))).entries)
+    columns.append(traces)
+    coords = gb.solve(Matrix(dim, dim * dim + 1, [v for row in zip(*columns) for v in row]))
+    if coords is None:
+        raise ConsistencyError("pivot Gram matrix is singular")
+    rows = coords.to_rows()
+    product = numkit.Tensor((dim, dim, dim), [v for row in rows for v in row[:-1]])
+    unit = numkit.Tensor((dim,), [row[-1] for row in rows])
 
     if _unital_violation(dim, product, unit) is not None:
         raise IncompleteSpanningError(

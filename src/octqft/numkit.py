@@ -7,15 +7,21 @@ multiplication routines skip zero entries, which matters for the large
 Kronecker-product structure tensors whose nonzero count is tiny compared to
 their volume.
 
+All linear algebra runs through one fraction-free Gauss-Jordan core,
+eliminate: integer rows, each scaled once, stored as dicts of their nonzero
+entries, so zeros are skipped when a row is read, reduced or updated.
+Matrix.rank, solve (one or several right-hand sides), nullspace, inverse
+and recurrence_from_sequences read its pivots, scale and reduced rows.
+
 Where a loop would do many Fraction operations it runs on integers over one
 denominator instead (integer_scaled, Tensor.scaled_nonzeros): the axiom
-checks of frobenius and kfa, recurrence_from_sequences (fraction-free
-elimination), rational_roots and is_squarefree (primitive integer
-polynomials).
+checks of frobenius and kfa, eliminate, rational_roots and is_squarefree
+(primitive integer polynomials).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -334,22 +340,12 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
     def rank(self):
-        ech, piv = _echelon(self._dict_rows(), self.cols)
-        return len(piv)
-
-    def _dict_rows(self):
-        out = []
-        n = self.cols
-        for i in range(self.rows):
-            base = i * n
-            d = {j: self.entries[base + j] for j in range(n) if self.entries[base + j]}
-            if d:
-                out.append(d)
-        return out
+        return len(eliminate(self.to_rows(), self.cols)[0])
 
     def solve(self, rhs):
-        """Solve self @ x = rhs (rhs a list).  Returns a solution with free
-        coordinates set to zero, or None if inconsistent."""
+        """Solve self @ x = rhs (rhs a list, or a Matrix of several
+        right-hand sides).  Returns a solution with free coordinates set to
+        zero, or None if inconsistent."""
         return solve(self, rhs)
 
     def nullspace(self):
@@ -359,126 +355,126 @@ class Matrix:
         return inverse(self)
 
 
-# elimination core: rows are {col: value} dicts
+# elimination: one fraction-free core, read by rank, solve, nullspace and
+# inverse
 
 
-def _echelon(drows, ncols):
-    """Reduce dict-rows to echelon form.  Returns (pivot_rows, pivot_cols)
-    where pivot_rows[k] is normalized to have 1 at pivot_cols[k]."""
-    pivots = []        # sorted list of pivot cols
-    prows = {}         # pivot col -> row dict
-    for d in drows:
-        d = dict(d)
-        while d:
-            c = min(d)
-            if c in prows:
-                f = d.pop(c)
-                for cc, v in prows[c].items():
-                    if cc == c:
-                        continue
-                    w = d.get(cc, ZERO) - f * v
-                    if w:
-                        d[cc] = w
-                    elif cc in d:
-                        del d[cc]
-            else:
-                f = d[c]
-                if f != 1:
-                    d = {cc: v / f for cc, v in d.items()}
-                prows[c] = d
-                pivots.append(c)
-                break
-    pivots.sort()
-    return [prows[c] for c in pivots], pivots
+def eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of the rational rows, each of
+    length ncols.  Returns (pivots, d, reduced): the pivot columns in
+    increasing order, a nonzero integer d, and per pivot the {col: int}
+    dict of the nonzero entries of d times its row of the reduced row
+    echelon form, so d at its pivot and 0 at every other pivot.
+
+    Each row's nonzero entries are scaled to integers once, by the lcm of
+    their denominators as in integer_scaled; zero entries are never stored
+    or visited.  The rows are taken in turn, until every column is a pivot.
+    A row v becomes v' = d v - sum_c v[c] R_c over the pivot rows R_c whose
+    column it meets, which is d times v reduced.  When v' is not zero its
+    least column c' is a new pivot with scale p = v'[c'], and each pivot row
+    R that meets c' becomes (p R - R[c'] v') / d.  Every entry is then a
+    minor of the scaled rows, so each division is exact (Bareiss, Math.
+    Comp. 22, 1968) and d is the determinant of the pivot block up to sign.
+    A pivot row that misses c' keeps the scale s it was last written at: it
+    is d / s times its entries, which it is brought to only when read."""
+    piv = {}        # pivot column -> [row, the scale it was written at]
+    d = 1
+    for row in rows:
+        if len(piv) == ncols:
+            break
+        cols = list(compress(range(ncols), row))
+        if not cols:
+            continue
+        ratios = [row[j].as_integer_ratio() for j in cols]
+        den = lcm(*[m for _, m in ratios])
+        v = {j: x * (den // m) * d for j, (x, m) in zip(cols, ratios)}
+        for c in cols:
+            rec = piv.get(c)
+            if rec is not None:
+                r, s = rec
+                if s != d:
+                    r = rec[0] = {j: x * d // s for j, x in r.items()}
+                    rec[1] = d
+                _subtract(v, v[c] // d, r)
+        if not v:
+            continue
+        c = min(v)
+        p = v[c]
+        # (p R - R[c] v') / d, with R = d / s times the stored row r, is
+        # (p r - r[c] v') / s
+        for rec in [rec for rec in piv.values() if c in rec[0]]:
+            r, s = rec
+            new = {j: p * x for j, x in r.items()}
+            _subtract(new, r[c], v)
+            rec[:] = {j: x // s for j, x in new.items()}, p
+        piv[c] = [v, p]
+        d = p
+    pivots = sorted(piv)
+    reduced = []
+    for c in pivots:
+        r, s = piv[c]
+        reduced.append(r if s == d else {j: x * d // s for j, x in r.items()})
+    return pivots, d, reduced
+
+
+def _subtract(v, f, r):
+    """v -= f r on {col: int} dicts, dropping the entries that vanish."""
+    for j, y in r.items():
+        w = v.get(j, 0) - f * y
+        if w:
+            v[j] = w
+        else:
+            del v[j]
+
+
+def _solve(a: Matrix, b: Matrix):
+    """The solution X of a X = b with free rows zero, or None."""
+    if b.rows != a.rows:
+        raise ValueError(f"{a.rows}x{a.cols} system with {b.rows} right-hand side rows")
+    n, m = a.cols, b.cols
+    pivots, d, reduced = eliminate((a.entries[i * n:i * n + n] + b.entries[i * m:i * m + m]
+                                    for i in range(a.rows)), n + m)
+    if pivots and pivots[-1] >= n:
+        return None     # a pivot in the right-hand side: inconsistent
+    out = [ZERO] * (n * m)
+    for c, row in zip(pivots, reduced):
+        for j in range(m):
+            v = row.get(n + j)
+            if v:
+                out[c * m + j] = Fraction(v, d)
+    return Matrix(n, m, out)
 
 
 def solve(a: Matrix, rhs):
-    """Particular solution of a x = rhs (free coordinates zero), or None."""
-    n = a.cols
-    drows = []
-    for i in range(a.rows):
-        base = i * n
-        d = {j: a.entries[base + j] for j in range(n) if a.entries[base + j]}
-        b = rat(rhs[i])
-        if b:
-            d[n] = b  # row ops preserve "sum d[j] x_j = d[n]"
-        if d:
-            drows.append(d)
-    ech, piv = _echelon(drows, n + 1)
-    if piv and piv[-1] == n:
-        return None  # pivot in the augmented column: inconsistent
-    x = [ZERO] * n
-    # each echelon row touches only its pivot and larger columns, so walking
-    # pivots from the right makes every non-pivot term already known
-    for k in range(len(piv) - 1, -1, -1):
-        c = piv[k]
-        row = ech[k]
-        s = row.get(n, ZERO)
-        for cc, v in row.items():
-            if cc != c and cc != n:
-                s -= v * x[cc]
-        x[c] = s
-    return x
+    """Particular solution of a x = rhs (free coordinates zero), or None.
+    rhs is a list, or a Matrix whose columns are right-hand sides, and the
+    solution is of the same kind."""
+    if isinstance(rhs, Matrix):
+        return _solve(a, rhs)
+    x = _solve(a, Matrix(len(rhs), 1, rats(rhs)))
+    return None if x is None else x.entries
 
 
 def nullspace(a: Matrix):
-    """Basis of the right nullspace as a list of length-cols vectors."""
-    n = a.cols
-    ech, piv = _echelon(a._dict_rows(), n)
-    pivset = set(piv)
-    # eliminate pivot columns from later rows completely (make RREF)
-    rref = _to_rref(ech, piv)
+    """Basis of the right nullspace as a list of length-cols vectors: per
+    free column f, the vector with 1 at f, 0 at the other free columns."""
+    pivots, d, reduced = eliminate(a.to_rows(), a.cols)
     basis = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = [ZERO] * n
+    for free in sorted(set(range(a.cols)).difference(pivots)):
+        v = [ZERO] * a.cols
         v[free] = ONE
-        for row, c in zip(rref, piv):
-            w = row.get(free, ZERO)
-            if w:
-                v[c] = -w
+        for c, row in zip(pivots, reduced):
+            if free in row:
+                v[c] = Fraction(-row[free], d)
         basis.append(v)
     return basis
 
 
-def _to_rref(ech, piv):
-    rref = [dict(r) for r in ech]
-    for k in range(len(piv) - 1, -1, -1):
-        c = piv[k]
-        for j in range(k):
-            f = rref[j].get(c, ZERO)
-            if f:
-                for cc, v in rref[k].items():
-                    w = rref[j].get(cc, ZERO) - f * v
-                    if w:
-                        rref[j][cc] = w
-                    elif cc in rref[j]:
-                        del rref[j][cc]
-    return rref
-
-
 def inverse(a: Matrix):
-    """Inverse, or None if singular."""
+    """Inverse, or None if singular: the solve against the identity."""
     if a.rows != a.cols:
         raise ValueError("inverse of a non-square matrix")
-    n = a.rows
-    drows = []
-    for i in range(n):
-        base = i * n
-        d = {j: a.entries[base + j] for j in range(n) if a.entries[base + j]}
-        d[n + i] = ONE
-        drows.append(d)
-    ech, piv = _echelon(drows, 2 * n)
-    if [c for c in piv if c < n] != list(range(n)):
-        return None
-    rref = _to_rref(ech, piv)
-    out = [ZERO] * (n * n)
-    for row, c in zip(rref, piv):
-        for cc, v in row.items():
-            if cc >= n:
-                out[c * n + (cc - n)] = v
-    return Matrix(n, n, out)
+    return _solve(a, Matrix.identity(a.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +497,12 @@ class Poly:
         return cls([])
 
     @classmethod
-    def one(cls):
-        return cls([1])
-
-    @classmethod
     def t(cls):
         return cls([0, 1])
 
     @classmethod
     def from_roots(cls, roots):
-        p = cls.one()
+        p = cls([1])
         for r in roots:
             p = p * cls([-rat(r), 1])
         return p
@@ -561,26 +553,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        q = [ZERO] * max(0, len(rem) - d)
-        while len(rem) - 1 >= d and rem:
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            f = rem[-1] / lead
-            k = len(rem) - 1 - d
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return Poly(q), Poly(rem)
 
     def __repr__(self):
         if self.is_zero():
@@ -723,14 +695,17 @@ def recurrence_from_sequences(seqs, max_order: int):
 
     All arithmetic is on integers: each sequence is scaled by the lcm of its
     denominators, which keeps its recurrences.  The windows of length
-    max_order + 1 of every sequence are the rows of one matrix, eliminated
-    fraction-free (Bareiss) column by column.  The first column d in the
-    span of the columns before it gives the candidate: those columns are
-    independent, so no order below d fits even these rows, and the order-d
-    fit is unique.  It is then certified on every window of every sequence.
-    A failure at s[N] comes after the candidate has generated s[0..N-1],
-    with N >= len(s) - max_order + d, so by Massey's lemma every recurrence
-    of s[0..N] has order >= N + 1 - d > max_order: none exists.
+    max_order + 1 of every sequence are the rows of one matrix W.  Its
+    first column d in the span of the columns before it gives the
+    candidate: those columns are independent, so no order below d fits even
+    these rows, and the order-d fit is unique.  W^T W has the same
+    nullspace over Q (W^T W x = 0 gives |W x|^2 = 0), so eliminate reduces
+    its width x width rows in place of the many windows, and the candidate
+    is read off its first non-pivot column as integers over the scale.  It
+    is then certified on every window of every sequence.  A failure at s[N]
+    comes after the candidate has generated s[0..N-1], with
+    N >= len(s) - max_order + d, so by Massey's lemma every recurrence of
+    s[0..N] has order >= N + 1 - d > max_order: none exists.
     """
     seqs = [[rat(x) for x in s] for s in seqs]
     if not seqs:
@@ -746,27 +721,15 @@ def recurrence_from_sequences(seqs, max_order: int):
         return None
     ints = [integer_scaled(s)[0] for s in seqs]
     width = max_order + 1
-    rows = [s[k:k + width] for s in ints for k in range(len(s) - max_order) if any(s[k:k + width])]
-    det = 1
-    for d in range(width):
-        piv = next((i for i in range(d, len(rows)) if rows[i][d]), None)
-        if piv is None:
-            break
-        rows[d], rows[piv] = rows[piv], rows[d]
-        top = rows[d]
-        p = top[d]
-        for i in range(d + 1, len(rows)):
-            f = rows[i][d]
-            rows[i] = [(p * a - f * b) // det for a, b in zip(rows[i], top)]
-        det = p
-    else:
+    # column i of the window matrix W, and W^T W, which has its nullspace
+    cols = [[x for s in ints for x in s[i:len(s) - max_order + i]] for i in range(width)]
+    pivots, det, reduced = eliminate(([sum(map(mul, a, b)) for b in cols] for a in cols), width)
+    d = next((j for j, c in enumerate(pivots) if j != c), len(pivots))
+    if d == width:
         return None
-    # rows[:d] is upper triangular with det = its last pivot, so det * p_i
-    # is an integer (Cramer) and each back-substitution step divides exactly
-    y = [0] * d + [det]
-    for i in range(d - 1, -1, -1):
-        row = rows[i]
-        y[i] = -sum(map(mul, row[i + 1:d + 1], y[i + 1:d + 1])) // row[i]
+    # column d of W^T W, and so of W, is sum_i reduced[i][d] / det times
+    # column i < d
+    y = [-row.get(d, 0) for row in reduced[:d]] + [det]
     for s in ints:
         for k in range(len(s) - d):
             if sum(map(mul, y, s[k:k + d + 1])):

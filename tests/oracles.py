@@ -73,9 +73,15 @@
   character.rational_character, which fills integer numerators over powers
   of the scaled den(0, 0).
 - is_squarefree_by_fractions, rational_roots_by_fractions: gcd(p, p') and
-  the rational roots by Fraction division and evaluation, with poly_gcd and
-  derivative; the oracles for numkit's primitive integer remainder
-  sequence, homogeneous Horner test and exact integer deflation.
+  the rational roots by Fraction division and evaluation, with poly_gcd,
+  poly_divmod and derivative; the oracles for numkit's primitive integer
+  remainder sequence, homogeneous Horner test and exact integer deflation.
+- rank_by_fractions, solve_by_fractions, nullspace_by_fractions and
+  inverse_by_fractions: Fraction Gauss-Jordan on {col: value} rows, each
+  new row reduced by the pivot rows and normalized to 1 at its pivot; the
+  oracles for numkit.eliminate, the fraction-free core behind Matrix.rank,
+  solve, nullspace and inverse.  The other oracles above that rank, solve
+  or invert use these, so they do not rest on the core they check.
 """
 from __future__ import annotations
 
@@ -843,7 +849,7 @@ def schur_vanishes_by_entries(a, keys) -> bool:
     denominator of B^-1, B = a[keys, keys], D a[i][j] = c_i . a[j, keys]
     for every i <= j, where c_i = D a[i, keys] B^-1."""
     if keys:
-        binv = Matrix.from_rows([[a[i][j] for j in keys] for i in keys]).inverse()
+        binv = inverse_by_fractions(Matrix.from_rows([[a[i][j] for j in keys] for i in keys]))
         if binv is None:
             return False
         d = lcm(*(v.denominator for v in binv.entries))
@@ -1003,7 +1009,7 @@ def recurrence_by_orders(seqs, max_order: int):
             for k in range(len(s) - d):
                 rows.append(s[k:k + d])
                 rhs.append(-s[k + d])
-        sol = Matrix.from_rows(rows).solve(rhs)
+        sol = solve_by_fractions(Matrix.from_rows(rows), rhs)
         if sol is not None:
             return Poly(list(sol) + [ONE])
     return None
@@ -1114,7 +1120,7 @@ def check_frobenius_by_fractions(fa):
     )) or _violation_by_fractions(m1, m3, lambda a, b, x, y: (
         f"coproduct o product and (id x product)(coproduct x id) differ at input ({a},{b}) component ({x},{y})"
     ))
-    r = beta.rank()
+    r = rank_by_fractions(beta)
     commutative = next((f"e_{a} e_{b} and e_{b} e_{a} differ in the e_{c} component"
                         for (c, a, b), v in prod if a != b and fa.product[(c, b, a)] != v), None)
     symmetric = next((f"pairing(e_{b}, e_{a}) != pairing(e_{a}, e_{b})"
@@ -1205,7 +1211,7 @@ def central_transition_by_fractions(f_from, f_to):
     Fraction arithmetic: the name of the first that fails, or None."""
     n = f_from.dim
     beta = _pairing_by_fractions(f_to)
-    sol = beta.transpose().solve([f_from.counit[(x,)] for x in range(n)])
+    sol = solve_by_fractions(beta.transpose(), [f_from.counit[(x,)] for x in range(n)])
     if sol is None:
         return "degenerate"
     a = {i: sol[i] for i in range(n) if sol[i]}
@@ -1248,7 +1254,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """The monic gcd of a and b by Fraction division (a itself when both
     are zero)."""
     while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
+        a, b = b, poly_divmod(a, b)[1]
     return a if a.is_zero() else a.scale(1 / a.coeffs[-1])
 
 
@@ -1285,9 +1291,144 @@ def rational_roots_by_fractions(p: Poly):
                     cand = Fraction(s * u, v)
                     mult = 0
                     while q.degree >= 1 and not q(cand):
-                        q = q.divmod(Poly([-cand, 1]))[0]
+                        q = poly_divmod(q, Poly([-cand, 1]))[0]
                         mult += 1
                     if mult:
                         roots.append((cand, mult))
     roots.sort(key=lambda rm: rm[0])
     return roots, q.degree <= 0
+
+
+def poly_divmod(a: Poly, b: Poly):
+    """(quotient, remainder) of a by b by Fraction long division."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    d = b.degree
+    lead = b.coeffs[-1]
+    q = [ZERO] * max(0, len(rem) - d)
+    while len(rem) - 1 >= d and rem:
+        while rem and not rem[-1]:
+            rem.pop()
+        if len(rem) - 1 < d:
+            break
+        f = rem[-1] / lead
+        k = len(rem) - 1 - d
+        q[k] = f
+        for i, c in enumerate(b.coeffs):
+            rem[k + i] -= f * c
+        rem.pop()
+    return Poly(q), Poly(rem)
+
+
+# ---------------------------------------------------------------------------
+# Fraction Gauss-Jordan
+
+
+def _echelon(drows):
+    """Reduce {col: value} rows to echelon form.  Returns (pivot_rows,
+    pivot_cols) where pivot_rows[k] is normalized to have 1 at
+    pivot_cols[k]."""
+    prows = {}         # pivot col -> row dict
+    for d in drows:
+        d = dict(d)
+        while d:
+            c = min(d)
+            if c in prows:
+                f = d.pop(c)
+                for cc, v in prows[c].items():
+                    if cc == c:
+                        continue
+                    w = d.get(cc, ZERO) - f * v
+                    if w:
+                        d[cc] = w
+                    elif cc in d:
+                        del d[cc]
+            else:
+                f = d[c]
+                if f != 1:
+                    d = {cc: v / f for cc, v in d.items()}
+                prows[c] = d
+                break
+    pivots = sorted(prows)
+    return [prows[c] for c in pivots], pivots
+
+
+def _rref(drows):
+    """(rows, pivots) of the reduced row echelon form of {col: value} rows."""
+    ech, piv = _echelon(drows)
+    rref = [dict(r) for r in ech]
+    for k in range(len(piv) - 1, -1, -1):
+        c = piv[k]
+        for j in range(k):
+            f = rref[j].get(c, ZERO)
+            if f:
+                for cc, v in rref[k].items():
+                    w = rref[j].get(cc, ZERO) - f * v
+                    if w:
+                        rref[j][cc] = w
+                    elif cc in rref[j]:
+                        del rref[j][cc]
+    return rref, piv
+
+
+def _dict_rows(m: Matrix, extra=None):
+    """The rows of m as {col: value} dicts, with extra[i] (a {col: value}
+    dict of columns past m.cols) joined to row i."""
+    out = []
+    for i, row in enumerate(m.to_rows()):
+        d = {j: v for j, v in enumerate(row) if v}
+        if extra is not None:
+            d.update((j, rat(v)) for j, v in extra[i].items() if v)
+        out.append(d)
+    return out
+
+
+def rank_by_fractions(m: Matrix) -> int:
+    """The rank of m by Fraction Gauss-Jordan; the oracle for Matrix.rank."""
+    return len(_echelon(_dict_rows(m))[1])
+
+
+def solve_by_fractions(m: Matrix, rhs):
+    """The solution of m x = rhs with free coordinates zero, or None, by
+    Fraction Gauss-Jordan on m with rhs joined as column m.cols."""
+    n = m.cols
+    rref, piv = _rref(_dict_rows(m, [{n: b} for b in rhs]))
+    if piv and piv[-1] == n:
+        return None
+    x = [ZERO] * n
+    for row, c in zip(rref, piv):
+        x[c] = row.get(n, ZERO)
+    return x
+
+
+def nullspace_by_fractions(m: Matrix):
+    """The nullspace basis of m with 1 at one free column and 0 at the
+    others, read off the Fraction reduced row echelon form."""
+    n = m.cols
+    rref, piv = _rref(_dict_rows(m))
+    basis = []
+    for free in range(n):
+        if free in piv:
+            continue
+        v = [ZERO] * n
+        v[free] = ONE
+        for row, c in zip(rref, piv):
+            v[c] = -row.get(free, ZERO)
+        basis.append(v)
+    return basis
+
+
+def inverse_by_fractions(m: Matrix):
+    """The inverse of the square m, or None, by Fraction Gauss-Jordan on
+    m joined with the identity."""
+    n = m.rows
+    rref, piv = _rref(_dict_rows(m, [{n + i: ONE} for i in range(n)]))
+    if [c for c in piv if c < n] != list(range(n)):
+        return None
+    out = [ZERO] * (n * n)
+    for row, c in zip(rref, piv):
+        for cc, v in row.items():
+            if cc >= n:
+                out[c * n + cc - n] = v
+    return Matrix(n, n, out)

@@ -654,11 +654,11 @@ def _gram_cases():
     chis = {"chi2": CHI2, "two_terms": CHI_TWO_GEOMETRIC, "poly3": CHI_POLY3,
             "origin": CharacterForm.make(alpha_1=1), "xy": xy}
     curated = [pytest.param(obj, chi, id=f"{obj}-{name}") for obj in "SI" for name, chi in chis.items()]
-    # III@3 under xy: its rank under χ₁ is 78 of 96, and certifying it
-    # would take seconds
+    # III@3 under xy, and under χ₁, where the certificate proves rank 78 of 96
     enumerated = [pytest.param(space, xy if space == "III@3" else CHI2, id=space)
                   for space in ("S@6", "I@6", "SI@6", "II@4", "II@6", "III@3")]
-    return curated + enumerated + [pytest.param("closed", CHI2, id="closed-diagrams")]
+    return curated + enumerated + [pytest.param("III@3", CHI2, id="III@3-chi1"),
+                                   pytest.param("closed", CHI2, id="closed-diagrams")]
 
 
 @pytest.mark.parametrize("space, chi", _gram_cases())
@@ -685,6 +685,8 @@ def test_block_fill_matches_row_by_row_oracle(space, chi):
     assert _integer_gram(rows, values) == scaled_gram(expected)
     chosen, block = _pivot_basis(ts, chi)
     assert block.to_rows() == [[expected[i][j] for j in chosen] for i in chosen]
+    if space == "III@3" and chi is CHI2:
+        assert (len(chosen), len(ts.spanning)) == (78, 96)
 
 
 def test_certified_keys_recover_rank_lost_mod_p():

@@ -1,15 +1,16 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from octqft.numkit import (
-    Matrix, Poly, Tensor, is_squarefree,
+    Matrix, Poly, Tensor, eliminate, is_squarefree,
     rat, rat_to_str, rational_roots, recurrence_from_sequences,
 )
 from oracles import (
-    derivative, is_squarefree_by_fractions, poly_gcd, rational_roots_by_fractions,
-    recurrence_by_orders,
+    derivative, inverse_by_fractions, is_squarefree_by_fractions, nullspace_by_fractions,
+    poly_divmod, poly_gcd, rank_by_fractions, rational_roots_by_fractions, recurrence_by_orders,
+    solve_by_fractions,
 )
 
 
@@ -96,11 +97,62 @@ def test_solve_and_nullspace():
     assert [sum(r[j] * v[j] for j in range(3)) for r in a.to_rows()] == [0, 0]
 
 
+small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+# zero, small, and 30-digit numerators over 30-digit denominators
+entries = st.just(F(0)) | small_rats | st.builds(
+    F, st.integers(-10 ** 30, 10 ** 30), st.integers(10 ** 29, 10 ** 30))
+
+
+@st.composite
+def linear_systems(draw):
+    """(a, b): a rectangular or square matrix, zero, singular or not, up to
+    5 x 5 with 0 x n and n x 0 shapes, and one to three right-hand sides,
+    in the column span of a or drawn freely, so often inconsistent."""
+    rows = draw(st.integers(0, 5))
+    cols = rows if draw(st.booleans()) else draw(st.integers(0, 5))
+    zero = draw(st.integers(0, 7)) == 0
+    a = [[F(0) if zero else draw(entries) for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.integers(0, 2)) == 0:      # a multiple of an earlier row
+            f = draw(small_rats)
+            a[i] = [f * x for x in a[draw(st.integers(0, i - 1))]]
+    m = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        x = [[draw(small_rats) for _ in range(m)] for _ in range(cols)]
+        b = [[sum((r[j] * x[j][k] for j in range(cols)), F(0)) for k in range(m)] for r in a]
+    else:
+        b = [[draw(entries) for _ in range(m)] for _ in range(rows)]
+    return Matrix(rows, cols, [v for r in a for v in r]), Matrix(rows, m, [v for r in b for v in r])
+
+
+@given(linear_systems())
+@example((Matrix.zeros(0, 3), Matrix.zeros(0, 2)))
+@example((Matrix.zeros(3, 0), Matrix(3, 1, [F(0), F(1), F(0)])))
+@example((Matrix.zeros(3, 0), Matrix.zeros(3, 1)))
+@example((Matrix.zeros(0, 0), Matrix.zeros(0, 1)))
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_fraction_gauss_jordan(system):
+    a, b = system
+    pivots, d, reduced = eliminate(a.to_rows(), a.cols)
+    assert d and len(reduced) == len(pivots) == a.rank() == rank_by_fractions(a)
+    for c, row in zip(pivots, reduced):
+        assert [row.get(k, 0) for k in pivots] == [d if k == c else 0 for k in pivots]
+    assert a.nullspace() == nullspace_by_fractions(a)
+    # several right-hand sides: the columns solved one at a time, and None
+    # when any of them is inconsistent
+    each = [solve_by_fractions(a, [b[i, j] for i in range(b.rows)]) for j in range(b.cols)]
+    assert a.solve([b[i, 0] for i in range(b.rows)]) == each[0]
+    want = None if None in each else Matrix(a.cols, b.cols, [v for r in zip(*each) for v in r])
+    assert a.solve(b) == want
+    if a.rows == a.cols:
+        assert a.inverse() == inverse_by_fractions(a)
+
+
 def test_poly_arith():
     p = Poly([1, 2, 1])        # (1+t)^2
     q = Poly([-1, 1])          # t-1
     assert (p * q).coeffs == (F(-1), F(-1), F(1), F(1))
-    quo, rem = (p * q).divmod(p)
+    quo, rem = poly_divmod(p * q, p)
     assert quo == q and rem.is_zero()
     assert p(2) == 9
     assert derivative(p) == Poly([2, 2])
@@ -152,9 +204,6 @@ def test_recurrence_finite_support():
     # 0,0,1,0,0,... needs t^3
     s = [F(0), F(0), F(1)] + [F(0)] * 6
     assert recurrence_from_sequences([s], 4) == Poly([0, 0, 0, 1])
-
-
-small_rats = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 
 def _agree(seqs, max_order):
@@ -276,4 +325,4 @@ def test_roots_of_polynomial_with_large_coefficients():
     expected = ([(F(-3, 2), 1), (F(5), 2)], False)
     assert rational_roots(p) == expected == rational_roots_by_fractions(p)
     assert not is_squarefree(p)
-    assert is_squarefree(p.divmod(Poly.from_roots([5]))[0])
+    assert is_squarefree(poly_divmod(p, Poly.from_roots([5]))[0])

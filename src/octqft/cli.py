@@ -99,14 +99,29 @@ def _load_kfa(spec: str) -> KFA:
     return _read(KFA.from_json, spec, "structure")
 
 
+def _names_json(spec: str) -> bool:
+    """Whether _read_source reads spec as JSON: -, inline, or a file."""
+    return spec == "-" or spec.lstrip().startswith(("{", "[")) or os.path.exists(spec)
+
+
 def _load_char_form(spec: str) -> CharacterForm:
+    """A closed-form character; a generating function is refused by name."""
+    if not _names_json(spec):
+        try:
+            parse_rational_expr(spec)
+        except ExprError:
+            pass
+        else:
+            raise ValueError(f"{spec!r} is a generating function, but this command needs a "
+                             "closed-form character JSON; `octqft classify --rational` "
+                             "prints the closed form of a good one")
     return _read(CharacterForm.from_json, spec, "character")
 
 
 def _load_character(spec: str):
     """A character for the pairing: closed-form JSON, or a generating
     function expression which may lie outside the good class."""
-    if spec == "-" or spec.lstrip().startswith("{") or os.path.exists(spec):
+    if _names_json(spec):
         return _load_char_form(spec)
     num, den = parse_rational_expr(spec)
     return rational_character(num, den)

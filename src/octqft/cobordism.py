@@ -484,12 +484,12 @@ class _ShapeTable:
     free-boundary arcs.  A closure plan is the tuple of roots of the trace
     closure of (a then b).  That closure is also the one of (b then a), so
     a pair of shapes has one closure plan, in the row of the smaller id at
-    the offset of the larger.  Nearly every pair of enumerated classes is
-    closed, so those rows are lists.  A composition plan is (result shape
-    id, the roots on the boundary in the order of the result's components,
-    the roots that close).  Equal plans and roots are stored once.  Each
-    closure plan is kept with its split plan (closure_plan), which the Gram
-    fill and the row plans of closure_row read."""
+    the offset of the larger, kept split by side (closure_plan) as the Gram
+    fill and the row plans of closure_row read it.  Nearly every pair of
+    enumerated classes is closed, so those rows are lists.  A composition
+    plan is (result shape id, the roots on the boundary in the order of the
+    result's components, the roots that close).  Equal plans and roots are
+    stored once."""
 
     def __init__(self):
         self.shapes = []        # shape id -> Shape
@@ -508,10 +508,10 @@ class _ShapeTable:
         return sid
 
     def closure_plan(self, i: int, j: int):
-        """(plan, side i, side j): the closure plan of shapes i <= j and its
-        split plan, the roots once more with the members split by side.  A
-        side holds per root the members that index the labels of a summary
-        of its shape, and the root's offsets (euler, windows)."""
+        """(side i, side j): the closure plan of shapes i <= j with the
+        members of each root split by side.  A side holds per root the
+        members that index the labels of a summary of its shape, and the
+        root's offsets (euler, windows)."""
         row, k = self.closure[i], j - i
         if k >= len(row):
             row += [None] * (len(self.shapes) - i - len(row))
@@ -526,7 +526,7 @@ class _ShapeTable:
             m = bisect_left(members, k)         # members ascend (_roots)
             lo.append((members[:m], e, w))
             hi.append((tuple([x - k for x in members[m:]]), e, w))
-        return roots, tuple(lo), tuple(hi)
+        return tuple(lo), tuple(hi)
 
     def compose_plan(self, i: int, j: int):
         """The composition plan of shape i then shape j."""
@@ -771,26 +771,19 @@ def compose_summaries(a: DiagramSummary, b: DiagramSummary) -> DiagramSummary:
                                           tuple(closed)))
 
 
-def closure_roots(a: DiagramSummary, b: DiagramSummary) -> list:
-    """(genus, windows) of each component that the trace closure of (a then
-    b) glues from the boundary components of a and b.  With a.closed and
-    b.closed they are the components of the closure."""
-    if a.shape > b.shape:       # the closure of (b then a), which is the same
-        a, b = b, a
-    return _sum_labels(_SHAPES.closure_plan(a.shape, b.shape)[0], a.comps + b.comps, [], True)
-
-
 def summary_closure(a: DiagramSummary, b: DiagramSummary):
     """Sorted (genus, windows) types of the trace closure of (a then b):
-    a.cod glued to b.dom and b.cod to a.dom."""
-    return tuple(sorted(a.closed + b.closed + tuple(closure_roots(a, b))))
+    a.cod glued to b.dom and b.cod to a.dom.  One entry of closure_row."""
+    return next(closure_row(a, (b,)))
 
 
 def closure_row(a: DiagramSummary, summaries):
-    """Yield summary_closure(a, b) for each b of summaries, one at a time, so
-    that a caller may stop early.  The closure plan is read once per shape
-    of b, with the labels of a summed into it (_row_plan), so that each b
-    adds only its own labels.  This is the lazy engine of the pairing rows
+    """Yield the sorted (genus, windows) types of the trace closure of (a
+    then b) for each b of summaries, one at a time, so that a caller may
+    stop early: the closed components of a and b and those the closure
+    glues from their boundary components.  The closure plan is read once
+    per shape of b, with the labels of a summed into it (_row_plan), so
+    that each b adds only its own labels.  This is the lazy engine of the pairing rows
     (gram._pairing_row); a full Gram matrix is filled per pair of shapes
     from the split plans (_split_plan) instead."""
     plans = {}              # shape of b -> its row plan
@@ -811,8 +804,8 @@ def _split_plan(a_shape, b_shape):
     index the labels of a summary of shape a_shape and side b those of one
     of shape b_shape, each with the root's offsets (euler, windows)."""
     if a_shape <= b_shape:
-        return _SHAPES.closure_plan(a_shape, b_shape)[1:]
-    _, b_side, a_side = _SHAPES.closure_plan(b_shape, a_shape)
+        return _SHAPES.closure_plan(a_shape, b_shape)
+    b_side, a_side = _SHAPES.closure_plan(b_shape, a_shape)
     return a_side, b_side
 
 

@@ -19,12 +19,12 @@ changes no pairing.  Every pairing of given terms is a row of
 _pairing_row: the terms of one side, each run through one
 cobordism.closure_row over the summaries of the other side, with one χ
 product per distinct closure-types tuple.  Pair, is_negligible, the
-quotient algebra, the splitting check and the witness scan all read such
-rows.  A full Gram matrix is filled a block per pair of shape groups of
-its spanning set instead (_gram_rows): each root of the closure plan of
-the two shapes reads its closed type from a small table of label sums, so
-a row of a block is a few C-level passes, and the entries are coded by
-value.  χ is multiplied out once per closure-types tuple, and the integer
+quotient algebra, the splitting check, the witness scan and the pivot
+engine (_SymPivot, which asks for rows) all read such rows.  A full Gram
+matrix is filled a block per pair of shape groups of its spanning set
+instead (_gram_rows): each root of the closure plan of the two shapes
+reads its closed type from a small table of label sums, so a row of a
+block is a few C-level passes, and the entries are coded by value.  χ is multiplied out once per closure-types tuple, and the integer
 scaling and the CLI's rendering run once per distinct value.
 Ranks and quotient bases are picked by symmetric pivoting mod a prime on
 packed big-int columns (_SymPivot) and certified exactly over Z
@@ -35,10 +35,10 @@ entries) need neither the fill nor its certificate: χ has a Hankel
 factorization of finite rank r, so their Gram is Φ M Φᵀ with at most
 1 + r + r² independent rows in Φ, and its rank is that of the Gram of as
 many entries (_factored_rank).  Their quotient basis is the same modular
-selection over pairings computed as it asks for them, proven once it holds
+selection over rows computed as it asks for them, proven once it holds
 that many keys (_curated_keys).  Entries with equal rows of Φ have equal
 Gram rows, so their full Gram is filled once per such feature class and
-their key rows are computed once per class (_feature_classes).  A handle
+a row is paired once per request of classes (_feature_classes).  A handle
 whose row class already holds a key, an entry of such a feature class or
 an enumerated class with the shape and labels of a key, is dropped from
 the selection before it is paired (_SymPivot.select).
@@ -72,7 +72,6 @@ from .cobordism import (
     parse,
     pretty,
     summarize,
-    closure_roots,
     closure_row,
     compose_summaries,
     summary_id,
@@ -204,8 +203,9 @@ def _as_lincomb(f):
 
 def closure_types(sid_first, sid_then):
     """(genus, windows) multiset of the trace closure of the term summarized
-    as sid_first followed by the one summarized as sid_then: one pairing,
-    such as a diagonal entry of the curated key selection (_curated_keys)."""
+    as sid_first followed by the one summarized as sid_then: one entry of a
+    closure_row.  No pairing in this module calls it; it names one closure
+    for callers outside, such as the benchmark's tracer."""
     return next(closure_row(_SUMMARIES[sid_first], (_SUMMARIES[sid_then],)))
 
 
@@ -513,10 +513,10 @@ def _factored_rank(ts: TermSpace, chi):
     if any(x.denominator % MOD_P1 == 0 for x in params):
         return None
     at = {e: i for i, e in enumerate(ts.exponents.values())}
-    basis = []          # the grid points whose rows are independent of those before them
-    for p in (e[1:] for e in at if e[0] == "sig"):
-        if Matrix.from_rows([_features(chi, *b) for b in (*basis, p)]).rank() > len(basis):
-            basis.append(p)
+    points = [e[1:] for e in at if e[0] == "sig"]
+    # pivot columns: the grid points whose rows are independent of those before
+    pivots = eliminate(zip(*(_features(chi, *p) for p in points)), len(points))[0]
+    basis = [points[c] for c in pivots]
     core = ([i for e, i in at.items() if e[0] == "id"] + [at[("sig", *b)] for b in basis]
             + [at[("cap", *a, *b)] for a in basis for b in basis])
     sub = TermSpace(ts.object, [ts.spanning[i] for i in core])
@@ -526,45 +526,36 @@ def _factored_rank(ts: TermSpace, chi):
 def _curated_keys(ts: TermSpace, chi, rank) -> list:
     """The keys that _certified_keys picks from the integer-scaled Gram of
     ts, given its rank (_factored_rank), with no fill.  The same selection
-    mod MOD_P1 runs over pairings computed as it asks for them: the
-    diagonal by closure_types, and the row of any other first argument (a
-    key, or an entry of a pair search) once per feature class
-    (_feature_classes), by one closure_row over the first entry of each
-    class, expanded over the class index.  An entry whose class already
-    holds a key has that key's row, so select drops it unpaired
-    (row_class).  No denominator of chi is a multiple of MOD_P1, so the
-    scaling is a unit mod p and the values select the keys the scaled Gram
-    does.  The selection is proven once it holds rank keys: that is the
-    stall at which _schur_vanishes would first hold.  When it ends short,
-    because a value nonzero over Q vanished mod p, the keys are picked
-    again over Q, where a maximal block has rank keys."""
-    sids = [e.sids[0] for e in ts.spanning]
-    summaries = _summaries(ts.spanning)
+    mod MOD_P1 runs over the rows it asks for (_SymPivot).  Entries of one
+    feature class (_feature_classes) have equal rows, so each distinct
+    request, keyed by the classes of the handle and of its partners, is one
+    _pairing_row over the first entries of those classes.  An entry whose
+    class already holds a key has that key's row, so select drops it
+    unpaired (row_class).  No denominator of
+    chi is a multiple of MOD_P1, so the scaling is a unit mod p and the
+    values select the keys the scaled Gram does.  The selection is proven
+    once it holds rank keys: that is the stall at which _schur_vanishes
+    would first hold.  When it ends short, because a value nonzero over Q
+    vanished mod p, the keys are picked again over Q, where a maximal block
+    has rank keys."""
     index, reps = _feature_classes(ts, chi)
-    partners = [summaries[i] for i in reps]
+    firsts = _summaries([ts.spanning[i] for i in reps])
     value = _chi_products(chi)
 
-    def pairings(number):
-        rows = {}           # per class, its row over every entry
-
-        def pairfn(i, j):
-            if i == j:
-                return number(closure_types(sids[i], sids[i]))
-            row = rows.get(index[i])
-            if row is None:
-                row = list(map(number, closure_row(summaries[i], partners)))
-                row = rows[index[i]] = list(map(row.__getitem__, index))
-            return row[j]
-        return pairfn
+    def rows(number):
+        @cache
+        def class_row(c, cs):
+            return list(_pairing_row([(ONE, firsts[c])], [firsts[x] for x in cs], number))
+        return lambda h, hs: class_row(index[h], tuple(map(index.__getitem__, hs)))
 
     def proven(keys):
         return len(keys) == rank
 
     mod = _Codes(lambda types: _mod_of(value(types), MOD_P1)).__getitem__
-    piv = _SymPivot(pairings(mod), MOD_P1)
-    if not piv.select(range(len(sids)), proven=proven, row_class=index.__getitem__):
-        piv = _SymPivot(pairings(value))
-        if not piv.select(range(len(sids)), proven=proven, row_class=index.__getitem__):
+    piv = _SymPivot(rows(mod), MOD_P1)
+    if not piv.select(range(len(index)), proven=proven, row_class=index.__getitem__):
+        piv = _SymPivot(rows(value))
+        if not piv.select(range(len(index)), proven=proven, row_class=index.__getitem__):
             raise ConsistencyError(f"factored rank {rank}, but {len(piv.keys)} keys over Q")
     return piv.keys
 
@@ -844,8 +835,14 @@ def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingRep
 # projection onto the earlier blocks.  Every handle h tested so far keeps
 # w[i] = <h, u_i>, its coordinate z[i] along u_i and its diagonal residual
 # <h, h> - z.w, extended lazily by the keys accepted since it was last
-# seen.  The residual pairing of two handles is pair(h1, h2) - z1.w2; no
+# seen.  The residual pairing of two handles is <h1, h2> - z1.w2; no
 # inverse is kept and no linear system is solved.
+#
+# The pairings are read as rows: rows(h, hs) gives <h, x> for each x of hs,
+# in order, possibly lazily.  The engine asks for the diagonal rows(h, (h,)),
+# for h against the keys accepted since it was last seen (the row
+# _forward_mod packs), and in a pair search for each candidate against the
+# candidates after it, read only up to the first pair found.
 #
 # select accepts singles in sorted order, pass after pass, until they
 # stall, and then the first pair in lexicographic order with an invertible
@@ -883,19 +880,20 @@ def verify_splitting(chi: CharacterForm, g_max: int, w_max: int) -> SplittingRep
 MOD_P1 = (1 << 61) - 1
 
 
-def _mod_of(fr, p) -> int:
-    fr = Fraction(fr)
-    return fr.numerator * pow(fr.denominator, p - 2, p) % p
+def _mod_of(x, p) -> int:
+    """The rational x, a Fraction or an int, mod the prime p."""
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 class _SymPivot:
-    """Incremental maximal invertible Gram block under pairfn, over Q when
-    p = 0 and over Z/p for a prime p; keys holds the accepted handles in
-    acceptance order.  The coordinates of the keys are packed big-int
-    columns over Z/p and lists over Q."""
+    """Incremental maximal invertible Gram block under the pairings that
+    rows(h, hs) gives (above), over Q when p = 0 and over Z/p for a prime
+    p; keys holds the accepted handles in acceptance order.  The
+    coordinates of the keys are packed big-int columns over Z/p and lists
+    over Q."""
 
-    def __init__(self, pairfn, p=0):
-        self.pairfn = pairfn
+    def __init__(self, rows, p=0):
+        self.rows = rows
         self.p = p
         self.keys = []
         self._zrows = []    # per key: its row of its block's inverse Gram, block start
@@ -916,7 +914,8 @@ class _SymPivot:
     def _coords(self, h):
         rec = self._h.get(h)
         if rec is None:
-            rec = self._h[h] = [[], [], self._red(self.pairfn(h, h))]
+            [d] = self.rows(h, (h,))
+            rec = self._h[h] = [[], [], self._red(d)]
         w, z, r = rec
         keys = self.keys
         start = len(w)
@@ -925,8 +924,8 @@ class _SymPivot:
         if self.p:
             self._forward_mod(h, w)
         else:
-            for i in range(start, len(keys)):
-                w.append(self.pairfn(keys[i], h) - sum(map(mul, self._kz[i], w)))
+            for i, v in enumerate(self.rows(h, keys[start:]), start):
+                w.append(v - sum(map(mul, self._kz[i], w)))
         red = self._red
         new = [red(sum(map(mul, row, w[b:b + len(row)]))) for row, b in self._zrows[start:]]
         z += new
@@ -936,8 +935,8 @@ class _SymPivot:
     def _forward_mod(self, h, w):
         """Extend w over the new keys through the packed columns."""
         p, s, cols, keys, start = self.p, self._slot, self._cols, self.keys, len(w)
-        acc = int.from_bytes(b"".join((self.pairfn(keys[i], h) % p).to_bytes(s >> 3, "little")
-                                      for i in range(start, len(keys))), "little")
+        acc = int.from_bytes(b"".join((v % p).to_bytes(s >> 3, "little")
+                                      for v in self.rows(h, keys[start:])), "little")
         for j, v in enumerate(w):
             if v:
                 acc += (p - v) * (cols[j] >> (start - j - 1) * s)
@@ -1053,14 +1052,14 @@ class _SymPivot:
         positions, whose 2x2 Schur complement is invertible; return its
         positions (a, b), or None when no pair extends the block."""
         recs = [self._coords(h) for h in cands]
-        for a, (_, za, ra) in enumerate(recs):
-            for b in range(a + 1, len(cands)):
+        red = self._red
+        for a, (_, za, ra) in enumerate(recs[:-1]):
+            for b, v in enumerate(self.rows(cands[a], cands[a + 1:]), a + 1):
                 wb, _, rb = recs[b]
-                s01 = self._red(self.pairfn(cands[a], cands[b]) - sum(map(mul, za, wb)))
+                s01 = red(v - sum(map(mul, za, wb)))
                 # det = ra rb - s01^2, which is nonzero iff s01 is when a
                 # diagonal residual vanishes (always, once singles stall)
-                if self._red(ra * rb - s01 * s01) if ra and rb else s01:
-                    red = self._red
+                if red(ra * rb - s01 * s01) if ra and rb else s01:
                     di = self._inv(red(ra * rb - s01 * s01))
                     self._push([cands[a], cands[b]], [[red(rb * di), red(-s01 * di)],
                                                       [red(-s01 * di), red(ra * di)]])
@@ -1115,11 +1114,14 @@ def _certified_keys(a) -> list:
     that the certificate rejects, because some value nonzero over Q
     vanished mod p, the keys are picked again over Q.  D is the scale of
     the elimination of [B | I], not a denominator of B^-1."""
-    piv = _SymPivot(lambda i, j: a[i][j], MOD_P1)
+    def rows(i, js):
+        return map(a[i].__getitem__, js)
+
+    piv = _SymPivot(rows, MOD_P1)
     if piv.select(range(len(a)),
                   proven=lambda keys: len(keys) == len(a) or _schur_vanishes(a, keys)):
         return piv.keys
-    piv = _SymPivot(lambda i, j: a[i][j])
+    piv = _SymPivot(rows)
     piv.select(range(len(a)))
     return piv.keys
 
@@ -1178,29 +1180,6 @@ def _atom_terms(word):
 
 _ENUM_CACHE = {}
 
-_PROBE_MOD_MEMO = {}
-
-
-def _probe_product(types, v=1) -> int:
-    """v times the probe character over (genus, windows) types, mod
-    MOD_P1."""
-    for key in types:
-        if not v:
-            break
-        c = _PROBE_MOD_MEMO.get(key)
-        if c is None:
-            c = _PROBE_MOD_MEMO[key] = _mod_of(PROBE_CHARACTER.value(*key), MOD_P1)
-        v = v * c % MOD_P1
-    return v
-
-
-def _probe_val(h1, h2):
-    """Probe-character pairing of two enumeration handles (gens, text, sid,
-    probe value of the closed components of the class), mod MOD_P1: the
-    two closed values times the components their trace closure glues."""
-    return _probe_product(closure_roots(_SUMMARIES[h1[2]], _SUMMARIES[h2[2]]),
-                          h1[3] * h2[3] % MOD_P1)
-
 
 def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
     """Endomorphism terms of the object built from at most size_budget
@@ -1210,18 +1189,19 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
     terms breed new candidates by composition within the budget.
 
     Candidates are deduplicated by topological summary before any rank
-    test and handed, as handles (generators, text, summary id, probe value
-    of the closed components), to the symmetric pivot engine over Z/MOD_P1
-    under the probe character, which fixes the acceptance order
-    (_SymPivot.select).  A zero mod p can only drop a candidate, and the
-    probe-rank stopping rule makes the result a lower-bound spanning set:
-    complete whenever the probe sees the full endomorphism space.
+    test and handed, as handles (generators, text, summary id), to the
+    symmetric pivot engine over Z/MOD_P1 under the probe character, which
+    fixes the acceptance order (_SymPivot.select) and reads each row it asks
+    for as one _pairing_row, a closure-types tuple valued mod p once.  A
+    zero mod p can only drop a candidate, and the probe-rank stopping rule
+    makes the result a lower-bound spanning set: complete whenever the
+    probe sees the full endomorphism space.
 
     The row class of a handle is the shape and boundary labels of its
-    summary, (shape id, comps).  A probe pairing is the closed value of
-    each handle times the value of the components their closure glues,
-    which closure_roots reads off the shapes and labels alone (_probe_val),
-    so the rows of one class are proportional and a candidate whose class
+    summary, (shape id, comps).  A probe pairing of a and b is the value of
+    a.closed times that of b.closed times that of the components the
+    closure glues, which the shapes and labels alone fix (_split_plan), so
+    the rows of one class are proportional and a candidate whose class
     holds a key is never accepted (_SymPivot.select).  Such a twin is
     dropped when it is offered, before it is given a text, a term tree or a
     heap slot, and select drops one that turns into a twin while it waits;
@@ -1238,7 +1218,13 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
 
     terms = {}              # sid -> the first term found in its class
     accepted = []           # (gens, sid) in acceptance order
-    piv = _SymPivot(_probe_val, MOD_P1)
+    probe = _chi_products(PROBE_CHARACTER)
+    mod = _Codes(lambda types: _mod_of(probe(types), MOD_P1)).__getitem__
+
+    def rows(h, hs):
+        return _pairing_row([(ONE, _SUMMARIES[h[2]])], [_SUMMARIES[x[2]] for x in hs], mod)
+
+    piv = _SymPivot(rows, MOD_P1)
 
     def row_class(h):
         return _SUMMARIES[h[2]][:2]
@@ -1248,11 +1234,11 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
         if sid in terms or _SUMMARIES[sid][:2] in piv.held:
             return
         term = terms[sid] = Compose(*factors) if len(factors) == 2 else factors[0]
-        out.append((gens, pretty(term), sid, _probe_product(_SUMMARIES[sid].closed)))
+        out.append((gens, pretty(term), sid))
 
     def breed(h):
         # a composite's summary is glued from its two interned factors
-        gens, _, sid, _ = h
+        gens, _, sid = h
         accepted.append((gens, sid))
         term, s = terms[sid], _SUMMARIES[sid]
         out = []
@@ -1270,7 +1256,7 @@ def enumerate_end_terms(obj: str, size_budget: int) -> TermSpace:
         if gens <= size_budget:
             offer(atoms, gens, summary_id(a), a)
     piv.select(atoms, breed, row_class=row_class)
-    ts = TermSpace(obj, [LinComb([(ONE, terms[sid])], [sid]) for _, _, sid, _ in piv.keys])
+    ts = TermSpace(obj, [LinComb([(ONE, terms[sid])], [sid]) for _, _, sid in piv.keys])
     _ENUM_CACHE[key] = ts
     return ts
 

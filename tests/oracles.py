@@ -36,8 +36,12 @@
 - enumerate_with_twins: the greedy probe enumeration that queues every new
   summary class, twins of a key included (same shape and boundary labels,
   so a probe row proportional to the key's), and leaves each to the pivot
-  to reject; the oracle for gram.enumerate_end_terms, which drops a twin
-  before it is given a text, a heap slot or a pairing.
+  to reject, pairing its handles one entry at a time (closure_roots,
+  probe_val); the oracle for gram.enumerate_end_terms, which drops a twin
+  before it is given a text, a heap slot or a pairing, and reads each
+  handle's probe pairings as a row of gram._pairing_row.
+- rows_of: the row function of the pivot engine (rows(h, hs)) from an
+  entry-wise pairing pairfn(h1, h2), one call per entry.
 - certified_keys_after_select, with scaled_gram and
   schur_vanishes_by_entries: the Gram rank as the whole modular selection,
   a final pair scan included, then the exact certificate with one dot
@@ -86,6 +90,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 from operator import getitem, mul
 
@@ -107,6 +112,7 @@ from octqft.cobordism import (
     DiagramSummary,
     _SUMMARIES,
     _closed_type,
+    _split_plan,
     closure_row,
     compose_summaries,
     _fold,
@@ -119,7 +125,7 @@ from octqft.cobordism import (
 )
 from octqft.frobenius import STRUCTURAL_FLAGS, ConsistencyError
 from octqft.gram import (
-    MOD_P1, TermSpace, _SymPivot, _atom_terms, _gen_count, _probe_product, _probe_val,
+    MOD_P1, PROBE_CHARACTER, TermSpace, _SymPivot, _atom_terms, _gen_count,
 )
 from octqft.kfa import KFA_FLAGS, make_semisimple_kfa, structural_endos
 from octqft.numkit import ONE, ZERO, Matrix, Poly, rat, rat_to_str
@@ -803,26 +809,35 @@ def reference_select(piv, cands):
         remaining = [h for pos, h in enumerate(remaining) if pos not in found]
 
 
+def rows_of(pairfn):
+    """The row function rows(h, hs) of gram._SymPivot from the entry-wise
+    pairing pairfn: pairfn(h, x) for each x of hs, called as the row is
+    read."""
+    return lambda h, hs: (pairfn(h, x) for x in hs)
+
+
 class ListPivot(_SymPivot):
     """_SymPivot with every key's coordinates kept as a list over Z/p as
-    over Q: w is extended by one dot product per key, reduced mod p."""
+    over Q: w is extended by one dot product per key, reduced mod p, from a
+    row per block of keys."""
 
-    def __init__(self, pairfn, p=0):
-        super().__init__(pairfn, p)
+    def __init__(self, rows, p=0):
+        super().__init__(rows, p)
         self._dinv = {}     # first key index of a block -> inverse block Gram
         self._kz = []       # per key: its coordinates along the earlier blocks
 
     def _coords(self, h):
         rec = self._h.get(h)
         if rec is None:
-            rec = self._h[h] = [[], [], self._red(self.pairfn(h, h))]
+            [d] = self.rows(h, (h,))
+            rec = self._h[h] = [[], [], self._red(d)]
         w, z, r = rec
         keys = self.keys
         while len(w) < len(keys):
             start = len(w)
             dinv = self._dinv[start]
-            for i in range(start, start + len(dinv)):
-                w.append(self._red(self.pairfn(keys[i], h) - sum(map(mul, self._kz[i], w))))
+            for i, v in enumerate(self.rows(h, keys[start:start + len(dinv)]), start):
+                w.append(self._red(v - sum(map(mul, self._kz[i], w))))
             wb = w[start:]
             for row in dinv:
                 z.append(self._red(sum(map(mul, row, wb))))
@@ -871,16 +886,53 @@ def certified_keys_after_select(rows) -> list:
     stall until none extends the block, and the certificate after it; the
     keys are picked again over Q when it fails."""
     a = scaled_gram(rows)
-    piv = _SymPivot(lambda i, j: a[i][j], MOD_P1)
+    piv = _SymPivot(rows_of(lambda i, j: a[i][j]), MOD_P1)
     piv.select(range(len(a)))
     if not schur_vanishes_by_entries(a, piv.keys):
-        piv = _SymPivot(lambda i, j: a[i][j])
+        piv = _SymPivot(rows_of(lambda i, j: a[i][j]))
         piv.select(range(len(a)))
     return piv.keys
 
 
 # ---------------------------------------------------------------------------
-# the probe enumeration, twins queued
+# the probe enumeration, twins queued, paired entry by entry
+
+
+def closure_roots(a, b) -> list:
+    """(genus, windows) of each component that the trace closure of (a then
+    b) glues from the boundary components of a and b, for one pair: each
+    root of the split closure plan sums the labels of its members on both
+    sides.  With a.closed and b.closed they are the components of the
+    closure."""
+    roots = zip(*_split_plan(a.shape, b.shape))
+    return [_closed_type(e + sum(a.comps[x][0] for x in am) + sum(b.comps[y][0] for y in bm),
+                         w + sum(a.comps[x][1] for x in am) + sum(b.comps[y][1] for y in bm))
+            for (am, e, w), (bm, _, _) in roots]
+
+
+@cache
+def _probe_mod(genus, windows) -> int:
+    v = PROBE_CHARACTER.value(genus, windows)
+    return v.numerator * pow(v.denominator, MOD_P1 - 2, MOD_P1) % MOD_P1
+
+
+def probe_product(types, v=1) -> int:
+    """v times the probe character over (genus, windows) types, mod
+    MOD_P1."""
+    for key in types:
+        if not v:
+            break
+        v = v * _probe_mod(*key) % MOD_P1
+    return v
+
+
+def probe_val(h1, h2):
+    """Probe-character pairing of two handles (gens, text, sid, probe value
+    of the closed components of the class) of enumerate_with_twins, mod
+    MOD_P1: the two closed values times the components their trace closure
+    glues."""
+    return probe_product(closure_roots(_SUMMARIES[h1[2]], _SUMMARIES[h2[2]]),
+                         h1[3] * h2[3] % MOD_P1)
 
 
 def enumerate_with_twins(obj: str, size_budget: int) -> TermSpace:
@@ -893,7 +945,7 @@ def enumerate_with_twins(obj: str, size_budget: int) -> TermSpace:
     def offer(out, term, gens, sid):
         if sid not in terms:
             terms[sid] = term
-            out.append((gens, pretty(term), sid, _probe_product(_SUMMARIES[sid].closed)))
+            out.append((gens, pretty(term), sid, probe_product(_SUMMARIES[sid].closed)))
 
     def breed(h):
         gens, _, sid, _ = h
@@ -913,7 +965,7 @@ def enumerate_with_twins(obj: str, size_budget: int) -> TermSpace:
         gens = _gen_count(a)
         if gens <= size_budget:
             offer(atoms, a, gens, summary_id(a))
-    piv = _SymPivot(_probe_val, MOD_P1)
+    piv = _SymPivot(rows_of(probe_val), MOD_P1)
     piv.select(atoms, breed)
     return TermSpace(obj, [LinComb([(ONE, terms[sid])], [sid]) for _, _, sid, _ in piv.keys])
 

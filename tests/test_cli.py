@@ -154,6 +154,21 @@ def test_idempotents_report(capsys):
     assert report["components"] == {"1,2": True}
 
 
+@pytest.mark.parametrize("argv", [["gram", "--object", "S"], ["idempotents"]])
+def test_closed_form_commands_refuse_a_generating_function(capsys, argv):
+    # a generating function is named as such, with the command that gives
+    # its closed form; a missing file is still reported as one
+    code = main([*argv, "--char", "1/(1-X)"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'1/(1-X)' is a generating function" in captured.err
+    assert "classify --rational" in captured.err
+    code = main([*argv, "--char", "no-such-character.json"])
+    assert code == 2
+    assert "No such file or directory" in capsys.readouterr().err
+
+
 def test_witness_report_exits_one(capsys):
     code, out = run(capsys, ["witness", "--object", "S", "--char", "1/(1-X*Y)",
                              "--budget", "4"])
@@ -403,9 +418,12 @@ def test_encoder_raises_type_error_as_json_does(payload):
 
 
 def test_gram_without_matrix_builds_no_full_matrix(capsys, monkeypatch):
-    # --no-matrix reads the rank off the coded Gram: no n x n Matrix is
-    # built, only the small blocks of the certificate
-    from octqft import numkit
+    # --no-matrix reads the rank off the factored Gram: no n x n Matrix is
+    # built (the feature rows and the certificate are eliminated as lists,
+    # so none at all), while gram_rank, which returns the full Matrix, shows
+    # that the patched constructor sees one
+    from octqft import gram, numkit
+    from octqft.character import CharacterForm
 
     shapes = []
     real_init = numkit.Matrix.__init__
@@ -415,4 +433,7 @@ def test_gram_without_matrix_builds_no_full_matrix(capsys, monkeypatch):
     chi = json.dumps({"exp": [{"lambda": "1", "mu": "3", "coeff": "2"}]})
     assert main(["gram", "--object", "S", "--char", chi, "--no-matrix"]) == 0
     assert json.loads(capsys.readouterr().out)["rank"] == 2
-    assert shapes and max(shapes) < (272, 272)
+    assert all(shape < (272, 272) for shape in shapes)
+    form = CharacterForm.make(exp_terms=[(1, 3, 2)])
+    gram.gram_rank(gram.spanning_end("S", form), form)
+    assert (272, 272) in shapes

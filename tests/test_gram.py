@@ -84,6 +84,7 @@ from oracles import (
     network_summary,
     pair_by_pairs,
     reference_select,
+    rows_of,
     scaled_gram,
     schur_vanishes_by_entries,
 )
@@ -460,7 +461,7 @@ def test_gram_rank_falls_back_over_q_when_certificate_fails():
     m, r = gram_rank(ts, chi)
     n = len(ts.spanning)
     assert all(v % MOD_P1 == 0 for v in m.entries)
-    piv = _SymPivot(lambda i, j: m[i, j] % MOD_P1, MOD_P1)
+    piv = _SymPivot(rows_of(lambda i, j: m[i, j] % MOD_P1), MOD_P1)
     piv.select(range(n))
     assert piv.keys == []
     assert r == m.rank() == 5
@@ -594,6 +595,22 @@ _CLASS_CHARACTERS = {
 @pytest.mark.parametrize("chi", _CLASS_CHARACTERS.values(), ids=_CLASS_CHARACTERS)
 def test_class_fill_matches_plain_fill(obj, chi):
     _assert_class_fill_matches(spanning_end(obj, chi), chi)
+
+
+@pytest.mark.parametrize("obj", ["S", "I"])
+def test_curated_keys_pair_each_request_of_classes_once(obj, monkeypatch):
+    # the key selection asks for rows, and a row is paired once per distinct
+    # request of feature classes (the handle's, its partners'), so the
+    # closure_row calls stay below three per class: 20 on S and 21 on I
+    from octqft import gram
+
+    ts = spanning_end(obj, CHI2)
+    rank = _factored_rank(ts, CHI2)
+    calls = []
+    closure_row_ = gram.closure_row
+    monkeypatch.setattr(gram, "closure_row", lambda a, bs: calls.append(a) or closure_row_(a, bs))
+    assert len(_curated_keys(ts, CHI2, rank)) == rank
+    assert 0 < len(calls) < 3 * len(_feature_classes(ts, CHI2)[1])
 
 
 _CLASS_VALUES = [Fraction(v) for v in ("-1", "1", "2", "1/2", "-1/3")]
@@ -1028,7 +1045,7 @@ def test_modular_pivot_accepts_pair_after_singles_stall():
         (2, 0): 1, (2, 1): 0, (2, 2): 1,
     }
     for p in (0, MOD_P1):
-        piv = _SymPivot(lambda a, b: gram[(a, b)] % p if p else gram[(a, b)], p)
+        piv = _SymPivot(rows_of(lambda a, b: gram[(a, b)] % p if p else gram[(a, b)]), p)
         assert piv.accept_single(0)
         assert not piv.accept_single(1)
         assert not piv.accept_single(2)
@@ -1074,7 +1091,7 @@ def test_sym_pivot_selects_rank_on_random_symmetric(p):
     for _ in range(60):
         n = rng.randint(1, 9)
         g = _random_symmetric(rng, n)
-        piv = _SymPivot(lambda a, b: g[a][b] % p if p else Fraction(g[a][b]), p)
+        piv = _SymPivot(rows_of(lambda a, b: g[a][b] % p if p else Fraction(g[a][b])), p)
         piv.select(range(n))
         chosen = sorted(piv.keys)
         assert len(chosen) == Matrix.from_rows(g).rank()
@@ -1091,7 +1108,7 @@ def test_select_matches_reference_order(p):
         g = _random_symmetric(rng, n)
         keys = []
         for select in (_SymPivot.select, reference_select):
-            piv = _SymPivot(lambda a, b: g[a][b] % p if p else Fraction(g[a][b]), p)
+            piv = _SymPivot(rows_of(lambda a, b: g[a][b] % p if p else Fraction(g[a][b])), p)
             select(piv, range(n))
             keys.append(piv.keys)
         assert keys[0] == keys[1]
@@ -1108,7 +1125,7 @@ def test_select_tries_bred_handles_before_stalled_ones(p):
     g2 = [[0, 1, 0, 0], [1, 0, 1, 1], [0, 1, 1, 0], [0, 1, 0, 0]]
     for g, cands, bred, keys in ((g1, [0, 1], {}, [1, 0]), (g1, [0, 1], {1: [2]}, [1, 2]),
                                  (g2, [0, 1, 2], {}, [2, 1, 0]), (g2, [0, 1, 2], {1: [3]}, [2, 1, 3])):
-        piv = _SymPivot(lambda a, b, g=g: g[a][b], p)
+        piv = _SymPivot(rows_of(lambda a, b, g=g: g[a][b]), p)
         piv.select(cands, lambda h, bred=bred: bred.get(h, []))
         assert piv.keys == keys
 
@@ -1135,7 +1152,7 @@ def test_select_with_row_classes_matches_select_without(p):
             def pairfn(a, b, run=run):
                 calls[run] += 1
                 return gram[a][b] % p if p else Fraction(gram[a][b])
-            piv = _SymPivot(pairfn, p)
+            piv = _SymPivot(rows_of(pairfn), p)
             piv.select(range(m), row_class=row_class)
             keys.append(piv.keys)
         assert keys[0] == keys[1]
@@ -1145,7 +1162,7 @@ def test_select_with_row_classes_matches_select_without(p):
 
 def test_sym_pivot_zero_diagonal_needs_pair_steps():
     g = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
-    piv = _SymPivot(lambda a, b: Fraction(g[a][b]))
+    piv = _SymPivot(rows_of(lambda a, b: Fraction(g[a][b])))
     piv.select(range(4))
     assert piv.keys == [0, 1, 2, 3]
 
@@ -1154,7 +1171,7 @@ def test_first_pair_needs_invertible_schur_block():
     # with nonzero diagonal residuals a nonzero cross residual is not enough
     for g, expected in (([[1, 1], [1, 1]], None), ([[1, 1], [1, 2]], (0, 1))):
         for p in (0, MOD_P1):
-            piv = _SymPivot(lambda a, b: g[a][b], p)
+            piv = _SymPivot(rows_of(lambda a, b: g[a][b]), p)
             assert piv.first_pair([0, 1]) == expected
 
 
@@ -1194,7 +1211,7 @@ def test_packed_pivot_matches_list_oracle(p):
         parents = {}
         for c in range(start, n):
             parents.setdefault(rng.randrange(c), []).append(c)
-        pivots = [cls(lambda a, b, g=g: g[a][b], p) for cls in (_SymPivot, ListPivot)]
+        pivots = [cls(rows_of(lambda a, b, g=g: g[a][b]), p) for cls in (_SymPivot, ListPivot)]
         for piv in pivots:
             piv.select(range(start), lambda h, parents=parents: parents.get(h, ()))
         packed, oracle = pivots
